@@ -55,6 +55,7 @@ from .states import (
 )
 from .verifier import (
     HermitianMatrix,
+    InvariantError,
     MeasurementConstraintSystem,
     TrivialityVerdict,
     anti_index,

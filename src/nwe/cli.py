@@ -19,7 +19,13 @@ from .serialize import (
     state_set_from_document,
     state_set_to_document,
 )
-from .states import DimensionError, NonOrthogonalSetError, StateSet, check_pairwise_orthogonality
+from .states import (
+    DimensionError,
+    NonOrthogonalSetError,
+    StateSet,
+    check_pairwise_orthogonality,
+    dim_cap,
+)
 from .verifier import STATUS_TRIVIAL, verify_all
 
 EXIT_OK = 0
@@ -217,6 +223,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        dim_cap()  # a bad NWE_DIM_CAP is a parameter error, even while reading a document
         return args.func(args)
     except (ConstructionError, DimensionError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -27,7 +27,6 @@ from .states import (
     NonOrthogonalSetError,
     StateSet,
     SystemShape,
-    check_pairwise_orthogonality,
     find_stopper,
     inner_factors,
 )
@@ -235,16 +234,11 @@ def derive_certificate(sset: StateSet) -> Certificate:
     covered, diagonal linking against the stopper. Two runs on the same set
     produce identical fact lists.
     """
-    violations = check_pairwise_orthogonality(sset)
-    if violations:
-        raise NonOrthogonalSetError(violations)
+    table = sset.pair_table
+    if table.violations:
+        raise NonOrthogonalSetError(list(table.violations))
     states = sset.states
     count = len(states)
-    factor_cache = {
-        (i, j): inner_factors(states[i], states[j])
-        for i in range(count)
-        for j in range(i + 1, count)
-    }
     stopper_idx = find_stopper(sset)
 
     facts: list[Fact] = []
@@ -252,16 +246,10 @@ def derive_certificate(sset: StateSet) -> Certificate:
     for t in range(sset.shape.n):
         dim = sset.shape.dims[t]
         known: set[tuple[int, int]] = set()
-
-        constraints: list[PairConstraint] = []
-        for i in range(count):
-            for j in range(i + 1, count):
-                if _other_factor_product(factor_cache[(i, j)], t) != 0:
-                    constraints.append(
-                        PairConstraint(
-                            t, i, j, _constraint_terms(states[i].locals[t].coeffs, states[j].locals[t].coeffs)
-                        )
-                    )
+        constraints = [
+            PairConstraint(t, i, j, _constraint_terms(states[i].locals[t].coeffs, states[j].locals[t].coeffs))
+            for i, j in table.buckets[t]
+        ]
 
         # phase 1: single-support pairs
         for con in constraints:
@@ -294,11 +282,10 @@ def derive_certificate(sset: StateSet) -> Certificate:
         # phase 3: diagonal linking against the stopper
         dsu = _DSU(dim)
         if not missing and stopper_idx is not None:
+            linked = set(table.buckets[t])
             seen_diag: set[tuple[int, int]] = set()
             for i in range(count):
-                if i == stopper_idx:
-                    continue
-                if pair_constraint(sset, i, stopper_idx, t) is None:
+                if (min(i, stopper_idx), max(i, stopper_idx)) not in linked:
                     continue
                 signed = _two_support_signed(states[i].locals[t])
                 if signed is None:

@@ -39,7 +39,8 @@ def state_set_from_document(doc) -> StateSet:
     if version != FORMAT_VERSION:
         raise DocumentError(f"unsupported document version {version!r} (expected {FORMAT_VERSION!r})")
     dims = doc.get("dims")
-    if not isinstance(dims, list) or not all(isinstance(d, int) for d in dims):
+    # JSON true and false decode to bool, a subclass of int: exact type checks reject them
+    if not isinstance(dims, list) or not all(type(d) is int for d in dims):
         raise DocumentError("dims must be an array of integers")
     try:
         shape = SystemShape(tuple(dims))
@@ -60,7 +61,7 @@ def state_set_from_document(doc) -> StateSet:
             raise DocumentError(f"states[{idx}]: locals must be an array of {shape.n} vectors")
         locals_: list[LocalVector] = []
         for k, coeffs in enumerate(raw_locals):
-            if not isinstance(coeffs, list) or not all(isinstance(c, int) for c in coeffs):
+            if not isinstance(coeffs, list) or not all(type(c) is int for c in coeffs):
                 raise DocumentError(f"states[{idx}].locals[{k}]: expected an array of integers")
             if len(coeffs) != shape.dims[k]:
                 raise DocumentError(

@@ -11,12 +11,14 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from functools import cached_property
+from operator import mul
 
 DEFAULT_DIM_CAP = 64
 
 
 class DimensionError(ValueError):
-    """Vector lengths or system shapes do not match."""
+    """Vector lengths or system shapes do not match, or the dimension cap is invalid."""
 
 
 class NonOrthogonalSetError(ValueError):
@@ -29,7 +31,13 @@ class NonOrthogonalSetError(ValueError):
 
 def dim_cap() -> int:
     """Per-party dimension cap (default 64); override via NWE_DIM_CAP."""
-    return int(os.environ.get("NWE_DIM_CAP", DEFAULT_DIM_CAP))
+    raw = os.environ.get("NWE_DIM_CAP")
+    if raw is None:
+        return DEFAULT_DIM_CAP
+    try:
+        return int(raw)
+    except ValueError:
+        raise DimensionError(f"NWE_DIM_CAP must be an integer, got {raw!r}") from None
 
 
 @dataclass(frozen=True)
@@ -151,6 +159,48 @@ class StateSet:
     def labels(self) -> tuple[str, ...]:
         return tuple(s.label if s.label is not None else f"#{i}" for i, s in enumerate(self.states))
 
+    @cached_property
+    def pair_table(self) -> PairTable:
+        """Every state pair sorted once by its zero factors; computed on first use."""
+        return _classify_pairs(self)
+
+
+@dataclass(frozen=True)
+class PairTable:
+    """The pairs (i, j), i < j, of a state set, sorted by their zero factors.
+
+    An orthogonal pair has at least one zero per-party factor. A pair whose
+    sole zero factor is party t constrains party t's measurement and no
+    other, so it lands in buckets[t]; a pair with two or more zero factors
+    constrains no party and is dropped; a pair with none is a violation.
+    Every tuple is in lexicographic order.
+    """
+
+    violations: tuple[tuple[int, int], ...]
+    buckets: tuple[tuple[tuple[int, int], ...], ...]
+
+
+def _classify_pairs(sset: StateSet) -> PairTable:
+    n = sset.shape.n
+    columns = [[s.locals[t].coeffs for s in sset.states] for t in range(n)]
+    violations: list[tuple[int, int]] = []
+    buckets: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    count = len(sset.states)
+    for i in range(count):
+        for j in range(i + 1, count):
+            zero = -1  # the party of the first zero factor found
+            for t, col in enumerate(columns):
+                if not sum(map(mul, col[i], col[j])):
+                    if zero >= 0:
+                        break  # a second zero factor: the pair is inert
+                    zero = t
+            else:
+                if zero < 0:
+                    violations.append((i, j))
+                else:
+                    buckets[zero].append((i, j))
+    return PairTable(tuple(violations), tuple(map(tuple, buckets)))
+
 
 def local_inner(u: LocalVector, v: LocalVector) -> int:
     """Exact inner product of two real integer local vectors."""
@@ -173,13 +223,7 @@ def are_orthogonal(a: ProductState, b: ProductState) -> bool:
 
 def check_pairwise_orthogonality(sset: StateSet) -> list[tuple[int, int]]:
     """All index pairs (i, j), i < j, that are NOT orthogonal, in lexicographic order."""
-    bad: list[tuple[int, int]] = []
-    states = sset.states
-    for i in range(len(states)):
-        for j in range(i + 1, len(states)):
-            if not are_orthogonal(states[i], states[j]):
-                bad.append((i, j))
-    return bad
+    return list(sset.pair_table.violations)
 
 
 def stopper(shape: SystemShape) -> ProductState:

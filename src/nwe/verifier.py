@@ -4,10 +4,23 @@ The unknown measurement element on party t is a complex Hermitian d x d
 matrix E = S + iA with S real symmetric and A real antisymmetric. Its real
 degrees of freedom are laid out as d(d+1)/2 symmetric coordinates S[a,b]
 (a <= b) followed by d(d-1)/2 antisymmetric coordinates A[a,b] (a < b).
-Every state pair whose other-party factors are all nonzero contributes one
-row on each block (u^T S v = 0 and u^T A v = 0, u and v real). Gaussian
-elimination over exact rationals then decides triviality: the measurement is
-forced trivial iff the nullspace is exactly the span of the identity.
+
+The set's pair table (`StateSet.pair_table`) sorts every pair once; the
+pairs whose sole zero factor is party t are the ones that constrain E. Each
+gives u^T S v = 0 on the S block and u^T A v = 0 on the A block (u and v
+real), kept as sparse rows. The blocks share no coordinate, so they are
+eliminated apart. The identity satisfies every row, so rank_S is at most
+d(d+1)/2 - 1, and the measurement is forced trivial iff rank_S reaches that
+and rank_A = d(d-1)/2.
+
+Each block is first eliminated modulo the prime p = 2^61 - 1, stopping once
+the full rank is reached. Rank modulo p never exceeds rank over the
+rationals, so full rank modulo p on both blocks proves Trivial exactly. A
+block short of full rank modulo p is eliminated again over exact rationals
+to reduced row echelon form, which gives the nullspace dimension and, on a
+Nontrivial verdict, the witness: the first nullspace basis vector, in
+column order, that is not a multiple of the identity, with its identity
+component projected out.
 
 A Nontrivial verdict means a nontrivial orthogonality-preserving first
 measurement exists on that party; it does not by itself prove that the set
@@ -16,16 +29,10 @@ is LOCC-distinguishable.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .states import (
-    NonOrthogonalSetError,
-    StateSet,
-    check_pairwise_orthogonality,
-    inner_factors,
-)
+from .states import NonOrthogonalSetError, StateSet
 
 STATUS_TRIVIAL = "Trivial"
 STATUS_NONTRIVIAL = "Nontrivial"
@@ -144,10 +151,18 @@ def matrix_to_coords(mat: HermitianMatrix) -> tuple[Fraction, ...]:
     return tuple(vec)
 
 
-def _pair_rows(u: tuple[int, ...], v: tuple[int, ...], dim: int) -> tuple[list[int], list[int]]:
-    size = dim * dim
-    srow = [0] * size
-    arow = [0] * size
+class InvariantError(RuntimeError):
+    """An internal invariant of the oracle failed, so no verdict can be trusted."""
+
+
+MODULUS = 2**61 - 1  # a prime
+
+
+def _pair_rows(u: tuple[int, ...], v: tuple[int, ...], dim: int) -> tuple[dict, dict]:
+    """The S-block and A-block rows of u^T E v = 0, as {coordinate: coefficient}."""
+    srow: dict[int, int] = {}
+    arow: dict[int, int] = {}
+    trace = 0
     for a, ua in enumerate(u):
         if not ua:
             continue
@@ -155,132 +170,165 @@ def _pair_rows(u: tuple[int, ...], v: tuple[int, ...], dim: int) -> tuple[list[i
             if not vb:
                 continue
             w = ua * vb
+            lo, hi = min(a, b), max(a, b)
+            k = sym_index(dim, lo, hi)
+            srow[k] = srow.get(k, 0) + w
             if a == b:
-                srow[sym_index(dim, a, a)] += w
-            elif a < b:
-                srow[sym_index(dim, a, b)] += w
-                arow[anti_index(dim, a, b)] += w
+                trace += w
             else:
-                srow[sym_index(dim, b, a)] += w
-                arow[anti_index(dim, b, a)] -= w
-    return srow, arow
+                k = anti_index(dim, lo, hi)
+                arow[k] = arow.get(k, 0) + (w if a < b else -w)
+    # the diagonal coefficients sum to u.v, which vanishes because party t
+    # is the pair's zero factor; so the identity satisfies every row
+    if trace:
+        raise InvariantError(f"the row of {u} and {v} does not annihilate the identity")
+    return {k: x for k, x in srow.items() if x}, {k: x for k, x in arow.items() if x}
 
 
-def _assemble_checked(sset: StateSet, t: int) -> MeasurementConstraintSystem:
+def _constraint_rows(sset: StateSet, t: int) -> list[tuple[dict, dict]]:
+    """(S-block row, A-block row) of each pair in party t's bucket, in table order."""
+    if not 0 <= t < sset.shape.n:
+        raise IndexError(f"party {t} out of range for {sset.shape.n} parties")
+    table = sset.pair_table
+    if table.violations:
+        raise NonOrthogonalSetError(list(table.violations))
     dim = sset.shape.dims[t]
     states = sset.states
-    rows: list[tuple[int, ...]] = []
-    for i in range(len(states)):
-        for j in range(i + 1, len(states)):
-            factors = inner_factors(states[i], states[j])
-            other = 1
-            for k, f in enumerate(factors):
-                if k != t:
-                    other *= f
-            if other == 0:
-                continue
-            u = states[i].locals[t].coeffs
-            v = states[j].locals[t].coeffs
-            srow, arow = _pair_rows(u, v, dim)
-            # identity membership: the diagonal coefficients sum to u.v,
-            # which must vanish because the pair is orthogonal on party t
-            assert sum(srow[sym_index(dim, a, a)] for a in range(dim)) == 0
-            if any(srow):
-                rows.append(tuple(srow))
-            if any(arow):
-                rows.append(tuple(arow))
-    return MeasurementConstraintSystem(t, dim, tuple(rows))
+    return [
+        _pair_rows(states[i].locals[t].coeffs, states[j].locals[t].coeffs, dim)
+        for i, j in table.buckets[t]
+    ]
 
 
 def assemble(sset: StateSet, t: int) -> MeasurementConstraintSystem:
-    """Constraint system for party t of a pairwise orthogonal set."""
-    if not 0 <= t < sset.shape.n:
-        raise IndexError(f"party {t} out of range for {sset.shape.n} parties")
-    violations = check_pairwise_orthogonality(sset)
-    if violations:
-        raise NonOrthogonalSetError(violations)
-    return _assemble_checked(sset, t)
+    """Constraint system for party t of a pairwise orthogonal set, as dense rows.
 
-
-def _rref(rows, ncols: int) -> tuple[list[int], list[list[Fraction]]]:
-    """Reduced row echelon form with first-nonzero-column pivoting.
-
-    Rows are consumed in the given order; the returned pivot columns are
-    ascending with matching normalized rows.
+    Each constraining pair contributes its S-block row, then its A-block
+    row; a row with no nonzero coefficient is left out.
     """
-    pivots: list[int] = []
-    reduced: list[list[Fraction]] = []
-    for raw in rows:
-        r = [Fraction(x) for x in raw]
-        for p, row in zip(pivots, reduced):
-            c = r[p]
-            if c:
-                for k in range(ncols):
-                    if row[k]:
-                        r[k] -= c * row[k]
-        pc = next((k for k in range(ncols) if r[k]), None)
-        if pc is None:
+    pair_rows = _constraint_rows(sset, t)
+    dim = sset.shape.dims[t]
+    rows = []
+    for pair in pair_rows:
+        for row in pair:
+            if row:
+                dense = [0] * (dim * dim)
+                for k, x in row.items():
+                    dense[k] = x
+                rows.append(tuple(dense))
+    return MeasurementConstraintSystem(t, dim, tuple(rows))
+
+
+def _subtract(row: dict, f, other: dict, modulus: int | None) -> None:
+    """row -= f * other in place, dropping the entries that become zero."""
+    for k, x in other.items():
+        y = row.get(k, 0) - f * x
+        if modulus:
+            y %= modulus
+        if y:
+            row[k] = y
+        else:
+            del row[k]
+
+
+def _gauss_jordan(rows, target: int | None = None, modulus: int | None = None) -> dict[int, dict]:
+    """Reduced row echelon form of sparse rows, pivoting on the first nonzero column.
+
+    Returns {pivot column: the rest of its row}: each pivot entry is 1 and
+    left out, and no row has an entry in another row's pivot column, so the
+    result is the unique RREF of the rows' span. Works over the rationals,
+    or over the integers modulo the prime `modulus` when it is given. Stops
+    once `target` pivots are found.
+    """
+    pivots: dict[int, dict] = {}
+    for row in rows:
+        if len(pivots) == target:
+            break
+        r = dict(row)
+        for c in [c for c in r if c in pivots]:
+            _subtract(r, r.pop(c), pivots[c], modulus)
+        if not r:
             continue
-        lead = r[pc]
-        if lead != 1:
-            r = [x / lead for x in r]
-        for idx, row in enumerate(reduced):
-            c = row[pc]
-            if c:
-                reduced[idx] = [x - c * y for x, y in zip(row, r)]
-        pos = bisect_left(pivots, pc)
-        pivots.insert(pos, pc)
-        reduced.insert(pos, r)
-    return pivots, reduced
+        pc = min(r)
+        lead = r.pop(pc)
+        if modulus:
+            inv = pow(lead, -1, modulus)
+            tail = {k: x * inv % modulus for k, x in r.items()}
+        else:
+            inv = 1 / Fraction(lead)
+            tail = {k: x * inv for k, x in r.items()}
+        for other in pivots.values():
+            f = other.pop(pc, 0)
+            if f:
+                _subtract(other, f, tail, modulus)
+        pivots[pc] = tail
+    return pivots
+
+
+def _basis(pivots: dict[int, dict], columns, size: int):
+    """Nullspace vectors of an RREF, one per free column of `columns`, ascending."""
+    for free in columns:
+        if free in pivots:
+            continue
+        vec = [Fraction(0)] * size
+        vec[free] = Fraction(1)
+        for p, tail in pivots.items():
+            if free in tail:
+                vec[p] = -tail[free]
+        yield tuple(vec)
+
+
+def _sparse(rows) -> list[dict[int, int]]:
+    return [{k: x for k, x in enumerate(row) if x} for row in rows]
 
 
 def rank(system: MeasurementConstraintSystem) -> int:
-    return len(_rref(system.rows, system.num_unknowns)[0])
+    return len(_gauss_jordan(_sparse(system.rows)))
 
 
 def nullspace(system: MeasurementConstraintSystem) -> list[tuple[Fraction, ...]]:
     """Exact-rational basis of the solution space, deterministic order."""
     ncols = system.num_unknowns
-    pivots, reduced = _rref(system.rows, ncols)
-    pivot_set = set(pivots)
-    basis: list[tuple[Fraction, ...]] = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        vec = [Fraction(0)] * ncols
-        vec[free] = Fraction(1)
-        for p, row in zip(pivots, reduced):
-            if row[free]:
-                vec[p] = -row[free]
-        basis.append(tuple(vec))
-    assert len(basis) == ncols - len(pivots)
+    pivots = _gauss_jordan(_sparse(system.rows))
+    basis = list(_basis(pivots, range(ncols), ncols))
+    if len(basis) != ncols - len(pivots):
+        raise InvariantError(f"{len(basis)} basis vectors for {ncols} unknowns and rank {len(pivots)}")
     return basis
 
 
-def _dot(row, vec) -> Fraction:
-    return sum((Fraction(a) * b for a, b in zip(row, vec) if a), Fraction(0))
-
-
-def _verdict_from_system(system: MeasurementConstraintSystem) -> TrivialityVerdict:
-    dim = system.dim
-    basis = nullspace(system)
+def _verdict_from_rows(t: int, dim: int, pair_rows) -> TrivialityVerdict:
+    nsym = dim * (dim + 1) // 2
+    size = dim * dim
     ident = identity_coords(dim)
-    for row in system.rows:
-        assert _dot(row, ident) == 0
-    if len(basis) == 1:
-        matrix = coords_to_matrix(basis[0], dim)
-        assert matrix.is_identity_multiple()
-        return TrivialityVerdict(system.party, STATUS_TRIVIAL, 1, None)
+    blocks = (
+        ([s for s, _ in pair_rows if s], range(nsym), nsym - 1),
+        ([a for _, a in pair_rows if a], range(nsym, size), size - nsym),
+    )
+    nullity = 0
     witness = None
-    for vec in basis:
-        trace = sum(vec[sym_index(dim, a, a)] for a in range(dim))
-        coef = Fraction(trace, dim)
-        residual = tuple(x - coef * e for x, e in zip(vec, ident))
-        if any(residual):
-            witness = coords_to_matrix(residual, dim)
-            break
-    assert witness is not None and not witness.is_identity_multiple()
-    return TrivialityVerdict(system.party, STATUS_NONTRIVIAL, len(basis), witness)
+    for rows, columns, full in blocks:
+        residues = [{k: x % MODULUS for k, x in row.items() if x % MODULUS} for row in rows]
+        if len(_gauss_jordan(residues, full, MODULUS)) == full:
+            # rank mod p <= rank over Q <= full: the block is proven full
+            nullity += len(columns) - full
+            continue
+        pivots = _gauss_jordan(rows, full)
+        nullity += len(columns) - len(pivots)
+        if witness is not None:
+            continue
+        for vec in _basis(pivots, columns, size):
+            coef = Fraction(sum(vec[sym_index(dim, a, a)] for a in range(dim)), dim)
+            residual = tuple(x - coef * e for x, e in zip(vec, ident))
+            if any(residual):
+                witness = coords_to_matrix(residual, dim)
+                break
+    if nullity == 1:
+        if witness is not None:
+            raise InvariantError(f"party {t}: the one-dimensional nullspace is not the identity's span")
+        return TrivialityVerdict(t, STATUS_TRIVIAL, 1, None)
+    if witness is None or witness.is_identity_multiple():
+        raise InvariantError(f"party {t}: nullspace of dimension {nullity} yields no witness")
+    return TrivialityVerdict(t, STATUS_NONTRIVIAL, nullity, witness)
 
 
 def verdict(sset: StateSet, t: int) -> TrivialityVerdict:
@@ -290,17 +338,13 @@ def verdict(sset: StateSet, t: int) -> TrivialityVerdict:
     component projected out: an exact Hermitian matrix satisfying every
     constraint and independent of the identity.
     """
-    return _verdict_from_system(assemble(sset, t))
+    pair_rows = _constraint_rows(sset, t)
+    return _verdict_from_rows(t, sset.shape.dims[t], pair_rows)
 
 
 def verify_all(sset: StateSet) -> list[TrivialityVerdict]:
     """One verdict per party; the set is certified nonlocal iff all Trivial."""
-    violations = check_pairwise_orthogonality(sset)
-    if violations:
-        raise NonOrthogonalSetError(violations)
-    return [
-        _verdict_from_system(_assemble_checked(sset, t)) for t in range(sset.shape.n)
-    ]
+    return [verdict(sset, t) for t in range(sset.shape.n)]
 
 
 def certified_nonlocal(verdicts) -> bool:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from nwe import ProductState, StateSet, SystemShape, basis_ket
+from nwe import ProductState, StateSet, SystemShape, anti_index, basis_ket, coords_to_matrix, sym_index
 
 
 def expand(state: ProductState) -> list[int]:
@@ -90,3 +90,85 @@ def computational_basis_set(dims: tuple[int, ...]) -> StateSet:
 def without_stopper(sset: StateSet) -> StateSet:
     states = tuple(s for s in sset.states if not all(all(c == 1 for c in lv.coeffs) for lv in s.locals))
     return StateSet(sset.shape, states, provenance=sset.provenance + "-no-stopper")
+
+
+def dense_rref(rows, ncols: int) -> tuple[list[int], list[list[Fraction]]]:
+    """Dense reduced row echelon form over exact rationals, first-nonzero-column pivots."""
+    pivots: list[int] = []
+    reduced: list[list[Fraction]] = []
+    for raw in rows:
+        r = [Fraction(x) for x in raw]
+        for p, row in zip(pivots, reduced):
+            c = r[p]
+            if c:
+                r = [x - c * y for x, y in zip(r, row)]
+        pc = next((k for k in range(ncols) if r[k]), None)
+        if pc is None:
+            continue
+        r = [x / r[pc] for x in r]
+        for idx, row in enumerate(reduced):
+            c = row[pc]
+            if c:
+                reduced[idx] = [x - c * y for x, y in zip(row, r)]
+        pos = sum(1 for p in pivots if p < pc)
+        pivots.insert(pos, pc)
+        reduced.insert(pos, r)
+    return pivots, reduced
+
+
+def dense_constraint_rows(sset: StateSet, t: int) -> list[list[int]]:
+    """Party t's rows, real part then imaginary part of u^T E v = 0, for every
+    pair whose factors on all other parties are nonzero; all-zero rows dropped."""
+    dim = sset.shape.dims[t]
+    rows = []
+    states = sset.states
+    for i in range(len(states)):
+        for j in range(i + 1, len(states)):
+            others = [
+                sum(a * b for a, b in zip(states[i].locals[k].coeffs, states[j].locals[k].coeffs))
+                for k in range(sset.shape.n)
+                if k != t
+            ]
+            if not all(others):
+                continue
+            srow, arow = [0] * (dim * dim), [0] * (dim * dim)
+            u, v = states[i].locals[t].coeffs, states[j].locals[t].coeffs
+            for a in range(dim):
+                for b in range(dim):
+                    w = u[a] * v[b]
+                    srow[sym_index(dim, min(a, b), max(a, b))] += w
+                    if a != b:
+                        arow[anti_index(dim, min(a, b), max(a, b))] += w if a < b else -w
+            rows.extend(row for row in (srow, arow) if any(row))
+    return rows
+
+
+def reference_verdicts(sset: StateSet) -> list[tuple[str, int, list[list[str]] | None]]:
+    """(status, nullspace dimension, witness strings) per party, by dense
+    elimination of every constraint row: the witness is the first nullspace
+    basis vector, in free-column order, with a nonzero part off the identity."""
+    out = []
+    for t, dim in enumerate(sset.shape.dims):
+        size = dim * dim
+        pivots, reduced = dense_rref(dense_constraint_rows(sset, t), size)
+        basis = []
+        for free in (k for k in range(size) if k not in pivots):
+            vec = [Fraction(0)] * size
+            vec[free] = Fraction(1)
+            for p, row in zip(pivots, reduced):
+                vec[p] = -row[free]
+            basis.append(vec)
+        if len(basis) == 1:
+            out.append(("Trivial", 1, None))
+            continue
+        diagonal = {sym_index(dim, a, a) for a in range(dim)}
+        ident = [Fraction(int(k in diagonal)) for k in range(size)]
+        witness = None
+        for vec in basis:
+            coef = sum(x * e for x, e in zip(vec, ident)) / dim
+            residual = [x - coef * e for x, e in zip(vec, ident)]
+            if any(residual):
+                witness = coords_to_matrix(residual, dim).entry_strings()
+                break
+        out.append(("Nontrivial", len(basis), witness))
+    return out

@@ -205,3 +205,33 @@ class TestDimCap:
         captured = capsys.readouterr()
         assert code == 0
         assert json.loads(captured.out)["dims"] == [3, 3, 70]
+
+    def test_non_integer_cap_exit_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("NWE_DIM_CAP", "abc")
+        code = main(["verify", "--dims", "3,3,3"])
+        assert code == 2
+        assert "NWE_DIM_CAP must be an integer, got 'abc'" in capsys.readouterr().err
+
+    def test_non_integer_cap_exit_2_with_input(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "set.json"
+        write_doc(path, state_set_to_document(gen_general((3, 3, 3))))
+        monkeypatch.setenv("NWE_DIM_CAP", "abc")
+        code = main(["verify", "--input", str(path)])
+        assert code == 2
+        assert "NWE_DIM_CAP" in capsys.readouterr().err
+
+
+class TestJsonBooleans:
+    def test_boolean_coefficients_exit_3(self, tmp_path, capsys):
+        doc = {
+            "version": "nwe/1",
+            "dims": [2, 2],
+            "states": [{"locals": [[True, False], [1, 0]]}],
+        }
+        path = tmp_path / "bools.json"
+        write_doc(path, doc)
+        code = main(["verify", "--input", str(path)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert "states[0].locals[0]: expected an array of integers" in captured.err
+        assert captured.out == ""

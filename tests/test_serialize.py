@@ -58,6 +58,19 @@ class TestValidation:
         with pytest.raises(DocumentError, match="dims"):
             state_set_from_document(doc)
 
+    def test_boolean_dims_rejected(self):
+        doc = self.good_doc()
+        doc["dims"] = [3, True, 3]
+        with pytest.raises(DocumentError, match="dims"):
+            state_set_from_document(doc)
+
+    def test_boolean_coefficients_rejected(self):
+        doc = json.loads(
+            '{"version": "nwe/1", "dims": [2, 2], "states": [{"locals": [[true, false], [1, 0]]}]}'
+        )
+        with pytest.raises(DocumentError, match=r"states\[0\].locals\[0\]"):
+            state_set_from_document(doc)
+
     def test_local_length_checked(self):
         doc = self.good_doc()
         doc["states"][0]["locals"][1] = [1, 0]

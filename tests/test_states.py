@@ -12,6 +12,7 @@ from nwe import (
     SystemShape,
     are_orthogonal,
     check_pairwise_orthogonality,
+    dim_cap,
     gen_equal,
     gen_general,
     inner_factors,
@@ -171,6 +172,11 @@ class TestInvariantsValidation:
         with pytest.raises(DimensionError):
             SystemShape((3, 5))
 
+    def test_dim_cap_must_be_an_integer(self, monkeypatch):
+        monkeypatch.setenv("NWE_DIM_CAP", "abc")
+        with pytest.raises(DimensionError, match="NWE_DIM_CAP must be an integer"):
+            dim_cap()
+
     def test_state_local_count_must_match(self):
         shape = SystemShape((2, 2))
         with pytest.raises(DimensionError):
@@ -243,3 +249,28 @@ class TestProperties:
         s = product_state(shape, (1, -1), (0, 1, 0))
         # (|0>-|1>) x |1> -> coefficients at indices 1 and 4
         assert expand(s) == [0, 1, 0, 0, -1, 0]
+
+
+class TestPairTable:
+    @pytest.mark.parametrize(
+        "sset", [gen_equal(3, 4), gen_general((3, 4, 5)), gen_equal(5, 3)], ids=lambda s: s.provenance
+    )
+    def test_buckets_hold_the_pairs_with_a_sole_zero_factor(self, sset):
+        states = sset.states
+        expected = [[] for _ in range(sset.shape.n)]
+        for i in range(len(states)):
+            for j in range(i + 1, len(states)):
+                zeros = [t for t, f in enumerate(inner_factors(states[i], states[j])) if f == 0]
+                if len(zeros) == 1:
+                    expected[zeros[0]].append((i, j))
+        table = sset.pair_table
+        assert table.violations == ()
+        assert [list(b) for b in table.buckets] == expected
+        assert sset.pair_table is table
+
+    def test_violations_in_lexicographic_order(self):
+        shape = SystemShape((2, 2))
+        ones = product_state(shape, (1, 1), (1, 1))
+        sset = StateSet(shape, (ones, product_state(shape, (1, 0), (1, 0)), ones))
+        assert sset.pair_table.violations == ((0, 1), (0, 2), (1, 2))
+        assert sset.pair_table.buckets == ((), ())

@@ -1,8 +1,15 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import nwe.verifier
 from nwe import (
     LocalVector,
     NonOrthogonalSetError,
@@ -25,9 +32,15 @@ from nwe import (
     verdict,
     verify_all,
 )
-from nwe.verifier import MeasurementConstraintSystem
+from nwe.verifier import MODULUS, MeasurementConstraintSystem
 
-from helpers import CZERO, computational_basis_set, measured_overlap, without_stopper
+from helpers import (
+    CZERO,
+    computational_basis_set,
+    measured_overlap,
+    reference_verdicts,
+    without_stopper,
+)
 
 
 def dot(row, vec):
@@ -277,3 +290,135 @@ class TestOracleEngineAgreement:
         if sset.provenance.startswith(("equal(", "general(")) and "-no-stopper" not in sset.provenance:
             assert cert.trivial_for_all()
             assert certified_nonlocal(verdicts)
+
+
+def outcomes(verdicts):
+    return [
+        (v.status, v.nullspace_dim, None if v.witness is None else v.witness.entry_strings())
+        for v in verdicts
+    ]
+
+
+FAMILIES = (
+    ("equal", (3, 3)),
+    ("equal", (3, 4)),
+    ("equal", (4, 3)),
+    ("general", (3, 3, 4)),
+    ("general", (3, 4, 4)),
+    ("general", (3, 4, 5)),
+)
+
+
+@st.composite
+def scrambled_sets(draw):
+    """A built-in family, optionally without its stopper, with up to three
+    states removed, the rest shuffled and each party's basis permuted."""
+    kind, args = draw(st.sampled_from(FAMILIES))
+    sset = gen_equal(*args) if kind == "equal" else gen_general(args)
+    if draw(st.booleans()):
+        sset = without_stopper(sset)
+    states = list(sset.states)
+    for _ in range(draw(st.integers(0, 3))):
+        del states[draw(st.integers(0, len(states) - 1))]
+    states = draw(st.permutations(states))
+    perms = [draw(st.permutations(range(d))) for d in sset.shape.dims]
+    moved = []
+    for state in states:
+        locals_ = []
+        for lv, perm in zip(state.locals, perms):
+            coeffs = [0] * len(lv)
+            for a, c in enumerate(lv.coeffs):
+                coeffs[perm[a]] = c
+            locals_.append(LocalVector(tuple(coeffs)))
+        moved.append(ProductState(sset.shape, tuple(locals_), state.label))
+    return StateSet(sset.shape, tuple(moved), provenance="scrambled")
+
+
+class TestAgainstDenseReference:
+    @settings(max_examples=80, deadline=None)
+    @given(scrambled_sets())
+    def test_verdicts_match_dense_elimination(self, sset):
+        assert outcomes(verify_all(sset)) == reference_verdicts(sset)
+
+    @pytest.mark.parametrize(
+        "sset",
+        [computational_basis_set((2, 2)), without_stopper(gen_equal(3, 3)), unconstrained_pair_set()],
+        ids=lambda s: s.provenance,
+    )
+    def test_fixtures_match_dense_elimination(self, sset):
+        assert outcomes(verify_all(sset)) == reference_verdicts(sset)
+
+
+def exact_eliminations(monkeypatch) -> list:
+    """Records each block eliminated over the rationals (no modulus)."""
+    calls = []
+    original = nwe.verifier._gauss_jordan
+
+    def spy(rows, target=None, modulus=None):
+        if modulus is None:
+            calls.append(target)
+        return original(rows, target, modulus)
+
+    monkeypatch.setattr(nwe.verifier, "_gauss_jordan", spy)
+    return calls
+
+
+def scale_local(sset, idx, party, factor):
+    state = sset.states[idx]
+    new_locals = list(state.locals)
+    new_locals[party] = new_locals[party].scaled(factor)
+    states = list(sset.states)
+    states[idx] = ProductState(state.shape, tuple(new_locals), state.label)
+    return StateSet(sset.shape, tuple(states), provenance=sset.provenance)
+
+
+class TestModularRank:
+    def test_full_rank_mod_p_needs_no_exact_elimination(self, monkeypatch):
+        calls = exact_eliminations(monkeypatch)
+        assert all(v.trivial for v in verify_all(gen_general((3, 3, 4))))
+        assert calls == []
+
+    @pytest.mark.parametrize("party", [0, 1, 2])
+    def test_rank_drop_mod_p_falls_back_to_exact(self, monkeypatch, party):
+        # the stopper's rows on this party vanish mod p, so rank_S drops mod p
+        # while the rational rank, and so the verdict, is unchanged
+        sset = gen_equal(3, 3)
+        scaled = scale_local(sset, len(sset) - 1, party, MODULUS)
+        calls = exact_eliminations(monkeypatch)
+        assert outcomes(verify_all(scaled)) == outcomes(verify_all(sset))
+        assert calls, "the exact fallback did not run"
+
+    def test_scaled_nontrivial_set_keeps_its_witness(self):
+        sset = without_stopper(gen_general((3, 3, 4)))
+        for idx in (0, len(sset) // 2, len(sset) - 1):
+            for party in range(sset.shape.n):
+                scaled = scale_local(sset, idx, party, MODULUS)
+                assert outcomes(verify_all(scaled)) == outcomes(verify_all(sset))
+
+
+def test_invariant_checks_survive_python_O():
+    # party 0's bucket is forged to hold pairs whose party-0 factor is not
+    # zero; their rows do not annihilate the identity
+    script = """
+import sys
+from nwe import gen_equal, verify_all
+from nwe.states import PairTable
+from nwe.verifier import InvariantError
+
+assert False, "asserts run, so this is not python -O"
+sset = gen_equal(3, 3)
+buckets = sset.pair_table.buckets
+sset.__dict__["pair_table"] = PairTable((), (buckets[1],) + buckets[1:])
+try:
+    verify_all(sset)
+except InvariantError as exc:
+    print(exc)
+    sys.exit(0)
+sys.exit(1)
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert "does not annihilate the identity" in result.stdout
