@@ -16,6 +16,7 @@ from .inference import derive_certificate, render_fact
 from .serialize import (
     DocumentError,
     dumps_canonical,
+    read_document,
     state_set_from_document,
     state_set_to_document,
 )
@@ -142,9 +143,7 @@ def _cmd_verify(args) -> int:
         print("error: choose exactly one of --input or --dims", file=sys.stderr)
         return EXIT_PARAMETER
     if args.input is not None:
-        with open(args.input, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        sset = state_set_from_document(doc)
+        sset = state_set_from_document(read_document(args.input))
     else:
         sset = gen_general(_parse_dims(args.dims))
 

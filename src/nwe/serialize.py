@@ -78,7 +78,15 @@ def state_set_from_document(doc) -> StateSet:
             states.append(ProductState(shape, tuple(locals_), label))
         except ValueError as exc:
             raise DocumentError(f"states[{idx}]: {exc}") from exc
-    return StateSet(shape, tuple(states), provenance=provenance)
+    sset = StateSet(shape, tuple(states), provenance=provenance)
+    # certificates cite states by label (an unlabelled state by "#index"),
+    # so each label must name one state
+    first: dict[str, int] = {}
+    for idx, label in enumerate(sset.labels()):
+        if label in first:
+            raise DocumentError(f"duplicate state label {label!r}: states[{first[label]}] and states[{idx}]")
+        first[label] = idx
+    return sset
 
 
 def dumps_canonical(doc) -> str:
@@ -90,7 +98,18 @@ def save_state_set(sset: StateSet, path) -> None:
         fh.write(dumps_canonical(state_set_to_document(sset)))
 
 
+def read_document(path):
+    """The parsed JSON of a file; raises json.JSONDecodeError on malformed
+    JSON and DocumentError on bytes that are not UTF-8 or on nesting too
+    deep to parse."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except UnicodeDecodeError as exc:
+        raise DocumentError(f"not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+    except RecursionError:
+        raise DocumentError("JSON arrays or objects nested too deeply") from None
+
+
 def load_state_set(path) -> StateSet:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    return state_set_from_document(doc)
+    return state_set_from_document(read_document(path))

@@ -15,12 +15,22 @@ and rank_A = d(d-1)/2.
 
 Each block is first eliminated modulo the prime p = 2^61 - 1, stopping once
 the full rank is reached. Rank modulo p never exceeds rank over the
-rationals, so full rank modulo p on both blocks proves Trivial exactly. A
-block short of full rank modulo p is eliminated again over exact rationals
-to reduced row echelon form, which gives the nullspace dimension and, on a
-Nontrivial verdict, the witness: the first nullspace basis vector, in
-column order, that is not a multiple of the identity, with its identity
-component projected out.
+rationals, so full rank modulo p on both blocks proves Trivial exactly.
+
+A block short of full rank modulo p has its reduced row echelon form (RREF)
+modulo p lifted to the rationals: each entry is rebuilt by rational
+reconstruction, with numerator and denominator at most sqrt(p/2), and the
+result is kept only if an exact integer check shows that every constraint
+row lies in the span of the lifted rows. That span check gives
+rank_Q <= rank_p, so the two ranks are equal and the lifted rows span the
+rows' rational span; being in reduced form, they are its unique rational
+RREF. Only when an entry does not reconstruct or the check fails is the
+block eliminated again over exact rationals.
+
+The RREF gives the nullspace dimension and, on a Nontrivial verdict, the
+witness: the first nullspace basis vector, in column order, that is not a
+multiple of the identity, with its identity component projected out. It is
+built sparsely from the RREF's column of that free coordinate.
 
 A Nontrivial verdict means a nontrivial orthogonality-preserving first
 measurement exists on that party; it does not by itself prove that the set
@@ -29,6 +39,7 @@ is LOCC-distinguishable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -127,17 +138,7 @@ class TrivialityVerdict:
 
 def coords_to_matrix(vec, dim: int) -> HermitianMatrix:
     """Reassemble a coordinate vector into the Hermitian matrix it encodes."""
-    real = [[Fraction(0)] * dim for _ in range(dim)]
-    imag = [[Fraction(0)] * dim for _ in range(dim)]
-    for a in range(dim):
-        real[a][a] = Fraction(vec[sym_index(dim, a, a)])
-        for b in range(a + 1, dim):
-            s = Fraction(vec[sym_index(dim, a, b)])
-            w = Fraction(vec[anti_index(dim, a, b)])
-            real[a][b] = real[b][a] = s
-            imag[a][b] = w
-            imag[b][a] = -w
-    return HermitianMatrix(tuple(map(tuple, real)), tuple(map(tuple, imag)))
+    return _sparse_matrix({k: Fraction(x) for k, x in enumerate(vec) if x}, dim)
 
 
 def matrix_to_coords(mat: HermitianMatrix) -> tuple[Fraction, ...]:
@@ -296,10 +297,99 @@ def nullspace(system: MeasurementConstraintSystem) -> list[tuple[Fraction, ...]]
     return basis
 
 
+LIFT_BOUND = math.isqrt(MODULUS // 2)
+
+
+def reconstruct(x: int) -> tuple[int, int] | None:
+    """(n, d) with n = x*d mod p, gcd(n, d) = 1, |n| <= LIFT_BOUND and
+    0 < d <= LIFT_BOUND, or None if no such fraction exists.
+
+    Two such fractions n/d and n'/d' would give p | nd' - n'd, whose size
+    is below 2 * LIFT_BOUND^2 < p, so the fraction is unique.
+    """
+    r0, r1 = MODULUS, x % MODULUS
+    s0, s1 = 0, 1
+    # invariant: r = s * x (mod p) for both (r0, s0) and (r1, s1)
+    while r1 > LIFT_BOUND:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        s0, s1 = s1, s0 - q * s1
+    if not 0 < abs(s1) <= LIFT_BOUND or math.gcd(r1, s1) != 1:
+        return None
+    return (r1, s1) if s1 > 0 else (-r1, -s1)
+
+
+def _lift(rows, pivots: dict[int, dict]) -> tuple[dict[int, dict], int] | None:
+    """The rational RREF whose residues modulo p are `pivots`, as integer
+    tails over one common denominator, or None if an entry does not
+    reconstruct or some row of `rows` is not in the span of the lifted rows.
+    """
+    lifted = {pc: {k: reconstruct(x) for k, x in tail.items()} for pc, tail in pivots.items()}
+    if any(None in tail.values() for tail in lifted.values()):
+        return None
+    den = math.lcm(*(d for tail in lifted.values() for _, d in tail.values()))
+    tails = {pc: {k: n * (den // d) for k, (n, d) in tail.items()} for pc, tail in lifted.items()}
+    for row in rows:
+        # the row is in the span iff den * row is the sum, over its pivot
+        # columns pc, of row[pc] * (den at pc plus tails[pc]); that sum has
+        # den * row[pc] at each pivot column, so only the others are compared
+        rest = {k: den * x for k, x in row.items() if k not in tails}
+        for pc, c in row.items():
+            tail = tails.get(pc)
+            if tail:
+                for k, x in tail.items():
+                    rest[k] = rest.get(k, 0) - c * x
+        if any(rest.values()):
+            return None
+    return tails, den
+
+
+def _witness(pivots: dict[int, dict], den: int, columns, dim: int) -> HermitianMatrix | None:
+    """The first nullspace basis vector of an RREF, over its free columns in
+    ascending order, with a nonzero part off the identity: that part, as a
+    matrix. Tail entries are read as fractions over `den`."""
+    by_column: dict[int, list] = {}
+    for pc, tail in pivots.items():
+        for k, x in tail.items():
+            by_column.setdefault(k, []).append((pc, x))
+    diagonal = [sym_index(dim, a, a) for a in range(dim)]
+    for free in columns:
+        if free in pivots:
+            continue
+        vec = {free: Fraction(1)}
+        for pc, x in by_column.get(free, ()):
+            vec[pc] = Fraction(-x, den)
+        coef = sum(vec.get(k, 0) for k in diagonal) / Fraction(dim)
+        if coef:
+            for k in diagonal:
+                vec[k] = vec.get(k, 0) - coef
+        residual = {k: x for k, x in vec.items() if x}
+        if residual:
+            return _sparse_matrix(residual, dim)
+    return None
+
+
+def _sparse_matrix(coords: dict[int, Fraction], dim: int) -> HermitianMatrix:
+    """The Hermitian matrix of a sparse coordinate vector; absent entries are 0."""
+    zero = Fraction(0)
+    real = [[zero] * dim for _ in range(dim)]
+    imag = [[zero] * dim for _ in range(dim)]
+    nsym = dim * (dim + 1) // 2
+    places = [(a, b) for a in range(dim) for b in range(a, dim)]
+    places += [(a, b) for a in range(dim) for b in range(a + 1, dim)]
+    for k, x in coords.items():
+        a, b = places[k]
+        if k < nsym:
+            real[a][b] = real[b][a] = x
+        else:
+            imag[a][b] = x
+            imag[b][a] = -x
+    return HermitianMatrix(tuple(map(tuple, real)), tuple(map(tuple, imag)))
+
+
 def _verdict_from_rows(t: int, dim: int, pair_rows) -> TrivialityVerdict:
     nsym = dim * (dim + 1) // 2
     size = dim * dim
-    ident = identity_coords(dim)
     blocks = (
         ([s for s, _ in pair_rows if s], range(nsym), nsym - 1),
         ([a for _, a in pair_rows if a], range(nsym, size), size - nsym),
@@ -308,20 +398,16 @@ def _verdict_from_rows(t: int, dim: int, pair_rows) -> TrivialityVerdict:
     witness = None
     for rows, columns, full in blocks:
         residues = [{k: x % MODULUS for k, x in row.items() if x % MODULUS} for row in rows]
-        if len(_gauss_jordan(residues, full, MODULUS)) == full:
+        pivots = _gauss_jordan(residues, full, MODULUS)
+        if len(pivots) == full:
             # rank mod p <= rank over Q <= full: the block is proven full
             nullity += len(columns) - full
             continue
-        pivots = _gauss_jordan(rows, full)
+        lifted = _lift(rows, pivots)
+        pivots, den = lifted if lifted is not None else (_gauss_jordan(rows, full), 1)
         nullity += len(columns) - len(pivots)
-        if witness is not None:
-            continue
-        for vec in _basis(pivots, columns, size):
-            coef = Fraction(sum(vec[sym_index(dim, a, a)] for a in range(dim)), dim)
-            residual = tuple(x - coef * e for x, e in zip(vec, ident))
-            if any(residual):
-                witness = coords_to_matrix(residual, dim)
-                break
+        if witness is None:
+            witness = _witness(pivots, den, columns, dim)
     if nullity == 1:
         if witness is not None:
             raise InvariantError(f"party {t}: the one-dimensional nullspace is not the identity's span")

@@ -1,10 +1,15 @@
 import json
+from pathlib import Path
 
-from nwe import gen_general, state_set_to_document, verify_all
+import pytest
+
+from nwe import gen_equal, gen_general, save_state_set, state_set_to_document, verify_all
 from nwe.cli import main
 from nwe.serialize import dumps_canonical
 
-from helpers import computational_basis_set
+from helpers import computational_basis_set, without_stopper
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def write_doc(path, doc):
@@ -235,3 +240,60 @@ class TestJsonBooleans:
         assert code == 3
         assert "states[0].locals[0]: expected an array of integers" in captured.err
         assert captured.out == ""
+
+
+class TestHostileInput:
+    def run_verify(self, path, capsys):
+        code = main(["verify", "--input", str(path)])
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        return code, captured.err
+
+    def test_non_utf8_input_exit_3(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"version": "nwe/1", "provenance": "caf\xe9", "dims": [2, 2], "states": []}')
+        code, err = self.run_verify(path, capsys)
+        assert code == 3
+        assert "not UTF-8" in err
+
+    def test_deeply_nested_json_exit_3(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000 + "]" * 100000, encoding="utf-8")
+        code, err = self.run_verify(path, capsys)
+        assert code == 3
+        assert "nested too deeply" in err
+
+    def test_duplicate_labels_exit_3(self, tmp_path, capsys):
+        doc = {
+            "version": "nwe/1",
+            "dims": [2, 2],
+            "states": [
+                {"locals": [[1, 0], [1, 0]], "label": "a"},
+                {"locals": [[0, 1], [1, 0]], "label": "b"},
+                {"locals": [[1, 0], [0, 1]], "label": "a"},
+            ],
+        }
+        path = tmp_path / "dupes.json"
+        write_doc(path, doc)
+        code, err = self.run_verify(path, capsys)
+        assert code == 3
+        assert "duplicate state label 'a': states[0] and states[2]" in err
+
+
+class TestGoldenReports:
+    """The exact oracle report of two Nontrivial families, witness strings included."""
+
+    @pytest.mark.parametrize(
+        "name, sset",
+        [("equal_3_4", gen_equal(3, 4)), ("general_3_3_4", gen_general((3, 3, 4)))],
+    )
+    def test_nontrivial_report_is_byte_identical(self, tmp_path, capsys, name, sset):
+        path = tmp_path / "set.json"
+        save_state_set(without_stopper(sset), path)
+        code = main(["verify", "--input", str(path), "--engine", "oracle"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == ""
+        golden = (GOLDEN / f"report_{name}_no_stopper.json").read_text(encoding="utf-8")
+        assert captured.out == golden

@@ -96,3 +96,23 @@ class TestValidation:
         sset = state_set_from_document(self.good_doc())
         assert sset.states[0].label == "G_0[i=1]"
         assert sset.states[-1].label == "S"
+
+    def test_duplicate_labels_rejected(self):
+        doc = self.good_doc()
+        doc["states"][4]["label"] = doc["states"][1]["label"]
+        with pytest.raises(DocumentError, match=r"duplicate state label 'G_0\[i=2\]': states\[1\] and states\[4\]"):
+            state_set_from_document(doc)
+
+    def test_label_colliding_with_an_index_citation_rejected(self):
+        # an unlabelled state is cited as "#<index>"
+        doc = self.good_doc()
+        del doc["states"][0]["label"]
+        doc["states"][3]["label"] = "#0"
+        with pytest.raises(DocumentError, match="duplicate state label '#0'"):
+            state_set_from_document(doc)
+
+    def test_unlabelled_states_are_not_duplicates(self):
+        doc = self.good_doc()
+        for entry in doc["states"]:
+            del entry["label"]
+        assert len(state_set_from_document(doc)) == len(doc["states"])

@@ -1,3 +1,4 @@
+import math
 import os
 import random
 import subprocess
@@ -6,7 +7,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import nwe.verifier
@@ -32,7 +33,7 @@ from nwe import (
     verdict,
     verify_all,
 )
-from nwe.verifier import MODULUS, MeasurementConstraintSystem
+from nwe.verifier import LIFT_BOUND, MODULUS, MeasurementConstraintSystem, reconstruct
 
 from helpers import (
     CZERO,
@@ -394,6 +395,160 @@ class TestModularRank:
             for party in range(sset.shape.n):
                 scaled = scale_local(sset, idx, party, MODULUS)
                 assert outcomes(verify_all(scaled)) == outcomes(verify_all(sset))
+
+
+def residue(q: Fraction) -> int:
+    return q.numerator * pow(q.denominator, -1, MODULUS) % MODULUS
+
+
+class TestLift:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(-LIFT_BOUND, LIFT_BOUND), st.integers(1, LIFT_BOUND))
+    def test_reconstruction_recovers_fractions_inside_the_bound(self, n, d):
+        q = Fraction(n, d)
+        assert reconstruct(residue(q)) == (q.numerator, q.denominator)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(-(LIFT_BOUND**2), LIFT_BOUND**2), st.integers(1, LIFT_BOUND**2))
+    def test_reconstruction_rejects_fractions_outside_the_bound(self, n, d):
+        q = Fraction(n, d)
+        assume(abs(q.numerator) > LIFT_BOUND or q.denominator > LIFT_BOUND)
+        got = reconstruct(residue(q))
+        assert got != (q.numerator, q.denominator)
+        if got is not None:
+            # another fraction with the same residue, inside the bound
+            num, den = got
+            assert abs(num) <= LIFT_BOUND and 0 < den <= LIFT_BOUND and math.gcd(num, den) == 1
+            assert residue(Fraction(num, den)) == residue(q)
+
+    @pytest.mark.parametrize(
+        "q", [Fraction(LIFT_BOUND + 1), Fraction(-LIFT_BOUND - 1), Fraction(1, LIFT_BOUND + 1)]
+    )
+    def test_just_outside_the_bound_is_rejected(self, q):
+        assert reconstruct(residue(q)) is None
+
+    def test_nontrivial_family_needs_no_exact_elimination(self, monkeypatch):
+        sset = without_stopper(gen_general((3, 3, 4)))
+        calls = exact_eliminations(monkeypatch)
+        got = outcomes(verify_all(sset))
+        assert calls == []
+        assert all(status == "Nontrivial" for status, _, _ in got)
+        assert got == reference_verdicts(sset)
+
+    def test_entry_beyond_the_bound_falls_back_to_exact(self, monkeypatch):
+        # party 0 has the local basis {(1, B), (B, -1)}: its S-block RREF has
+        # the entry (B^2 - 1)/B, whose numerator exceeds the lift's bound
+        big = 2**31 + 11
+        shape = SystemShape((2, 2))
+        local0 = (LocalVector((1, big)), LocalVector((big, -1)))
+        sset = StateSet(
+            shape,
+            tuple(ProductState(shape, (u, basis_ket(2, j))) for u in local0 for j in range(2)),
+            provenance="big-basis",
+        )
+        calls = exact_eliminations(monkeypatch)
+        got = outcomes(verify_all(sset))
+        assert calls, "the exact fallback did not run"
+        assert got == reference_verdicts(sset)
+        assert got[0][:2] == ("Nontrivial", 2)
+
+
+def orthogonal_integer_matrix(rng: random.Random, dim: int, fix_ones: bool) -> list[list[int]]:
+    """c * Q for a random rational orthogonal Q and the least c > 0 that
+    makes it integral, so M^T M = c^2 I keeps every inner product zero or
+    nonzero. Q = (I + K)^-1 (I - K) for K = v w^T - w v^T with small random
+    integer v, w; with `fix_ones`, v and w sum to zero, so K and Q fix the
+    all-ones vector. Some entry of M lies outside {-1, 0, 1}."""
+    while True:
+        v, w = ([rng.randint(-1, 1) for _ in range(dim)] for _ in range(2))
+        if fix_ones:
+            v, w = ([dim * x - sum(u) for x in u] for u in (v, w))
+        skew = [[v[a] * w[b] - w[a] * v[b] for b in range(dim)] for a in range(dim)]
+        # solve (I + K) Q = (I - K) by exact Gauss-Jordan on the augmented matrix
+        aug = [
+            [Fraction(int(a == b) + skew[a][b]) for b in range(dim)]
+            + [Fraction(int(a == b) - skew[a][b]) for b in range(dim)]
+            for a in range(dim)
+        ]
+        for col in range(dim):
+            piv = next(r for r in range(col, dim) if aug[r][col])
+            aug[col], aug[piv] = aug[piv], aug[col]
+            aug[col] = [x / aug[col][col] for x in aug[col]]
+            for r in range(dim):
+                if r != col and aug[r][col]:
+                    f = aug[r][col]
+                    aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+        q = [row[dim:] for row in aug]
+        scale = math.lcm(*(x.denominator for row in q for x in row))
+        m = [[int(x * scale) for x in row] for row in q]
+        g = math.gcd(*(x for row in m for x in row))
+        m = [[x // g for x in row] for row in m]
+        if any(abs(x) > 1 for row in m for x in row):
+            return m
+
+
+def primitive(coeffs) -> LocalVector:
+    g = math.gcd(*coeffs)
+    return LocalVector(tuple(c // g for c in coeffs))
+
+
+def rotated(sset: StateSet, rng: random.Random, parties) -> StateSet:
+    """The set with the vectors of each party in `parties` mapped by a random
+    integer matrix with orthogonal columns of equal length, each then divided
+    by the gcd of its coefficients. Neither step changes which inner products
+    vanish, and the matrices fix the all-ones vector, so the stopper stays."""
+    mats = {t: orthogonal_integer_matrix(rng, sset.shape.dims[t], fix_ones=True) for t in parties}
+    states = []
+    for state in sset.states:
+        locals_ = list(state.locals)
+        for t, m in mats.items():
+            u = locals_[t].coeffs
+            locals_[t] = primitive([sum(x * y for x, y in zip(row, u)) for row in m])
+        states.append(ProductState(sset.shape, tuple(locals_), state.label))
+    return StateSet(sset.shape, tuple(states), provenance=sset.provenance + "-rotated")
+
+
+class TestRandomOrthogonalBases:
+    @pytest.mark.parametrize("seed", range(24))
+    def test_verdicts_match_dense_elimination(self, seed):
+        rng = random.Random(seed)
+        kind, args = rng.choice(FAMILIES)
+        base = gen_equal(*args) if kind == "equal" else gen_general(args)
+        if rng.random() < 0.25:
+            base = without_stopper(base)
+        states = list(base.states)
+        for _ in range(rng.randint(0, 2)):
+            del states[rng.randrange(len(states))]
+        base = StateSet(base.shape, tuple(states), provenance=base.provenance)
+        # rotate some parties and keep the others, on which the rule engine
+        # can still conclude Trivial
+        n = base.shape.n
+        parties = rng.sample(range(n), rng.randint(1, n))
+        sset = rotated(base, rng, parties)
+        assert any(abs(c) > 1 for s in sset.states for lv in s.locals for c in lv.coeffs)
+        verdicts = verify_all(sset)
+        assert outcomes(verdicts) == reference_verdicts(sset)
+        # an orthogonal change of basis on a party keeps every verdict
+        assert [(v.status, v.nullspace_dim) for v in verdicts] == [
+            (v.status, v.nullspace_dim) for v in verify_all(base)
+        ]
+        cert = derive_certificate(sset)
+        for conclusion, v in zip(cert.conclusions, verdicts):
+            assert not (conclusion.trivial and v.status == "Nontrivial")
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_basis_products_match_dense_elimination(self, seed):
+        rng = random.Random(1000 + seed)
+        shape = SystemShape((2, 3))
+        bases = [orthogonal_integer_matrix(rng, d, fix_ones=False) for d in shape.dims]
+        # columns of each matrix form the party's local basis
+        states = tuple(
+            ProductState(shape, (primitive([row[i] for row in bases[0]]), primitive([row[j] for row in bases[1]])))
+            for i in range(2)
+            for j in range(3)
+        )
+        sset = StateSet(shape, states, provenance="rotated-basis")
+        assert outcomes(verify_all(sset)) == reference_verdicts(sset)
 
 
 def test_invariant_checks_survive_python_O():
