@@ -2,7 +2,8 @@
 
 Exit codes: 0 = certified nonlocal, 1 = not certified (a nontrivial
 orthogonality-preserving measurement exists, or the rule engine alone could
-not complete), 2 = parameter error, 3 = invalid input set.
+not complete), 2 = parameter error (an `--out` path that cannot be written
+included), 3 = invalid input set.
 """
 
 from __future__ import annotations
@@ -45,12 +46,19 @@ def _parse_dims(text: str) -> tuple[int, ...]:
     return dims
 
 
+class OutputError(Exception):
+    """The `--out` file could not be written."""
+
+
 def _emit(text: str, out_path: str | None) -> None:
     if out_path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise OutputError(f"cannot write {out_path}: {exc.strerror or exc}") from exc
 
 
 def _cmd_generate(args) -> int:
@@ -224,7 +232,7 @@ def main(argv=None) -> int:
     try:
         dim_cap()  # a bad NWE_DIM_CAP is a parameter error, even while reading a document
         return args.func(args)
-    except (ConstructionError, DimensionError) as exc:
+    except (ConstructionError, DimensionError, OutputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARAMETER
     except json.JSONDecodeError as exc:

@@ -13,19 +13,34 @@ eliminated apart. The identity satisfies every row, so rank_S is at most
 d(d+1)/2 - 1, and the measurement is forced trivial iff rank_S reaches that
 and rank_A = d(d-1)/2.
 
-Each block is first eliminated modulo the prime p = 2^61 - 1, stopping once
-the full rank is reached. Rank modulo p never exceeds rank over the
-rationals, so full rank modulo p on both blocks proves Trivial exactly.
+Each block is first peeled on its integer rows, as in the paper's Lemma 1:
+a row with one nonzero entry forces that coordinate to zero, so the column
+is deleted from every other row, and this repeats until no row has one
+entry (at most three passes on the built-in families). A pair of basis kets
+gives such a row, so most rows of a family are peeled and only the rest,
+the core, is eliminated. This is exact: each zeroed coordinate's unit
+vector e_c lies in the row space, so the block's unique RREF has e_c as the
+row of pivot c, and every row the peel consumed lies in the span of the
+e_c. The block's RREF is therefore the core's plus one pivot with an empty
+tail per zeroed column, and its rank is the core's plus their number. A
+diagonal coordinate of S is never zeroed, since the identity satisfies
+every row; if one is, InvariantError is raised.
 
-A block short of full rank modulo p has its reduced row echelon form (RREF)
+The core is eliminated modulo the prime p = 2^61 - 1, stopping once the
+full rank (less the zeroed columns) is reached. Rank modulo p never exceeds
+rank over the rationals, so full rank modulo p on both blocks proves
+Trivial exactly.
+
+A core short of full rank modulo p has its reduced row echelon form (RREF)
 modulo p lifted to the rationals: each entry is rebuilt by rational
 reconstruction, with numerator and denominator at most sqrt(p/2), and the
-result is kept only if an exact integer check shows that every constraint
-row lies in the span of the lifted rows. That span check gives
+result is kept only if an exact integer check shows that every core row
+lies in the span of the lifted rows. That span check gives
 rank_Q <= rank_p, so the two ranks are equal and the lifted rows span the
-rows' rational span; being in reduced form, they are its unique rational
+core's rational span; being in reduced form, they are its unique rational
 RREF. Only when an entry does not reconstruct or the check fails is the
-block eliminated again over exact rationals.
+core eliminated again over exact rationals. The public `rank` and
+`nullspace` take the same path, over all d*d unknowns as one block.
 
 The RREF gives the nullspace dimension and, on a Nontrivial verdict, the
 witness: the first nullspace basis vector, in column order, that is not a
@@ -159,17 +174,14 @@ class InvariantError(RuntimeError):
 MODULUS = 2**61 - 1  # a prime
 
 
-def _pair_rows(u: tuple[int, ...], v: tuple[int, ...], dim: int) -> tuple[dict, dict]:
-    """The S-block and A-block rows of u^T E v = 0, as {coordinate: coefficient}."""
+def _pair_rows(u, v, dim: int) -> tuple[dict, dict]:
+    """The S-block and A-block rows of u^T E v = 0, as {coordinate: coefficient};
+    u and v are given as the (index, coefficient) pairs of their nonzero entries."""
     srow: dict[int, int] = {}
     arow: dict[int, int] = {}
     trace = 0
-    for a, ua in enumerate(u):
-        if not ua:
-            continue
-        for b, vb in enumerate(v):
-            if not vb:
-                continue
+    for a, ua in u:
+        for b, vb in v:
             w = ua * vb
             lo, hi = min(a, b), max(a, b)
             k = sym_index(dim, lo, hi)
@@ -182,7 +194,7 @@ def _pair_rows(u: tuple[int, ...], v: tuple[int, ...], dim: int) -> tuple[dict, 
     # the diagonal coefficients sum to u.v, which vanishes because party t
     # is the pair's zero factor; so the identity satisfies every row
     if trace:
-        raise InvariantError(f"the row of {u} and {v} does not annihilate the identity")
+        raise InvariantError(f"the row of {dict(u)} and {dict(v)} does not annihilate the identity")
     return {k: x for k, x in srow.items() if x}, {k: x for k, x in arow.items() if x}
 
 
@@ -194,11 +206,9 @@ def _constraint_rows(sset: StateSet, t: int) -> list[tuple[dict, dict]]:
     if table.violations:
         raise NonOrthogonalSetError(list(table.violations))
     dim = sset.shape.dims[t]
-    states = sset.states
-    return [
-        _pair_rows(states[i].locals[t].coeffs, states[j].locals[t].coeffs, dim)
-        for i, j in table.buckets[t]
-    ]
+    # each state's nonzero party-t entries, found once for all its pairs
+    support = [[(a, c) for a, c in enumerate(s.locals[t].coeffs) if c] for s in sset.states]
+    return [_pair_rows(support[i], support[j], dim) for i, j in table.buckets[t]]
 
 
 def assemble(sset: StateSet, t: int) -> MeasurementConstraintSystem:
@@ -266,8 +276,33 @@ def _gauss_jordan(rows, target: int | None = None, modulus: int | None = None) -
     return pivots
 
 
-def _basis(pivots: dict[int, dict], columns, size: int):
-    """Nullspace vectors of an RREF, one per free column of `columns`, ascending."""
+def _peel(rows, keep=frozenset()) -> tuple[set[int], list[dict]]:
+    """The columns that one-entry rows force to zero, and the other rows with
+    those columns deleted (the core), repeated until no row has one entry.
+
+    A row with one nonzero entry says that coordinate is zero, over the
+    rationals and modulo any prime that does not divide the entry. Each
+    zeroed column e_c is in the row space, and every row the peel consumed
+    is in the span of the e_c, so the RREF of the rows is the core's RREF
+    plus one empty-tailed pivot per zeroed column. A zeroed column in `keep`
+    raises InvariantError.
+    """
+    zeroed: set[int] = set()
+    core = list(rows)
+    while True:
+        new = {k for row in core if len(row) == 1 for k in row}
+        if not new:
+            return zeroed, core
+        if not new.isdisjoint(keep):
+            raise InvariantError(f"a constraint row forces coordinate {min(new & keep)} to zero")
+        zeroed |= new
+        core = [row if new.isdisjoint(row) else {k: x for k, x in row.items() if k not in new} for row in core]
+        core = [row for row in core if row]
+
+
+def _basis(pivots: dict[int, dict], den: int, columns, size: int):
+    """Nullspace vectors of an RREF whose tail entries are fractions over
+    `den`, one per free column of `columns`, ascending."""
     for free in columns:
         if free in pivots:
             continue
@@ -275,7 +310,7 @@ def _basis(pivots: dict[int, dict], columns, size: int):
         vec[free] = Fraction(1)
         for p, tail in pivots.items():
             if free in tail:
-                vec[p] = -tail[free]
+                vec[p] = Fraction(-tail[free], den)
         yield tuple(vec)
 
 
@@ -284,14 +319,19 @@ def _sparse(rows) -> list[dict[int, int]]:
 
 
 def rank(system: MeasurementConstraintSystem) -> int:
-    return len(_gauss_jordan(_sparse(system.rows)))
+    size = system.num_unknowns
+    reduced = _eliminate(_sparse(system.rows), size)
+    return size if reduced is None else len(reduced[0])
 
 
 def nullspace(system: MeasurementConstraintSystem) -> list[tuple[Fraction, ...]]:
     """Exact-rational basis of the solution space, deterministic order."""
     ncols = system.num_unknowns
-    pivots = _gauss_jordan(_sparse(system.rows))
-    basis = list(_basis(pivots, range(ncols), ncols))
+    reduced = _eliminate(_sparse(system.rows), ncols)
+    if reduced is None:
+        return []
+    pivots, den = reduced
+    basis = list(_basis(pivots, den, range(ncols), ncols))
     if len(basis) != ncols - len(pivots):
         raise InvariantError(f"{len(basis)} basis vectors for {ncols} unknowns and rank {len(pivots)}")
     return basis
@@ -344,6 +384,27 @@ def _lift(rows, pivots: dict[int, dict]) -> tuple[dict[int, dict], int] | None:
     return tails, den
 
 
+def _eliminate(rows, full: int, keep=frozenset()) -> tuple[dict[int, dict], int] | None:
+    """The exact RREF of integer rows whose rational rank is at most `full`,
+    as integer tails over one common denominator, or None if the rank is
+    proven to be `full`.
+
+    The rows are peeled first; only the core is eliminated modulo p, lifted
+    and span-checked, or, if the lift fails, eliminated over the rationals.
+    """
+    zeroed, core = _peel(rows, keep)
+    target = full - len(zeroed)
+    residues = [{k: x % MODULUS for k, x in row.items() if x % MODULUS} for row in core]
+    pivots = _gauss_jordan(residues, target, MODULUS)
+    if len(pivots) == target:
+        # rank mod p <= rank over Q <= full
+        return None
+    lifted = _lift(core, pivots)
+    pivots, den = lifted if lifted is not None else (_gauss_jordan(core, target), 1)
+    pivots.update((c, {}) for c in zeroed)
+    return pivots, den
+
+
 def _witness(pivots: dict[int, dict], den: int, columns, dim: int) -> HermitianMatrix | None:
     """The first nullspace basis vector of an RREF, over its free columns in
     ascending order, with a nonzero part off the identity: that part, as a
@@ -390,6 +451,8 @@ def _sparse_matrix(coords: dict[int, Fraction], dim: int) -> HermitianMatrix:
 def _verdict_from_rows(t: int, dim: int, pair_rows) -> TrivialityVerdict:
     nsym = dim * (dim + 1) // 2
     size = dim * dim
+    # the identity satisfies every row, so no row may zero a diagonal coordinate
+    diagonal = frozenset(sym_index(dim, a, a) for a in range(dim))
     blocks = (
         ([s for s, _ in pair_rows if s], range(nsym), nsym - 1),
         ([a for _, a in pair_rows if a], range(nsym, size), size - nsym),
@@ -397,14 +460,11 @@ def _verdict_from_rows(t: int, dim: int, pair_rows) -> TrivialityVerdict:
     nullity = 0
     witness = None
     for rows, columns, full in blocks:
-        residues = [{k: x % MODULUS for k, x in row.items() if x % MODULUS} for row in rows]
-        pivots = _gauss_jordan(residues, full, MODULUS)
-        if len(pivots) == full:
-            # rank mod p <= rank over Q <= full: the block is proven full
+        reduced = _eliminate(rows, full, diagonal)
+        if reduced is None:
             nullity += len(columns) - full
             continue
-        lifted = _lift(rows, pivots)
-        pivots, den = lifted if lifted is not None else (_gauss_jordan(rows, full), 1)
+        pivots, den = reduced
         nullity += len(columns) - len(pivots)
         if witness is None:
             witness = _witness(pivots, den, columns, dim)

@@ -280,6 +280,30 @@ class TestHostileInput:
         assert code == 3
         assert "duplicate state label 'a': states[0] and states[2]" in err
 
+    def test_missing_input_exit_3(self, tmp_path, capsys):
+        path = tmp_path / "absent.json"
+        code, err = self.run_verify(path, capsys)
+        assert code == 3
+        assert str(path) in err
+
+
+class TestUnwritableReport:
+    def test_out_in_missing_directory_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "report.json"
+        code = main(["verify", "--dims", "3,3,3", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: cannot write {out}: No such file or directory\n"
+        assert not out.exists()
+
+    def test_generate_out_to_a_directory_exit_2(self, tmp_path, capsys):
+        code = main(["generate", "--dims", "3,3,4", "--out", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith(f"error: cannot write {tmp_path}: ")
+        assert captured.err.count("\n") == 1
+
 
 class TestGoldenReports:
     """The exact oracle report of two Nontrivial families, witness strings included."""

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import textwrap
 from fractions import Fraction
 from pathlib import Path
 
@@ -33,7 +34,16 @@ from nwe import (
     verdict,
     verify_all,
 )
-from nwe.verifier import LIFT_BOUND, MODULUS, MeasurementConstraintSystem, reconstruct
+from nwe.verifier import (
+    LIFT_BOUND,
+    MODULUS,
+    InvariantError,
+    MeasurementConstraintSystem,
+    _eliminate,
+    _gauss_jordan,
+    _peel,
+    reconstruct,
+)
 
 from helpers import (
     CZERO,
@@ -551,21 +561,16 @@ class TestRandomOrthogonalBases:
         assert outcomes(verify_all(sset)) == reference_verdicts(sset)
 
 
-def test_invariant_checks_survive_python_O():
-    # party 0's bucket is forged to hold pairs whose party-0 factor is not
-    # zero; their rows do not annihilate the identity
-    script = """
+def invariant_error_under_python_O(code: str) -> str:
+    """Runs `code` under python -O and returns the message of the
+    InvariantError it must raise."""
+    script = f"""
 import sys
-from nwe import gen_equal, verify_all
-from nwe.states import PairTable
 from nwe.verifier import InvariantError
 
 assert False, "asserts run, so this is not python -O"
-sset = gen_equal(3, 3)
-buckets = sset.pair_table.buckets
-sset.__dict__["pair_table"] = PairTable((), (buckets[1],) + buckets[1:])
 try:
-    verify_all(sset)
+{textwrap.indent(code.strip(), "    ")}
 except InvariantError as exc:
     print(exc)
     sys.exit(0)
@@ -576,4 +581,133 @@ sys.exit(1)
         [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=60
     )
     assert result.returncode == 0, result.stderr
-    assert "does not annihilate the identity" in result.stdout
+    return result.stdout
+
+
+def test_invariant_checks_survive_python_O():
+    # party 0's bucket is forged to hold pairs whose party-0 factor is not
+    # zero; their rows do not annihilate the identity
+    message = invariant_error_under_python_O("""
+from nwe import gen_equal, verify_all
+from nwe.states import PairTable
+sset = gen_equal(3, 3)
+buckets = sset.pair_table.buckets
+sset.__dict__["pair_table"] = PairTable((), (buckets[1],) + buckets[1:])
+verify_all(sset)
+""")
+    assert "does not annihilate the identity" in message
+
+
+@st.composite
+def peelable_rows(draw):
+    """Sparse integer rows over a few columns: a planted cascade, in which
+    each row has one entry once the column of the row before is peeled, and
+    random rows of one to four entries, in shuffled order."""
+    ncols = draw(st.integers(1, 10))
+    coef = st.integers(-4, 4).filter(bool)
+    chain = draw(st.permutations(range(ncols)))[: draw(st.integers(0, ncols))]
+    rows = []
+    for i, c in enumerate(chain):
+        row = {c: draw(coef)}
+        if i:
+            row[chain[i - 1]] = draw(coef)
+        rows.append(row)
+    for _ in range(draw(st.integers(0, 8))):
+        cols = draw(st.sets(st.integers(0, ncols - 1), min_size=1, max_size=4))
+        rows.append({c: draw(coef) for c in sorted(cols)})
+    return ncols, draw(st.permutations(rows))
+
+
+def peeled_rref(rows, modulus=None):
+    """The RREF the way the oracle builds it: the core's, plus an empty-tailed
+    pivot for each zeroed column."""
+    zeroed, core = _peel(rows)
+    if modulus:
+        core = [{k: x % modulus for k, x in row.items()} for row in core]
+    pivots = _gauss_jordan(core, modulus=modulus)
+    assert zeroed.isdisjoint(pivots)
+    pivots.update((c, {}) for c in zeroed)
+    return pivots
+
+
+class TestPeel:
+    @settings(max_examples=300, deadline=None)
+    @given(peelable_rows())
+    def test_peeled_rref_equals_the_unpeeled_rref(self, case):
+        _, rows = case
+        assert peeled_rref(rows) == _gauss_jordan(rows)
+        residues = [{k: x % MODULUS for k, x in row.items()} for row in rows]
+        assert peeled_rref(rows, MODULUS) == _gauss_jordan(residues, modulus=MODULUS)
+
+    @settings(max_examples=300, deadline=None)
+    @given(peelable_rows())
+    def test_eliminate_gives_the_exact_rref_and_rank(self, case):
+        ncols, rows = case
+        exact = _gauss_jordan(rows)
+        reduced = _eliminate(rows, ncols)
+        if reduced is None:
+            assert len(exact) == ncols
+        else:
+            pivots, den = reduced
+            assert {pc: {k: Fraction(x, den) for k, x in tail.items()} for pc, tail in pivots.items()} == exact
+        # the public rank and nullspace, on the rows padded to d*d columns
+        dim = math.isqrt(ncols - 1) + 1
+        dense = tuple(tuple(row.get(k, 0) for k in range(dim * dim)) for row in rows)
+        system = MeasurementConstraintSystem(0, dim, dense)
+        assert rank(system) == len(exact)
+        basis = nullspace(system)
+        assert len(basis) == dim * dim - len(exact)
+        assert all(dot(row, vec) == 0 for row in dense for vec in basis)
+
+    def test_cascade_runs_to_its_fixpoint(self):
+        # only the first row has one entry; each later row gets one entry
+        # once the column before it is zeroed
+        rows = [{1: 1, 2: -1}, {0: 1, 1: 4}, {0: 2}, {2: 3, 3: 1, 4: 1}]
+        zeroed, core = _peel(rows)
+        assert zeroed == {0, 1, 2}
+        assert core == [{3: 1, 4: 1}]
+
+    def test_a_family_cascades(self):
+        # on party 1 of general(3,4,5) some rows become one-entry rows only
+        # after a first pass
+        sset = gen_general((3, 4, 5))
+        for block in (0, 1):
+            rows = [pair[block] for pair in nwe.verifier._constraint_rows(sset, 1) if pair[block]]
+            first = {k for row in rows if len(row) == 1 for k in row}
+            zeroed, _ = _peel(rows)
+            assert zeroed > first
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [{sym_index(3, 0, 0): 1}],
+            [{sym_index(3, 0, 1): 1}, {sym_index(3, 0, 1): 2, sym_index(3, 1, 1): 1}],
+        ],
+        ids=["direct", "cascade"],
+    )
+    def test_a_zeroed_diagonal_coordinate_raises(self, rows):
+        with pytest.raises(InvariantError, match="forces coordinate"):
+            nwe.verifier._verdict_from_rows(0, 3, [(row, {}) for row in rows])
+
+
+def test_zeroed_diagonal_raises_under_python_O():
+    # a forged S-block row becomes a one-entry row on S[1,1] after S[0,1] is
+    # peeled; the identity would leave the nullspace
+    message = invariant_error_under_python_O("""
+from nwe.verifier import _verdict_from_rows, sym_index
+rows = [{sym_index(3, 0, 1): 1}, {sym_index(3, 0, 1): 2, sym_index(3, 1, 1): 1}]
+_verdict_from_rows(0, 3, [(row, {}) for row in rows])
+""")
+    assert f"forces coordinate {sym_index(3, 1, 1)} to zero" in message
+
+
+class TestLadderTop:
+    @pytest.mark.parametrize("sset", [gen_equal(3, 64), gen_general((3, 32, 64))], ids=lambda s: s.provenance)
+    def test_trivial_on_every_party_without_exact_elimination(self, monkeypatch, sset):
+        calls = exact_eliminations(monkeypatch)
+        lifts = []
+        monkeypatch.setattr(nwe.verifier, "_lift", lambda rows, pivots: lifts.append(pivots))
+        verdicts = verify_all(sset)
+        assert [(v.status, v.nullspace_dim) for v in verdicts] == [("Trivial", 1)] * sset.shape.n
+        # every block reaches its full rank modulo p: nothing is lifted
+        assert calls == [] and lifts == []
