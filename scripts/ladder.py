@@ -4,63 +4,53 @@
 Each line gives the instance, its number of states, the seconds spent
 building the pair table (`pair_table_s`), the seconds `verify_all` then takes
 (`verify_all_s`, which reads the table already built) and the per-party
-statuses. A rung that does not finish within the per-rung budget is printed
-as {"instance": ..., "skipped": "budget"} and the ladder goes on.
+statuses. A rung that does not finish within 60 s is printed as
+{"instance": ..., "skipped": "budget"} and the ladder goes on.
 
-    python scripts/ladder.py [--budget SECONDS] [--only INSTANCE ...]
+    python scripts/ladder.py
 
 The budget is enforced with SIGALRM, so the script needs a POSIX system.
 """
 
-import argparse
 import json
-import re
 import signal
 import sys
 import time
 
 from nwe import StateSet, gen_equal, gen_general, verify_all
 
-RUNGS = (
-    "equal(3,3)",
-    "equal(3,8)",
-    "equal(3,16)",
-    "equal(3,24)",
-    "equal(3,32)",
-    "equal(3,64)",
-    "equal(4,8)",
-    "equal(5,8)",
-    "equal(6,8)",
-    "equal(3,16)-no-stopper",
-    "general(3,3,24)",
-    "general(3,32,64)",
-    "general(4,8,12,16)",
-)
+BUDGET_S = 60.0
 
-_RUNG = re.compile(r"^(equal|general)\((\d+(?:,\d+)*)\)(-no-stopper)?$")
+
+def without_stopper(sset: StateSet) -> StateSet:
+    """The set without its all-ones state, which leaves every party Nontrivial."""
+    states = tuple(s for s in sset.states if not all(all(c == 1 for c in lv.coeffs) for lv in s.locals))
+    return StateSet(sset.shape, states, provenance=sset.provenance + "-no-stopper")
+
+
+RUNGS = (
+    ("equal(3,3)", lambda: gen_equal(3, 3)),
+    ("equal(3,8)", lambda: gen_equal(3, 8)),
+    ("equal(3,16)", lambda: gen_equal(3, 16)),
+    ("equal(3,24)", lambda: gen_equal(3, 24)),
+    ("equal(3,32)", lambda: gen_equal(3, 32)),
+    ("equal(3,64)", lambda: gen_equal(3, 64)),
+    ("equal(4,8)", lambda: gen_equal(4, 8)),
+    ("equal(5,8)", lambda: gen_equal(5, 8)),
+    ("equal(6,8)", lambda: gen_equal(6, 8)),
+    ("equal(3,16)-no-stopper", lambda: without_stopper(gen_equal(3, 16))),
+    ("general(3,3,24)", lambda: gen_general((3, 3, 24))),
+    ("general(3,32,64)", lambda: gen_general((3, 32, 64))),
+    ("general(4,8,12,16)", lambda: gen_general((4, 8, 12, 16))),
+)
 
 
 class OverBudget(Exception):
     pass
 
 
-def build(instance: str) -> StateSet:
-    """The set a rung names; '-no-stopper' drops the all-ones state, which
-    leaves every party Nontrivial."""
-    match = _RUNG.match(instance)
-    if match is None:
-        raise ValueError(f"bad rung {instance!r}; expected e.g. equal(3,8) or general(3,3,24)")
-    kind, args, no_stopper = match.groups()
-    dims = tuple(int(x) for x in args.split(","))
-    sset = gen_equal(*dims) if kind == "equal" else gen_general(dims)
-    if no_stopper:
-        states = tuple(s for s in sset.states if not all(set(lv.coeffs) == {1} for lv in s.locals))
-        sset = StateSet(sset.shape, states, provenance=instance)
-    return sset
-
-
-def run(instance: str) -> dict:
-    sset = build(instance)
+def run(instance: str, build) -> dict:
+    sset = build()
     start = time.perf_counter()
     sset.pair_table
     built = time.perf_counter()
@@ -79,18 +69,12 @@ def _over_budget(signum, frame):
     raise OverBudget
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--budget", type=float, default=60.0, help="seconds allowed per rung (default 60)")
-    parser.add_argument("--only", nargs="+", metavar="INSTANCE", help="run these rungs instead of the ladder")
-    args = parser.parse_args(argv)
-    if args.budget <= 0:
-        parser.error("--budget must be positive")
+def main() -> int:
     signal.signal(signal.SIGALRM, _over_budget)
-    for instance in args.only or RUNGS:
-        signal.setitimer(signal.ITIMER_REAL, args.budget)
+    for instance, build in RUNGS:
+        signal.setitimer(signal.ITIMER_REAL, BUDGET_S)
         try:
-            line = run(instance)
+            line = run(instance, build)
         except OverBudget:
             line = {"instance": instance, "skipped": "budget"}
         finally:

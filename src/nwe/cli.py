@@ -3,7 +3,7 @@
 Exit codes: 0 = certified nonlocal, 1 = not certified (a nontrivial
 orthogonality-preserving measurement exists, or the rule engine alone could
 not complete), 2 = parameter error (an `--out` path that cannot be written
-included), 3 = invalid input set.
+included), 3 = invalid input set (even when its report cannot be written).
 """
 
 from __future__ import annotations
@@ -165,8 +165,11 @@ def _cmd_verify(args) -> int:
             "certified_nonlocal": False,
             "note": "input set is not pairwise orthogonal",
         }
-        _emit(dumps_canonical(report), args.out)
         print(f"error: non-orthogonal state pairs: {violations}", file=sys.stderr)
+        try:
+            _emit(dumps_canonical(report), args.out)
+        except OutputError as exc:
+            print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
 
     engines = ["lemma", "oracle"] if args.engine == "both" else [args.engine]

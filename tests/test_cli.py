@@ -304,6 +304,28 @@ class TestUnwritableReport:
         assert captured.err.startswith(f"error: cannot write {tmp_path}: ")
         assert captured.err.count("\n") == 1
 
+    def test_non_orthogonal_input_to_missing_directory_exit_3(self, tmp_path, capsys):
+        path = tmp_path / "overlap.json"
+        write_doc(
+            path,
+            {
+                "version": "nwe/1",
+                "dims": [2, 2],
+                "provenance": "user",
+                "states": [{"locals": [[1, 0], [1, 0]]}, {"locals": [[1, 1], [1, 1]]}],
+            },
+        )
+        out = tmp_path / "missing" / "report.json"
+        code = main(["verify", "--input", str(path), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == (
+            "error: non-orthogonal state pairs: [(0, 1)]\n"
+            f"error: cannot write {out}: No such file or directory\n"
+        )
+        assert not out.exists()
+
 
 class TestGoldenReports:
     """The exact oracle report of two Nontrivial families, witness strings included."""
