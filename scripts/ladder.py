@@ -18,13 +18,14 @@ import sys
 import time
 
 from nwe import StateSet, gen_equal, gen_general, verify_all
+from nwe.states import is_stopper
 
 BUDGET_S = 60.0
 
 
 def without_stopper(sset: StateSet) -> StateSet:
     """The set without its all-ones state, which leaves every party Nontrivial."""
-    states = tuple(s for s in sset.states if not all(all(c == 1 for c in lv.coeffs) for lv in s.locals))
+    states = tuple(s for s in sset.states if not is_stopper(s))
     return StateSet(sset.shape, states, provenance=sset.provenance + "-no-stopper")
 
 

@@ -28,7 +28,7 @@ from .states import (
     check_pairwise_orthogonality,
     dim_cap,
 )
-from .verifier import STATUS_TRIVIAL, verify_all
+from .verifier import certified_nonlocal, verify_all
 
 EXIT_OK = 0
 EXIT_NOT_CERTIFIED = 1
@@ -127,13 +127,13 @@ def _build_report(sset: StateSet, engines: list[str]) -> tuple[dict, int]:
             report["per_party"].append(entry)
 
     if verdicts is not None:
-        certified = all(v.status == STATUS_TRIVIAL for v in verdicts)
+        certified = certified_nonlocal(verdicts)
         if certified:
             note = "certified (oracle)"
             if cert is not None and not cert.trivial_for_all():
                 note = "certified (oracle); lemma-engine incomplete"
         else:
-            bad = [v.party for v in verdicts if v.status != STATUS_TRIVIAL]
+            bad = [v.party for v in verdicts if not v.trivial]
             note = (
                 f"a nontrivial orthogonality-preserving first measurement exists on parties {bad}; "
                 "this alone does not prove LOCC distinguishability"

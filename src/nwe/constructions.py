@@ -170,7 +170,7 @@ class SizeReport:
 
 
 def prior_sizes(dims: tuple[int, ...] | list[int]) -> SizeReport:
-    """Size comparison for a dimension vector (length >= 2).
+    """Size comparison for a dimension vector (length >= 2, each d_i >= 2).
 
     jiang = sum_i(2 d_i - 3) + 1 (any number of parties); wang =
     2(d_1 + d_3) - 3 (three parties only); zhang = 2 d_2 - 1 (two parties
@@ -179,6 +179,9 @@ def prior_sizes(dims: tuple[int, ...] | list[int]) -> SizeReport:
     d = tuple(int(x) for x in dims)
     if len(d) < 2:
         raise ConstructionError(f"size comparison needs at least 2 dimensions, got {len(d)}")
+    for k, dk in enumerate(d):
+        if dk < 2:
+            raise ConstructionError(f"party {k}: dimension must be >= 2, got {dk}")
     jiang = sum(2 * di - 3 for di in d) + 1
     wang = 2 * (d[0] + d[2]) - 3 if len(d) == 3 else None
     zhang = 2 * d[-1] - 1 if len(d) == 2 else None

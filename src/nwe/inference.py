@@ -1,18 +1,23 @@
 """Rule-based derivation of measurement-triviality certificates.
 
 For each party t, orthogonality preservation under a local measurement with
-element E_t forces u^T E_t v = 0 for every state pair whose other-party
-factors are all nonzero (u, v the pair's party-t vectors). Three rules turn
-these constraints into an ordered list of human-readable facts:
+element E_t forces u^T E_t v = 0 for every pair in party t's bucket of the
+set's pair table (t is the pair's sole zero factor; u, v are the pair's
+party-t vectors). Expanded over entries, the constraint has one term
+m[a, b] for each a in the support of u and b in the support of v. Party by
+party, three rules turn these constraints into an ordered list of facts,
+each citing the pair that forces it:
 
-* Lemma1: both vectors single-support at a != b, so the entry (a, b) is zero;
-* UnitPropagation: a constraint all of whose entries are already known zero
-  except one off-diagonal entry forces that entry to zero;
-* Lemma2: once every off-diagonal entry of party t is known zero, a state
-  with party-t support {a: +1, b: -1} that meets the all-ones stopper
-  nontrivially on every other party forces m[a,a] = m[b,b]. Two-support
-  states with coefficients (c, -c), |c| > 1, yield the same equality and are
-  recorded under UnitPropagation.
+1. Lemma1: a constraint with exactly one term m[a, b], a != b (both vectors
+   single-support, at different indices) forces m[a, b] = 0; pairs are read
+   in table order.
+2. UnitPropagation: a constraint with no diagonal term, all of whose terms
+   but one are already known zero, forces that one to zero; repeated to a
+   fixpoint.
+3. Lemma2: once every off-diagonal entry of party t is known zero, a state
+   whose party-t support is {a: +c, b: -c} and that shares a bucket pair
+   with the all-ones stopper forces m[a,a] = m[b,b]. It is recorded as
+   Lemma2 when c = 1 and as UnitPropagation otherwise.
 
 The engine is deliberately incomplete: it mirrors a proof search, not a
 decision procedure (the exact nullspace verifier is the decision procedure),
@@ -23,13 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .states import (
-    NonOrthogonalSetError,
-    StateSet,
-    SystemShape,
-    find_stopper,
-    inner_factors,
-)
+from .states import NonOrthogonalSetError, StateSet, SystemShape, find_stopper
 
 RULE_LEMMA1 = "Lemma1"
 RULE_LEMMA2 = "Lemma2"
@@ -81,16 +80,6 @@ Fact = ZeroEntryFact | DiagonalEqualFact
 
 
 @dataclass(frozen=True)
-class PairConstraint:
-    """u^T E_t v = 0 expanded over entries: sum of coeff * m[row, col]."""
-
-    party: int
-    i: int
-    j: int
-    terms: tuple[tuple[int, int, int], ...]  # (row, col, coeff), coeff != 0
-
-
-@dataclass(frozen=True)
 class PartyConclusion:
     party: int
     trivial: bool
@@ -118,55 +107,6 @@ class Certificate:
         )
 
 
-def _other_factor_product(factors: tuple[int, ...], t: int) -> int:
-    prod = 1
-    for k, f in enumerate(factors):
-        if k != t:
-            prod *= f
-    return prod
-
-
-def _constraint_terms(u: tuple[int, ...], v: tuple[int, ...]) -> tuple[tuple[int, int, int], ...]:
-    terms = []
-    for a, ua in enumerate(u):
-        if not ua:
-            continue
-        for b, vb in enumerate(v):
-            if vb:
-                terms.append((a, b, ua * vb))
-    return tuple(terms)
-
-
-def pair_constraint(sset: StateSet, i: int, j: int, t: int) -> PairConstraint | None:
-    """The party-t constraint of pair (i, j), or None when another party's
-    factor already vanishes (the pair then says nothing about party t)."""
-    if i == j:
-        raise ValueError("pair constraint needs two distinct state indices")
-    if not 0 <= t < sset.shape.n:
-        raise IndexError(f"party {t} out of range for {sset.shape.n} parties")
-    a, b = sset.states[i], sset.states[j]
-    if _other_factor_product(inner_factors(a, b), t) == 0:
-        return None
-    return PairConstraint(t, i, j, _constraint_terms(a.locals[t].coeffs, b.locals[t].coeffs))
-
-
-def lemma1_zero(sset: StateSet, i: int, j: int, t: int) -> ZeroEntryFact | None:
-    """Zero entry from a pair whose party-t vectors are both single-support."""
-    con = pair_constraint(sset, i, j, t)
-    if con is None:
-        return None
-    su = sset.states[i].locals[t].support()
-    sv = sset.states[j].locals[t].support()
-    if len(su) == 1 and len(sv) == 1 and su[0] != sv[0]:
-        return ZeroEntryFact(EntryRef(t, su[0], sv[0]), (i, j), RULE_LEMMA1)
-    return None
-
-
-def _offdiag_complete(dim: int, known_zeros) -> bool:
-    known = {(min(a, b), max(a, b)) for a, b in known_zeros}
-    return all((a, b) in known for a in range(dim) for b in range(a + 1, dim))
-
-
 def _two_support_signed(vec) -> tuple[int, int, int] | None:
     """(positive index, negative index, magnitude) if support is {a: c, b: -c}."""
     sup = vec.support()
@@ -177,29 +117,6 @@ def _two_support_signed(vec) -> tuple[int, int, int] | None:
     if ca + cb != 0:
         return None
     return (a, b, ca) if ca > 0 else (b, a, cb)
-
-
-def lemma2_diagonal(
-    sset: StateSet, i: int, stopper_index: int, t: int, known_zeros
-) -> DiagonalEqualFact | None:
-    """Diagonal equality m[a,a] = m[b,b] from state i against the stopper.
-
-    Applies only when known_zeros already covers every off-diagonal entry of
-    party t; otherwise the rule is inapplicable and None is returned. The
-    state's party-t support must be exactly {a: +1, b: -1} and every other
-    party's factor against the stopper must be nonzero.
-    """
-    if not _offdiag_complete(sset.shape.dims[t], known_zeros):
-        return None
-    if i == stopper_index:
-        return None
-    if pair_constraint(sset, i, stopper_index, t) is None:
-        return None
-    signed = _two_support_signed(sset.states[i].locals[t])
-    if signed is None or signed[2] != 1:
-        return None
-    pos, neg, _ = signed
-    return DiagonalEqualFact(t, pos, neg, (i, stopper_index), RULE_LEMMA2)
 
 
 class _DSU:
@@ -225,15 +142,8 @@ class _DSU:
 
 
 def derive_certificate(sset: StateSet) -> Certificate:
-    """Run the rules to fixpoint, party by party, in deterministic order.
-
-    Per party: (1) Lemma1 over all pairs in lexicographic order; (2) unit
-    propagation over the pair constraints until no new zero entry appears
-    (constraints touching a diagonal entry never fire, since diagonals are
-    not known to vanish); (3) once the off-diagonal entries are fully
-    covered, diagonal linking against the stopper. Two runs on the same set
-    produce identical fact lists.
-    """
+    """Run the three rules, party by party, in the module's order; two runs
+    on the same set produce identical fact lists."""
     table = sset.pair_table
     if table.violations:
         raise NonOrthogonalSetError(list(table.violations))
@@ -246,40 +156,37 @@ def derive_certificate(sset: StateSet) -> Certificate:
     for t in range(sset.shape.n):
         dim = sset.shape.dims[t]
         known: set[tuple[int, int]] = set()
-        constraints = [
-            PairConstraint(t, i, j, _constraint_terms(states[i].locals[t].coeffs, states[j].locals[t].coeffs))
-            for i, j in table.buckets[t]
-        ]
+        support = [s.locals[t].support() for s in states]
+        constraints = [(i, j, [(a, b) for a in support[i] for b in support[j]]) for i, j in table.buckets[t]]
 
-        # phase 1: single-support pairs
-        for con in constraints:
-            su = states[con.i].locals[t].support()
-            sv = states[con.j].locals[t].support()
-            if len(su) == 1 and len(sv) == 1 and su[0] != sv[0]:
-                key = (min(su[0], sv[0]), max(su[0], sv[0]))
-                if key not in known:
+        # Lemma1: one off-diagonal term
+        for i, j, terms in constraints:
+            if len(terms) == 1:
+                a, b = terms[0]
+                key = (min(a, b), max(a, b))
+                if a != b and key not in known:
                     known.add(key)
-                    facts.append(ZeroEntryFact(EntryRef(t, su[0], sv[0]), (con.i, con.j), RULE_LEMMA1))
+                    facts.append(ZeroEntryFact(EntryRef(t, a, b), (i, j), RULE_LEMMA1))
 
-        # phase 2: unit propagation to fixpoint
+        # UnitPropagation to fixpoint; a diagonal entry is never known zero,
+        # so constraints with a diagonal term can never fire
+        offdiag = [con for con in constraints if all(a != b for a, b in con[2])]
         changed = True
         while changed:
             changed = False
-            for con in constraints:
-                if any(a == b for a, b, _ in con.terms):
-                    continue
-                live = [(a, b) for a, b, _ in con.terms if (min(a, b), max(a, b)) not in known]
+            for i, j, terms in offdiag:
+                live = [(a, b) for a, b in terms if (min(a, b), max(a, b)) not in known]
                 if len(live) == 1:
                     a, b = live[0]
                     known.add((min(a, b), max(a, b)))
-                    facts.append(ZeroEntryFact(EntryRef(t, a, b), (con.i, con.j), RULE_UNIT_PROPAGATION))
+                    facts.append(ZeroEntryFact(EntryRef(t, a, b), (i, j), RULE_UNIT_PROPAGATION))
                     changed = True
 
         missing = tuple(
             (a, b) for a in range(dim) for b in range(a + 1, dim) if (a, b) not in known
         )
 
-        # phase 3: diagonal linking against the stopper
+        # Lemma2: diagonal linking against the stopper
         dsu = _DSU(dim)
         if not missing and stopper_idx is not None:
             linked = set(table.buckets[t])

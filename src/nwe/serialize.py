@@ -100,8 +100,9 @@ def save_state_set(sset: StateSet, path) -> None:
 
 def read_document(path):
     """The parsed JSON of a file; raises json.JSONDecodeError on malformed
-    JSON and DocumentError on bytes that are not UTF-8 or on nesting too
-    deep to parse."""
+    JSON and DocumentError on bytes that are not UTF-8, on nesting too deep
+    to parse or on a value the parser rejects (such as an integer literal
+    longer than Python's digit limit)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
@@ -109,6 +110,10 @@ def read_document(path):
         raise DocumentError(f"not UTF-8 text: {exc.reason} at byte {exc.start}") from None
     except RecursionError:
         raise DocumentError("JSON arrays or objects nested too deeply") from None
+    except json.JSONDecodeError:
+        raise
+    except ValueError as exc:
+        raise DocumentError(str(exc)) from None
 
 
 def load_state_set(path) -> StateSet:

@@ -42,10 +42,11 @@ RREF. Only when an entry does not reconstruct or the check fails is the
 core eliminated again over exact rationals. The public `rank` and
 `nullspace` take the same path, over all d*d unknowns as one block.
 
-The RREF gives the nullspace dimension and, on a Nontrivial verdict, the
-witness: the first nullspace basis vector, in column order, that is not a
-multiple of the identity, with its identity component projected out. It is
-built sparsely from the RREF's column of that free coordinate.
+The RREF gives the nullspace dimension and a basis: one sparse vector per
+free column, read off the RREF's entries in that column. `nullspace`
+returns these vectors densely; on a Nontrivial verdict the witness is the
+first of them, in column order, that is not a multiple of the identity,
+with its identity component projected out.
 
 A Nontrivial verdict means a nontrivial orthogonality-preserving first
 measurement exists on that party; it does not by itself prove that the set
@@ -300,20 +301,6 @@ def _peel(rows, keep=frozenset()) -> tuple[set[int], list[dict]]:
         core = [row for row in core if row]
 
 
-def _basis(pivots: dict[int, dict], den: int, columns, size: int):
-    """Nullspace vectors of an RREF whose tail entries are fractions over
-    `den`, one per free column of `columns`, ascending."""
-    for free in columns:
-        if free in pivots:
-            continue
-        vec = [Fraction(0)] * size
-        vec[free] = Fraction(1)
-        for p, tail in pivots.items():
-            if free in tail:
-                vec[p] = Fraction(-tail[free], den)
-        yield tuple(vec)
-
-
 def _sparse(rows) -> list[dict[int, int]]:
     return [{k: x for k, x in enumerate(row) if x} for row in rows]
 
@@ -331,7 +318,12 @@ def nullspace(system: MeasurementConstraintSystem) -> list[tuple[Fraction, ...]]
     if reduced is None:
         return []
     pivots, den = reduced
-    basis = list(_basis(pivots, den, range(ncols), ncols))
+    basis = []
+    for sparse in _free_vectors(pivots, den, range(ncols)):
+        vec = [Fraction(0)] * ncols
+        for k, x in sparse.items():
+            vec[k] = x
+        basis.append(tuple(vec))
     if len(basis) != ncols - len(pivots):
         raise InvariantError(f"{len(basis)} basis vectors for {ncols} unknowns and rank {len(pivots)}")
     return basis
@@ -405,21 +397,28 @@ def _eliminate(rows, full: int, keep=frozenset()) -> tuple[dict[int, dict], int]
     return pivots, den
 
 
-def _witness(pivots: dict[int, dict], den: int, columns, dim: int) -> HermitianMatrix | None:
-    """The first nullspace basis vector of an RREF, over its free columns in
-    ascending order, with a nonzero part off the identity: that part, as a
-    matrix. Tail entries are read as fractions over `den`."""
+def _free_vectors(pivots: dict[int, dict], den: int, columns):
+    """The nullspace basis of an RREF whose tail entries are fractions over
+    `den`: for each free column of `columns`, ascending, the vector with a 1
+    there, as {coordinate: nonzero Fraction}."""
     by_column: dict[int, list] = {}
     for pc, tail in pivots.items():
         for k, x in tail.items():
             by_column.setdefault(k, []).append((pc, x))
-    diagonal = [sym_index(dim, a, a) for a in range(dim)]
     for free in columns:
-        if free in pivots:
-            continue
-        vec = {free: Fraction(1)}
-        for pc, x in by_column.get(free, ()):
-            vec[pc] = Fraction(-x, den)
+        if free not in pivots:
+            vec = {free: Fraction(1)}
+            for pc, x in by_column.get(free, ()):
+                vec[pc] = Fraction(-x, den)
+            yield vec
+
+
+def _witness(pivots: dict[int, dict], den: int, columns, dim: int) -> HermitianMatrix | None:
+    """The first nullspace basis vector of an RREF, over its free columns in
+    ascending order, with a nonzero part off the identity: that part, as a
+    matrix. Tail entries are read as fractions over `den`."""
+    diagonal = [sym_index(dim, a, a) for a in range(dim)]
+    for vec in _free_vectors(pivots, den, columns):
         coef = sum(vec.get(k, 0) for k in diagonal) / Fraction(dim)
         if coef:
             for k in diagonal:
@@ -448,7 +447,15 @@ def _sparse_matrix(coords: dict[int, Fraction], dim: int) -> HermitianMatrix:
     return HermitianMatrix(tuple(map(tuple, real)), tuple(map(tuple, imag)))
 
 
-def _verdict_from_rows(t: int, dim: int, pair_rows) -> TrivialityVerdict:
+def verdict(sset: StateSet, t: int) -> TrivialityVerdict:
+    """Trivial iff the only solutions are scalar multiples of the identity.
+
+    On Nontrivial, the witness is a nullspace element with its identity
+    component projected out: an exact Hermitian matrix satisfying every
+    constraint and independent of the identity.
+    """
+    pair_rows = _constraint_rows(sset, t)
+    dim = sset.shape.dims[t]
     nsym = dim * (dim + 1) // 2
     size = dim * dim
     # the identity satisfies every row, so no row may zero a diagonal coordinate
@@ -475,17 +482,6 @@ def _verdict_from_rows(t: int, dim: int, pair_rows) -> TrivialityVerdict:
     if witness is None or witness.is_identity_multiple():
         raise InvariantError(f"party {t}: nullspace of dimension {nullity} yields no witness")
     return TrivialityVerdict(t, STATUS_NONTRIVIAL, nullity, witness)
-
-
-def verdict(sset: StateSet, t: int) -> TrivialityVerdict:
-    """Trivial iff the only solutions are scalar multiples of the identity.
-
-    On Nontrivial, the witness is a nullspace element with its identity
-    component projected out: an exact Hermitian matrix satisfying every
-    constraint and independent of the identity.
-    """
-    pair_rows = _constraint_rows(sset, t)
-    return _verdict_from_rows(t, sset.shape.dims[t], pair_rows)
 
 
 def verify_all(sset: StateSet) -> list[TrivialityVerdict]:

@@ -9,7 +9,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from nwe import ProductState, StateSet, SystemShape, anti_index, basis_ket, coords_to_matrix, sym_index
+from nwe import StateSet
+from nwe.states import ProductState, SystemShape, basis_ket
+from nwe.verifier import anti_index, coords_to_matrix, sym_index
 
 
 def expand(state: ProductState) -> list[int]:

@@ -11,23 +11,20 @@ from fractions import Fraction
 from pathlib import Path
 
 from nwe import (
-    EqualDims,
-    GeneralDims,
-    ProductState,
     StateSet,
     assemble,
-    check_pairwise_orthogonality,
     derive_certificate,
-    expected_size,
     gen_equal,
     gen_general,
-    identity_coords,
     nullspace,
     prior_sizes,
     rank,
     render_certificate,
     verify_all,
 )
+from nwe.constructions import EqualDims, GeneralDims, expected_size
+from nwe.states import ProductState, check_pairwise_orthogonality
+from nwe.verifier import identity_coords
 from nwe.inference import DiagonalEqualFact, ZeroEntryFact
 
 from helpers import computational_basis_set, measured_overlap, without_stopper
@@ -211,7 +208,7 @@ def _dense_nullity(sset, t):
     """Independent elimination: constraint rows computed on the fully
     expanded tensors for each Hermitian coordinate matrix, then a from-scratch
     rank count over exact rationals."""
-    from nwe import coords_to_matrix
+    from nwe.verifier import coords_to_matrix
 
     d = sset.shape.dims[t]
     size = d * d

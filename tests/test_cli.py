@@ -3,9 +3,9 @@ from pathlib import Path
 
 import pytest
 
-from nwe import gen_equal, gen_general, save_state_set, state_set_to_document, verify_all
+from nwe import gen_equal, gen_general, save_state_set, verify_all
 from nwe.cli import main
-from nwe.serialize import dumps_canonical
+from nwe.serialize import dumps_canonical, state_set_to_document
 
 from helpers import computational_basis_set, without_stopper
 
@@ -197,6 +197,14 @@ class TestCompare:
         }
 
 
+    @pytest.mark.parametrize("dims", ["1,1", "3,1,4", "0,3", "3,3,-2"])
+    def test_dimension_below_two_exit_2(self, capsys, dims):
+        assert main(["compare", "--dims", dims]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "dimension must be >= 2" in captured.err
+
+
 class TestDimCap:
     def test_cap_is_enforced(self, capsys, monkeypatch):
         monkeypatch.setenv("NWE_DIM_CAP", "4")
@@ -263,6 +271,14 @@ class TestHostileInput:
         code, err = self.run_verify(path, capsys)
         assert code == 3
         assert "nested too deeply" in err
+
+    def test_integer_over_the_digit_limit_exit_3(self, tmp_path, capsys):
+        # Python refuses to convert integer literals longer than 4300 digits
+        path = tmp_path / "huge.json"
+        path.write_text('{"version": "nwe/1", "dims": [' + "1" * 5000 + ', 2], "states": []}', encoding="utf-8")
+        code, err = self.run_verify(path, capsys)
+        assert code == 3
+        assert err.startswith("error: invalid document: ") and "digits" in err
 
     def test_duplicate_labels_exit_3(self, tmp_path, capsys):
         doc = {

@@ -2,18 +2,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nwe import (
-    ConstructionError,
-    EqualDims,
-    GeneralDims,
-    basis_ket,
-    check_pairwise_orthogonality,
-    expected_size,
-    gen_equal,
-    gen_general,
-    local_inner,
-    prior_sizes,
-)
+from nwe import ConstructionError, gen_equal, gen_general, prior_sizes
+from nwe.constructions import EqualDims, GeneralDims, expected_size
+from nwe.states import basis_ket, check_pairwise_orthogonality, local_inner
 
 
 class TestGenEqual:

@@ -3,29 +3,19 @@ from pathlib import Path
 import pytest
 
 from nwe import (
-    DiagonalEqualFact,
-    LocalVector,
     NonOrthogonalSetError,
-    ProductState,
     StateSet,
-    SystemShape,
-    ZeroEntryFact,
-    anti_index,
     assemble,
-    basis_ket,
     derive_certificate,
-    diff_ket,
-    flat_ket,
     gen_equal,
     gen_general,
-    lemma1_zero,
-    lemma2_diagonal,
     nullspace,
-    pair_constraint,
     render_certificate,
-    sym_index,
     verify_all,
 )
+from nwe.inference import DiagonalEqualFact, EntryRef, ZeroEntryFact
+from nwe.states import LocalVector, ProductState, SystemShape, basis_ket, diff_ket, flat_ket
+from nwe.verifier import anti_index, sym_index
 
 from helpers import computational_basis_set, without_stopper
 
@@ -36,83 +26,77 @@ def index_of(sset, label):
     return next(i for i, s in enumerate(sset.states) if s.label == label)
 
 
-class TestPairConstraint:
+def cited(cert, pair):
+    """The certificate's facts that cite the state pair, in derivation order."""
+    return [f for f in cert.facts if f.pair == pair]
+
+
+class TestConstraintPairs:
     def test_single_support_pair_constrains_first_party(self):
         sset = gen_equal(3, 3)
         i, j = index_of(sset, "G_1[i=1]"), index_of(sset, "G_2[i=1]")
-        con = pair_constraint(sset, i, j, 0)
-        assert con is not None
-        assert con.terms == ((1, 0, 1),)
+        assert (i, j) in sset.pair_table.buckets[0]
+        # the constraint's one term is m[1,0], with coefficient 1
+        assert sset.states[i].locals[0].coeffs == (0, 1, 0)
+        assert sset.states[j].locals[0].coeffs == (1, 0, 0)
+        assert cited(derive_certificate(sset), (i, j)) == [ZeroEntryFact(EntryRef(0, 1, 0), (i, j), "Lemma1")]
 
     def test_no_constraint_when_another_factor_vanishes(self):
         sset = gen_equal(3, 3)
         i, j = index_of(sset, "G_1[i=1]"), index_of(sset, "G_2[i=1]")
-        assert pair_constraint(sset, i, j, 2) is None
+        buckets = sset.pair_table.buckets
+        assert (i, j) not in buckets[1] and (i, j) not in buckets[2]
+        assert all(f.entry.party == 0 for f in cited(derive_certificate(sset), (i, j)))
 
     def test_difference_vector_gives_two_terms(self):
         sset = gen_general((3, 4, 5))
         i, j = index_of(sset, "B_3[i=3]"), index_of(sset, "B_6[i=3]")
-        con = pair_constraint(sset, i, j, 1)
-        assert con is not None
-        assert con.terms == ((3, 0, 1), (3, 2, -1))
-
-    def test_rejects_equal_indices(self):
-        sset = gen_equal(3, 3)
-        with pytest.raises(ValueError):
-            pair_constraint(sset, 1, 1, 0)
-
-    def test_rejects_party_out_of_range(self):
-        sset = gen_equal(3, 3)
-        with pytest.raises(IndexError):
-            pair_constraint(sset, 0, 1, 3)
+        assert (i, j) in sset.pair_table.buckets[1]
+        # the terms m[3,0] - m[3,2]: unit propagation, not Lemma1, zeroes m[3,0]
+        assert sset.states[i].locals[1].coeffs == (0, 0, 0, 1)
+        assert sset.states[j].locals[1].coeffs == (1, 0, -1, 0)
+        cert = derive_certificate(sset)
+        assert cited(cert, (i, j)) == [ZeroEntryFact(EntryRef(1, 3, 0), (i, j), "UnitPropagation")]
 
 
-class TestLemma1Zero:
+class TestLemma1Facts:
     def test_single_support_pair(self):
         sset = gen_equal(3, 3)
         i, j = index_of(sset, "G_1[i=1]"), index_of(sset, "G_2[i=1]")
-        fact = lemma1_zero(sset, i, j, 0)
-        assert fact is not None
+        lemma1 = [f for f in cited(derive_certificate(sset), (i, j)) if f.rule == "Lemma1"]
+        assert len(lemma1) == 1
+        fact = lemma1[0]
         assert (fact.entry.party, fact.entry.row, fact.entry.col) == (0, 1, 0)
-        assert fact.rule == "Lemma1"
         assert fact.pair == (i, j)
 
     def test_multi_support_vector_yields_nothing(self):
         sset = gen_general((3, 4, 5))
         i, j = index_of(sset, "B_3[i=3]"), index_of(sset, "B_6[i=3]")
-        assert lemma1_zero(sset, i, j, 1) is None
+        assert all(f.rule != "Lemma1" for f in cited(derive_certificate(sset), (i, j)))
 
     def test_last_party_column_zero_family(self):
         # B_1 x B_2 pairs with matching i pin m[i,0] on the last party
         sset = gen_general((3, 3, 4))
+        cert = derive_certificate(sset)
         for i in (1, 2):
             a = index_of(sset, f"B_1[i={i}]")
             b = index_of(sset, f"B_2[i={i}]")
-            fact = lemma1_zero(sset, a, b, 2)
-            assert fact is not None
-            assert (fact.entry.row, fact.entry.col) == (i, 0)
+            assert (a, b) in sset.pair_table.buckets[2]
+            assert cited(cert, (a, b)) == [ZeroEntryFact(EntryRef(2, i, 0), (a, b), "Lemma1")]
 
 
-class TestLemma2Diagonal:
-    def full_known_zeros(self, dim):
-        return [(a, b) for a in range(dim) for b in range(a + 1, dim)]
-
+class TestLemma2Facts:
     def test_links_zero_and_i(self):
         sset = gen_equal(3, 3)
         stop = len(sset) - 1
         i = index_of(sset, "G_0[i=2]")
-        fact = lemma2_diagonal(sset, i, stop, 0, self.full_known_zeros(3))
-        assert fact is not None
-        assert (fact.party, fact.a, fact.b) == (0, 0, 2)
-        assert fact.rule == "Lemma2"
+        assert cited(derive_certificate(sset), (i, stop)) == [DiagonalEqualFact(0, 0, 2, (i, stop), "Lemma2")]
 
     def test_links_consecutive_indices(self):
         sset = gen_general((3, 3, 4))
         stop = len(sset) - 1
         i = index_of(sset, "B_5[i=3]")
-        fact = lemma2_diagonal(sset, i, stop, 2, self.full_known_zeros(4))
-        assert fact is not None
-        assert (fact.party, fact.a, fact.b) == (2, 2, 3)
+        assert cited(derive_certificate(sset), (i, stop)) == [DiagonalEqualFact(2, 2, 3, (i, stop), "Lemma2")]
 
     def test_rule_shape_mismatch_yields_nothing(self):
         # support (+1, +1) never matches the +1/-1 pattern
@@ -124,14 +108,23 @@ class TestLemma2Diagonal:
                 ProductState(shape, (flat_ket(2), flat_ket(2)), label="S"),
             ),
         )
-        assert lemma2_diagonal(sset, 0, 1, 0, self.full_known_zeros(2)) is None
+        cert = derive_certificate(sset)
+        assert not any(isinstance(f, DiagonalEqualFact) for f in cert.facts)
 
     def test_incomplete_known_zeros_is_inapplicable(self):
-        sset = gen_equal(3, 3)
+        # without G_2[i=1], party 0's m[1,0] is never zeroed, so the stopper
+        # links no diagonal there, though (G_0[i=1], S) still constrains it
+        full = gen_equal(3, 3)
+        sset = StateSet(full.shape, tuple(s for s in full.states if s.label != "G_2[i=1]"))
         stop = len(sset) - 1
         i = index_of(sset, "G_0[i=1]")
-        assert lemma2_diagonal(sset, i, stop, 0, []) is None
-        assert lemma2_diagonal(sset, i, stop, 0, self.full_known_zeros(3)) is not None
+        assert (i, stop) in sset.pair_table.buckets[0]
+        cert = derive_certificate(sset)
+        assert cert.conclusions[0].missing_zeros == ((0, 1),)
+        assert not any(isinstance(f, DiagonalEqualFact) and f.party == 0 for f in cert.facts)
+        # with every zero in place, the same state links m[0,0] and m[1,1]
+        i, stop = index_of(full, "G_0[i=1]"), len(full) - 1
+        assert cited(derive_certificate(full), (i, stop)) == [DiagonalEqualFact(0, 0, 1, (i, stop), "Lemma2")]
 
 
 class TestDeriveCertificate:

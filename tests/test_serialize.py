@@ -2,16 +2,8 @@ import json
 
 import pytest
 
-from nwe import (
-    DocumentError,
-    dumps_canonical,
-    gen_equal,
-    gen_general,
-    load_state_set,
-    save_state_set,
-    state_set_from_document,
-    state_set_to_document,
-)
+from nwe import DocumentError, gen_equal, gen_general, load_state_set, save_state_set
+from nwe.serialize import dumps_canonical, state_set_from_document, state_set_to_document
 
 
 class TestRoundTrip:

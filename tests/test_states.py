@@ -4,17 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nwe import (
-    DimensionError,
+from nwe import DimensionError, StateSet, gen_equal, gen_general
+from nwe.states import (
     LocalVector,
     ProductState,
-    StateSet,
     SystemShape,
     are_orthogonal,
     check_pairwise_orthogonality,
     dim_cap,
-    gen_equal,
-    gen_general,
     inner_factors,
     local_inner,
     stopper,

@@ -13,27 +13,17 @@ from hypothesis import strategies as st
 
 import nwe.verifier
 from nwe import (
-    LocalVector,
     NonOrthogonalSetError,
-    ProductState,
     StateSet,
-    SystemShape,
-    anti_index,
     assemble,
-    basis_ket,
-    certified_nonlocal,
-    coords_to_matrix,
     derive_certificate,
     gen_equal,
     gen_general,
-    identity_coords,
-    matrix_to_coords,
     nullspace,
     rank,
-    sym_index,
-    verdict,
     verify_all,
 )
+from nwe.states import LocalVector, ProductState, SystemShape, basis_ket
 from nwe.verifier import (
     LIFT_BOUND,
     MODULUS,
@@ -42,7 +32,14 @@ from nwe.verifier import (
     _eliminate,
     _gauss_jordan,
     _peel,
+    anti_index,
+    certified_nonlocal,
+    coords_to_matrix,
+    identity_coords,
+    matrix_to_coords,
     reconstruct,
+    sym_index,
+    verdict,
 )
 
 from helpers import (
@@ -685,18 +682,23 @@ class TestPeel:
         ],
         ids=["direct", "cascade"],
     )
-    def test_a_zeroed_diagonal_coordinate_raises(self, rows):
+    def test_a_zeroed_diagonal_coordinate_raises(self, monkeypatch, rows):
+        # party 0 of equal(3,3) has dimension 3; its constraint rows are forged
+        monkeypatch.setattr(nwe.verifier, "_constraint_rows", lambda sset, t: [(row, {}) for row in rows])
         with pytest.raises(InvariantError, match="forces coordinate"):
-            nwe.verifier._verdict_from_rows(0, 3, [(row, {}) for row in rows])
+            verdict(gen_equal(3, 3), 0)
 
 
 def test_zeroed_diagonal_raises_under_python_O():
     # a forged S-block row becomes a one-entry row on S[1,1] after S[0,1] is
     # peeled; the identity would leave the nullspace
     message = invariant_error_under_python_O("""
-from nwe.verifier import _verdict_from_rows, sym_index
+import nwe.verifier
+from nwe import gen_equal
+from nwe.verifier import sym_index, verdict
 rows = [{sym_index(3, 0, 1): 1}, {sym_index(3, 0, 1): 2, sym_index(3, 1, 1): 1}]
-_verdict_from_rows(0, 3, [(row, {}) for row in rows])
+nwe.verifier._constraint_rows = lambda sset, t: [(row, {}) for row in rows]
+verdict(gen_equal(3, 3), 0)
 """)
     assert f"forces coordinate {sym_index(3, 1, 1)} to zero" in message
 
