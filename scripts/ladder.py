@@ -4,8 +4,11 @@
 Each line gives the instance, its number of states, the seconds spent
 building the pair table (`pair_table_s`), the seconds `verify_all` then takes
 (`verify_all_s`, which reads the table already built) and the per-party
-statuses. A rung that does not finish within 60 s is printed as
-{"instance": ..., "skipped": "budget"} and the ladder goes on.
+statuses. The rotated rungs map every party's vectors by a seeded random
+integer matrix with orthogonal columns (`rotated` in `tests/helpers.py`), so
+no local basis is the computational one. A rung that does not finish
+within 60 s is printed as {"instance": ..., "skipped": "budget"} and the
+ladder goes on.
 
     python scripts/ladder.py
 
@@ -13,20 +16,25 @@ The budget is enforced with SIGALRM, so the script needs a POSIX system.
 """
 
 import json
+import random
 import signal
 import sys
 import time
+from pathlib import Path
 
-from nwe import StateSet, gen_equal, gen_general, verify_all
-from nwe.states import is_stopper
+from nwe import gen_equal, gen_general, verify_all
+
+# the seeded rotations and the stopper removal are shared with the tests
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from helpers import rotated, without_stopper  # noqa: E402
 
 BUDGET_S = 60.0
+ROTATION_SEED = 2022
 
 
-def without_stopper(sset: StateSet) -> StateSet:
-    """The set without its all-ones state, which leaves every party Nontrivial."""
-    states = tuple(s for s in sset.states if not is_stopper(s))
-    return StateSet(sset.shape, states, provenance=sset.provenance + "-no-stopper")
+def rotated_equal(dim: int):
+    """equal(3,dim) with every party's vectors in a seeded rotated basis."""
+    return rotated(gen_equal(3, dim), random.Random(ROTATION_SEED + dim), range(3))
 
 
 RUNGS = (
@@ -43,6 +51,12 @@ RUNGS = (
     ("general(3,3,24)", lambda: gen_general((3, 3, 24))),
     ("general(3,32,64)", lambda: gen_general((3, 32, 64))),
     ("general(4,8,12,16)", lambda: gen_general((4, 8, 12, 16))),
+    ("equal(3,8)-rotated", lambda: rotated_equal(8)),
+    ("equal(3,12)-rotated", lambda: rotated_equal(12)),
+    ("equal(3,16)-rotated", lambda: rotated_equal(16)),
+    ("equal(3,8)-rotated-no-stopper", lambda: without_stopper(rotated_equal(8))),
+    ("equal(3,12)-rotated-no-stopper", lambda: without_stopper(rotated_equal(12))),
+    ("equal(3,16)-rotated-no-stopper", lambda: without_stopper(rotated_equal(16))),
 )
 
 

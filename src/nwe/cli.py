@@ -38,12 +38,9 @@ EXIT_INVALID_INPUT = 3
 
 def _parse_dims(text: str) -> tuple[int, ...]:
     try:
-        dims = tuple(int(part) for part in text.split(","))
+        return tuple(int(part) for part in text.split(","))
     except ValueError:
         raise ConstructionError(f"could not parse dims {text!r}; expected e.g. 3,3,4")
-    if not dims:
-        raise ConstructionError("dims must not be empty")
-    return dims
 
 
 class OutputError(Exception):

@@ -35,9 +35,12 @@ def dim_cap() -> int:
     if raw is None:
         return DEFAULT_DIM_CAP
     try:
-        return int(raw)
+        cap = int(raw)
     except ValueError:
         raise DimensionError(f"NWE_DIM_CAP must be an integer, got {raw!r}") from None
+    if cap < 2:
+        raise DimensionError(f"NWE_DIM_CAP must be at least 2, got {cap}")
+    return cap
 
 
 @dataclass(frozen=True)
@@ -134,9 +137,6 @@ class ProductState:
                 raise DimensionError(
                     f"party {k}: local vector length {len(lv)} != dimension {self.shape.dims[k]}"
                 )
-
-    def with_label(self, label: str) -> ProductState:
-        return ProductState(self.shape, self.locals, label)
 
 
 @dataclass(frozen=True)

@@ -26,10 +26,9 @@ tail per zeroed column, and its rank is the core's plus their number. A
 diagonal coordinate of S is never zeroed, since the identity satisfies
 every row; if one is, InvariantError is raised.
 
-The core is eliminated modulo the prime p = 2^61 - 1, stopping once the
-full rank (less the zeroed columns) is reached. Rank modulo p never exceeds
-rank over the rationals, so full rank modulo p on both blocks proves
-Trivial exactly.
+The core is eliminated modulo a prime p, stopping once the full rank (less
+the zeroed columns) is reached. Rank modulo p never exceeds rank over the
+rationals, so full rank modulo p on both blocks proves Trivial exactly.
 
 A core short of full rank modulo p has its reduced row echelon form (RREF)
 modulo p lifted to the rationals: each entry is rebuilt by rational
@@ -38,9 +37,13 @@ result is kept only if an exact integer check shows that every core row
 lies in the span of the lifted rows. That span check gives
 rank_Q <= rank_p, so the two ranks are equal and the lifted rows span the
 core's rational span; being in reduced form, they are its unique rational
-RREF. Only when an entry does not reconstruct or the check fails is the
-core eliminated again over exact rationals. The public `rank` and
-`nullspace` take the same path, over all d*d unknowns as one block.
+RREF. The check is sound for any prime; an unlucky or too small prime only
+makes it fail. There is one path: the core is tried modulo the Mersenne
+primes 2^61 - 1, 2^127 - 1, 2^521 - 1, ... in turn, until it reaches full
+rank or its lift passes the check. A prime above twice the square of the
+core's Hadamard bound always lifts; if no listed prime does, InvariantError
+is raised. The public `rank` and `nullspace` take the same path, over all
+d*d unknowns as one block.
 
 The RREF gives the nullspace dimension and a basis: one sparse vector per
 free column, read off the RREF's entries in that column. `nullspace`
@@ -172,7 +175,9 @@ class InvariantError(RuntimeError):
     """An internal invariant of the oracle failed, so no verdict can be trusted."""
 
 
-MODULUS = 2**61 - 1  # a prime
+# exponents e of Mersenne primes 2^e - 1, each at least about twice the last
+MERSENNE_EXPONENTS = (61, 127, 521, 1279, 2281, 4423, 9941, 19937, 44497, 86243, 216091)
+MODULUS = 2 ** MERSENNE_EXPONENTS[0] - 1
 
 
 def _pair_rows(u, v, dim: int) -> tuple[dict, dict]:
@@ -231,44 +236,37 @@ def assemble(sset: StateSet, t: int) -> MeasurementConstraintSystem:
     return MeasurementConstraintSystem(t, dim, tuple(rows))
 
 
-def _subtract(row: dict, f, other: dict, modulus: int | None) -> None:
-    """row -= f * other in place, dropping the entries that become zero."""
+def _subtract(row: dict, f, other: dict, modulus: int) -> None:
+    """row -= f * other modulo `modulus` in place, dropping the entries that become zero."""
     for k, x in other.items():
-        y = row.get(k, 0) - f * x
-        if modulus:
-            y %= modulus
+        y = (row.get(k, 0) - f * x) % modulus
         if y:
             row[k] = y
         else:
             del row[k]
 
 
-def _gauss_jordan(rows, target: int | None = None, modulus: int | None = None) -> dict[int, dict]:
-    """Reduced row echelon form of sparse rows, pivoting on the first nonzero column.
+def _gauss_jordan(rows, modulus: int, target: int | None = None) -> dict[int, dict]:
+    """Reduced row echelon form of sparse integer rows modulo the prime
+    `modulus`, pivoting on the first nonzero column.
 
     Returns {pivot column: the rest of its row}: each pivot entry is 1 and
     left out, and no row has an entry in another row's pivot column, so the
-    result is the unique RREF of the rows' span. Works over the rationals,
-    or over the integers modulo the prime `modulus` when it is given. Stops
-    once `target` pivots are found.
+    result is the unique RREF of the rows' span modulo `modulus`. Stops once
+    `target` pivots are found.
     """
     pivots: dict[int, dict] = {}
     for row in rows:
         if len(pivots) == target:
             break
-        r = dict(row)
+        r = {k: x % modulus for k, x in row.items() if x % modulus}
         for c in [c for c in r if c in pivots]:
             _subtract(r, r.pop(c), pivots[c], modulus)
         if not r:
             continue
         pc = min(r)
-        lead = r.pop(pc)
-        if modulus:
-            inv = pow(lead, -1, modulus)
-            tail = {k: x * inv % modulus for k, x in r.items()}
-        else:
-            inv = 1 / Fraction(lead)
-            tail = {k: x * inv for k, x in r.items()}
+        inv = pow(r.pop(pc), -1, modulus)
+        tail = {k: x * inv % modulus for k, x in r.items()}
         for other in pivots.values():
             f = other.pop(pc, 0)
             if f:
@@ -281,12 +279,13 @@ def _peel(rows, keep=frozenset()) -> tuple[set[int], list[dict]]:
     """The columns that one-entry rows force to zero, and the other rows with
     those columns deleted (the core), repeated until no row has one entry.
 
-    A row with one nonzero entry says that coordinate is zero, over the
-    rationals and modulo any prime that does not divide the entry. Each
+    A row with one nonzero entry says that coordinate is zero. The peel
+    runs on the integer rows, so it is exact and no prime is involved. Each
     zeroed column e_c is in the row space, and every row the peel consumed
-    is in the span of the e_c, so the RREF of the rows is the core's RREF
-    plus one empty-tailed pivot per zeroed column. A zeroed column in `keep`
-    raises InvariantError.
+    is in the span of the e_c, so the rational RREF of the rows is the
+    core's plus one empty-tailed pivot per zeroed column; only the core goes
+    on to the modular elimination. A zeroed column in `keep` raises
+    InvariantError.
     """
     zeroed: set[int] = set()
     core = list(rows)
@@ -332,31 +331,33 @@ def nullspace(system: MeasurementConstraintSystem) -> list[tuple[Fraction, ...]]
 LIFT_BOUND = math.isqrt(MODULUS // 2)
 
 
-def reconstruct(x: int) -> tuple[int, int] | None:
-    """(n, d) with n = x*d mod p, gcd(n, d) = 1, |n| <= LIFT_BOUND and
-    0 < d <= LIFT_BOUND, or None if no such fraction exists.
+def reconstruct(x: int, modulus: int = MODULUS) -> tuple[int, int] | None:
+    """(n, d) with n = x*d mod p, gcd(n, d) = 1, |n| <= B and 0 < d <= B
+    for B = isqrt(p // 2) (LIFT_BOUND at the default prime), or None if no
+    such fraction exists.
 
     Two such fractions n/d and n'/d' would give p | nd' - n'd, whose size
-    is below 2 * LIFT_BOUND^2 < p, so the fraction is unique.
+    is below 2 * B^2 < p, so the fraction is unique.
     """
-    r0, r1 = MODULUS, x % MODULUS
+    bound = math.isqrt(modulus // 2)
+    r0, r1 = modulus, x % modulus
     s0, s1 = 0, 1
     # invariant: r = s * x (mod p) for both (r0, s0) and (r1, s1)
-    while r1 > LIFT_BOUND:
+    while r1 > bound:
         q = r0 // r1
         r0, r1 = r1, r0 - q * r1
         s0, s1 = s1, s0 - q * s1
-    if not 0 < abs(s1) <= LIFT_BOUND or math.gcd(r1, s1) != 1:
+    if not 0 < abs(s1) <= bound or math.gcd(r1, s1) != 1:
         return None
     return (r1, s1) if s1 > 0 else (-r1, -s1)
 
 
-def _lift(rows, pivots: dict[int, dict]) -> tuple[dict[int, dict], int] | None:
-    """The rational RREF whose residues modulo p are `pivots`, as integer
-    tails over one common denominator, or None if an entry does not
+def _lift(rows, pivots: dict[int, dict], modulus: int) -> tuple[dict[int, dict], int] | None:
+    """The rational RREF whose residues modulo `modulus` are `pivots`, as
+    integer tails over one common denominator, or None if an entry does not
     reconstruct or some row of `rows` is not in the span of the lifted rows.
     """
-    lifted = {pc: {k: reconstruct(x) for k, x in tail.items()} for pc, tail in pivots.items()}
+    lifted = {pc: {k: reconstruct(x, modulus) for k, x in tail.items()} for pc, tail in pivots.items()}
     if any(None in tail.values() for tail in lifted.values()):
         return None
     den = math.lcm(*(d for tail in lifted.values() for _, d in tail.values()))
@@ -381,20 +382,28 @@ def _eliminate(rows, full: int, keep=frozenset()) -> tuple[dict[int, dict], int]
     as integer tails over one common denominator, or None if the rank is
     proven to be `full`.
 
-    The rows are peeled first; only the core is eliminated modulo p, lifted
-    and span-checked, or, if the lift fails, eliminated over the rationals.
+    The rows are peeled first. The core is then eliminated modulo each
+    Mersenne prime 2^e - 1 of MERSENNE_EXPONENTS in turn, until it reaches
+    full rank (less the zeroed columns) or its RREF lifts and passes the span
+    check. Every RREF entry is a ratio of two minors of the core, both at
+    most its Hadamard bound H, and no nonzero minor vanishes modulo a prime
+    above H; so a prime above 2H^2 always lifts. If none of the primes does,
+    InvariantError is raised.
     """
     zeroed, core = _peel(rows, keep)
     target = full - len(zeroed)
-    residues = [{k: x % MODULUS for k, x in row.items() if x % MODULUS} for row in core]
-    pivots = _gauss_jordan(residues, target, MODULUS)
-    if len(pivots) == target:
-        # rank mod p <= rank over Q <= full
-        return None
-    lifted = _lift(core, pivots)
-    pivots, den = lifted if lifted is not None else (_gauss_jordan(core, target), 1)
-    pivots.update((c, {}) for c in zeroed)
-    return pivots, den
+    for exponent in MERSENNE_EXPONENTS:
+        modulus = 2**exponent - 1
+        pivots = _gauss_jordan(core, modulus, target)
+        if len(pivots) == target:
+            # rank mod p <= rank over Q <= full
+            return None
+        lifted = _lift(core, pivots, modulus)
+        if lifted is not None:
+            pivots, den = lifted
+            pivots.update((c, {}) for c in zeroed)
+            return pivots, den
+    raise InvariantError(f"no Mersenne prime up to 2^{MERSENNE_EXPONENTS[-1]} - 1 lifts a core of {len(core)} rows")
 
 
 def _free_vectors(pivots: dict[int, dict], den: int, columns):

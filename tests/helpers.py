@@ -1,4 +1,4 @@
-"""Independent brute-force oracles and small fixture sets.
+"""Independent brute-force oracles, small fixture sets and seeded basis rotations.
 
 Everything here recomputes from first principles (full tensor expansion,
 exact complex-rational arithmetic) without going through the library's
@@ -7,10 +7,12 @@ factorized predicates, so it can serve as the second route in dual checks.
 
 from __future__ import annotations
 
+import math
+import random
 from fractions import Fraction
 
 from nwe import StateSet
-from nwe.states import ProductState, SystemShape, basis_ket
+from nwe.states import LocalVector, ProductState, SystemShape, basis_ket
 from nwe.verifier import anti_index, coords_to_matrix, sym_index
 
 
@@ -174,3 +176,58 @@ def reference_verdicts(sset: StateSet) -> list[tuple[str, int, list[list[str]] |
                 break
         out.append(("Nontrivial", len(basis), witness))
     return out
+
+
+def orthogonal_integer_matrix(rng: random.Random, dim: int, fix_ones: bool) -> list[list[int]]:
+    """c * Q for a random rational orthogonal Q and the least c > 0 that
+    makes it integral, so M^T M = c^2 I keeps every inner product zero or
+    nonzero. Q = (I + K)^-1 (I - K) for K = v w^T - w v^T with small random
+    integer v, w; with `fix_ones`, v and w sum to zero, so K and Q fix the
+    all-ones vector. Some entry of M lies outside {-1, 0, 1}."""
+    while True:
+        v, w = ([rng.randint(-1, 1) for _ in range(dim)] for _ in range(2))
+        if fix_ones:
+            v, w = ([dim * x - sum(u) for x in u] for u in (v, w))
+        skew = [[v[a] * w[b] - w[a] * v[b] for b in range(dim)] for a in range(dim)]
+        # solve (I + K) Q = (I - K) by exact Gauss-Jordan on the augmented matrix
+        aug = [
+            [Fraction(int(a == b) + skew[a][b]) for b in range(dim)]
+            + [Fraction(int(a == b) - skew[a][b]) for b in range(dim)]
+            for a in range(dim)
+        ]
+        for col in range(dim):
+            piv = next(r for r in range(col, dim) if aug[r][col])
+            aug[col], aug[piv] = aug[piv], aug[col]
+            aug[col] = [x / aug[col][col] for x in aug[col]]
+            for r in range(dim):
+                if r != col and aug[r][col]:
+                    f = aug[r][col]
+                    aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+        q = [row[dim:] for row in aug]
+        scale = math.lcm(*(x.denominator for row in q for x in row))
+        m = [[int(x * scale) for x in row] for row in q]
+        g = math.gcd(*(x for row in m for x in row))
+        m = [[x // g for x in row] for row in m]
+        if any(abs(x) > 1 for row in m for x in row):
+            return m
+
+
+def primitive(coeffs) -> LocalVector:
+    g = math.gcd(*coeffs)
+    return LocalVector(tuple(c // g for c in coeffs))
+
+
+def rotated(sset: StateSet, rng: random.Random, parties) -> StateSet:
+    """The set with the vectors of each party in `parties` mapped by a random
+    integer matrix with orthogonal columns of equal length, each then divided
+    by the gcd of its coefficients. Neither step changes which inner products
+    vanish, and the matrices fix the all-ones vector, so the stopper stays."""
+    mats = {t: orthogonal_integer_matrix(rng, sset.shape.dims[t], fix_ones=True) for t in parties}
+    states = []
+    for state in sset.states:
+        locals_ = list(state.locals)
+        for t, m in mats.items():
+            u = locals_[t].coeffs
+            locals_[t] = primitive([sum(x * y for x, y in zip(row, u)) for row in m])
+        states.append(ProductState(sset.shape, tuple(locals_), state.label))
+    return StateSet(sset.shape, tuple(states), provenance=sset.provenance + "-rotated")

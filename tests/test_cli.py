@@ -219,11 +219,19 @@ class TestDimCap:
         assert code == 0
         assert json.loads(captured.out)["dims"] == [3, 3, 70]
 
-    def test_non_integer_cap_exit_2(self, capsys, monkeypatch):
-        monkeypatch.setenv("NWE_DIM_CAP", "abc")
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            ("abc", "NWE_DIM_CAP must be an integer, got 'abc'"),
+            ("0", "error: NWE_DIM_CAP must be at least 2, got 0"),
+            ("-5", "error: NWE_DIM_CAP must be at least 2, got -5"),
+        ],
+    )
+    def test_bad_cap_exit_2(self, capsys, monkeypatch, raw, message):
+        monkeypatch.setenv("NWE_DIM_CAP", raw)
         code = main(["verify", "--dims", "3,3,3"])
         assert code == 2
-        assert "NWE_DIM_CAP must be an integer, got 'abc'" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
     def test_non_integer_cap_exit_2_with_input(self, tmp_path, capsys, monkeypatch):
         path = tmp_path / "set.json"

@@ -26,6 +26,7 @@ from nwe import (
 from nwe.states import LocalVector, ProductState, SystemShape, basis_ket
 from nwe.verifier import (
     LIFT_BOUND,
+    MERSENNE_EXPONENTS,
     MODULUS,
     InvariantError,
     MeasurementConstraintSystem,
@@ -45,8 +46,12 @@ from nwe.verifier import (
 from helpers import (
     CZERO,
     computational_basis_set,
+    dense_rref,
     measured_overlap,
+    orthogonal_integer_matrix,
+    primitive,
     reference_verdicts,
+    rotated,
     without_stopper,
 )
 
@@ -357,15 +362,14 @@ class TestAgainstDenseReference:
         assert outcomes(verify_all(sset)) == reference_verdicts(sset)
 
 
-def exact_eliminations(monkeypatch) -> list:
-    """Records each block eliminated over the rationals (no modulus)."""
+def moduli_used(monkeypatch) -> list:
+    """Records the modulus of each block elimination, in call order."""
     calls = []
     original = nwe.verifier._gauss_jordan
 
-    def spy(rows, target=None, modulus=None):
-        if modulus is None:
-            calls.append(target)
-        return original(rows, target, modulus)
+    def spy(rows, modulus, target=None):
+        calls.append(modulus)
+        return original(rows, modulus, target)
 
     monkeypatch.setattr(nwe.verifier, "_gauss_jordan", spy)
     return calls
@@ -382,19 +386,20 @@ def scale_local(sset, idx, party, factor):
 
 class TestModularRank:
     def test_full_rank_mod_p_needs_no_exact_elimination(self, monkeypatch):
-        calls = exact_eliminations(monkeypatch)
+        calls = moduli_used(monkeypatch)
         assert all(v.trivial for v in verify_all(gen_general((3, 3, 4))))
-        assert calls == []
+        assert set(calls) == {MODULUS}
 
     @pytest.mark.parametrize("party", [0, 1, 2])
     def test_rank_drop_mod_p_falls_back_to_exact(self, monkeypatch, party):
         # the stopper's rows on this party vanish mod p, so rank_S drops mod p
-        # while the rational rank, and so the verdict, is unchanged
+        # while the rational rank, and so the verdict, is unchanged; the next
+        # prime of the ladder recovers it
         sset = gen_equal(3, 3)
         scaled = scale_local(sset, len(sset) - 1, party, MODULUS)
-        calls = exact_eliminations(monkeypatch)
+        calls = moduli_used(monkeypatch)
         assert outcomes(verify_all(scaled)) == outcomes(verify_all(sset))
-        assert calls, "the exact fallback did not run"
+        assert max(calls) > MODULUS, "no prime after 2^61 - 1 ran"
 
     def test_scaled_nontrivial_set_keeps_its_witness(self):
         sset = without_stopper(gen_general((3, 3, 4)))
@@ -436,83 +441,77 @@ class TestLift:
 
     def test_nontrivial_family_needs_no_exact_elimination(self, monkeypatch):
         sset = without_stopper(gen_general((3, 3, 4)))
-        calls = exact_eliminations(monkeypatch)
+        calls = moduli_used(monkeypatch)
         got = outcomes(verify_all(sset))
-        assert calls == []
+        assert set(calls) == {MODULUS}
         assert all(status == "Nontrivial" for status, _, _ in got)
         assert got == reference_verdicts(sset)
 
     def test_entry_beyond_the_bound_falls_back_to_exact(self, monkeypatch):
-        # party 0 has the local basis {(1, B), (B, -1)}: its S-block RREF has
-        # the entry (B^2 - 1)/B, whose numerator exceeds the lift's bound
-        big = 2**31 + 11
-        shape = SystemShape((2, 2))
-        local0 = (LocalVector((1, big)), LocalVector((big, -1)))
-        sset = StateSet(
-            shape,
-            tuple(ProductState(shape, (u, basis_ket(2, j))) for u in local0 for j in range(2)),
-            provenance="big-basis",
-        )
-        calls = exact_eliminations(monkeypatch)
+        # party 0's S-block RREF has the entry (B^2 - 1)/B, whose numerator
+        # exceeds the bound of 2^61 - 1 but not that of 2^127 - 1
+        sset = big_basis_set(2**31 + 11)
+        calls = moduli_used(monkeypatch)
         got = outcomes(verify_all(sset))
-        assert calls, "the exact fallback did not run"
+        assert max(calls) > MODULUS, "no prime after 2^61 - 1 ran"
         assert got == reference_verdicts(sset)
         assert got[0][:2] == ("Nontrivial", 2)
 
-
-def orthogonal_integer_matrix(rng: random.Random, dim: int, fix_ones: bool) -> list[list[int]]:
-    """c * Q for a random rational orthogonal Q and the least c > 0 that
-    makes it integral, so M^T M = c^2 I keeps every inner product zero or
-    nonzero. Q = (I + K)^-1 (I - K) for K = v w^T - w v^T with small random
-    integer v, w; with `fix_ones`, v and w sum to zero, so K and Q fix the
-    all-ones vector. Some entry of M lies outside {-1, 0, 1}."""
-    while True:
-        v, w = ([rng.randint(-1, 1) for _ in range(dim)] for _ in range(2))
-        if fix_ones:
-            v, w = ([dim * x - sum(u) for x in u] for u in (v, w))
-        skew = [[v[a] * w[b] - w[a] * v[b] for b in range(dim)] for a in range(dim)]
-        # solve (I + K) Q = (I - K) by exact Gauss-Jordan on the augmented matrix
-        aug = [
-            [Fraction(int(a == b) + skew[a][b]) for b in range(dim)]
-            + [Fraction(int(a == b) - skew[a][b]) for b in range(dim)]
-            for a in range(dim)
-        ]
-        for col in range(dim):
-            piv = next(r for r in range(col, dim) if aug[r][col])
-            aug[col], aug[piv] = aug[piv], aug[col]
-            aug[col] = [x / aug[col][col] for x in aug[col]]
-            for r in range(dim):
-                if r != col and aug[r][col]:
-                    f = aug[r][col]
-                    aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-        q = [row[dim:] for row in aug]
-        scale = math.lcm(*(x.denominator for row in q for x in row))
-        m = [[int(x * scale) for x in row] for row in q]
-        g = math.gcd(*(x for row in m for x in row))
-        m = [[x // g for x in row] for row in m]
-        if any(abs(x) > 1 for row in m for x in row):
-            return m
+    @pytest.mark.parametrize("exponent", [127, 521])
+    def test_reconstruction_at_a_larger_prime(self, exponent):
+        modulus = 2**exponent - 1
+        bound = math.isqrt(modulus // 2)
+        for q in (Fraction(bound, 7), Fraction(-3, bound), Fraction(2**60 + 1, 3)):
+            x = q.numerator * pow(q.denominator, -1, modulus) % modulus
+            assert reconstruct(x, modulus) == (q.numerator, q.denominator)
+        assert reconstruct(bound + 1, modulus) is None
 
 
-def primitive(coeffs) -> LocalVector:
-    g = math.gcd(*coeffs)
-    return LocalVector(tuple(c // g for c in coeffs))
+def lucas_lehmer(exponent: int) -> bool:
+    """Whether 2^e - 1 is prime, for an odd prime e. Each step reduces
+    s^2 - 2 modulo m = 2^e - 1 by folding, since 2^e = 1 (mod m)."""
+    m = 2**exponent - 1
+    s = 4
+    for _ in range(exponent - 2):
+        s = s * s + m - 2
+        s = (s & m) + (s >> exponent)
+        s = (s & m) + (s >> exponent)
+    return s % m == 0
 
 
-def rotated(sset: StateSet, rng: random.Random, parties) -> StateSet:
-    """The set with the vectors of each party in `parties` mapped by a random
-    integer matrix with orthogonal columns of equal length, each then divided
-    by the gcd of its coefficients. Neither step changes which inner products
-    vanish, and the matrices fix the all-ones vector, so the stopper stays."""
-    mats = {t: orthogonal_integer_matrix(rng, sset.shape.dims[t], fix_ones=True) for t in parties}
-    states = []
-    for state in sset.states:
-        locals_ = list(state.locals)
-        for t, m in mats.items():
-            u = locals_[t].coeffs
-            locals_[t] = primitive([sum(x * y for x, y in zip(row, u)) for row in m])
-        states.append(ProductState(sset.shape, tuple(locals_), state.label))
-    return StateSet(sset.shape, tuple(states), provenance=sset.provenance + "-rotated")
+def big_basis_set(big: int) -> StateSet:
+    """Party 0 has the local basis {(1, B), (B, -1)}, party 1 the computational one."""
+    shape = SystemShape((2, 2))
+    local0 = (LocalVector((1, big)), LocalVector((big, -1)))
+    return StateSet(
+        shape,
+        tuple(ProductState(shape, (u, basis_ket(2, j))) for u in local0 for j in range(2)),
+        provenance="big-basis",
+    )
+
+
+class TestPrimeLadder:
+    def test_listed_exponents_give_primes(self):
+        exponents = [e for e in MERSENNE_EXPONENTS if e <= 19937]
+        assert exponents == sorted(exponents) and exponents[0] == 61
+        assert all(lucas_lehmer(e) for e in exponents)
+        assert not any(lucas_lehmer(e) for e in (67, 257))
+        assert MODULUS == 2 ** MERSENNE_EXPONENTS[0] - 1
+
+    def test_entry_near_2_to_the_140_needs_the_521_bit_prime(self, monkeypatch):
+        # the entry (B^2 - 1)/B has a numerator near 2^140, beyond the bound
+        # 2^63 of 2^127 - 1 and inside the bound 2^260 of 2^521 - 1
+        sset = big_basis_set(2**70 + 25)
+        calls = moduli_used(monkeypatch)
+        got = outcomes(verify_all(sset))
+        assert max(calls) == 2**521 - 1
+        assert got == reference_verdicts(sset)
+        assert got[0][:2] == ("Nontrivial", 2)
+
+    def test_exhausted_ladder_raises(self, monkeypatch):
+        monkeypatch.setattr(nwe.verifier, "MERSENNE_EXPONENTS", (61,))
+        with pytest.raises(InvariantError, match="no Mersenne prime"):
+            verify_all(big_basis_set(2**31 + 11))
 
 
 class TestRandomOrthogonalBases:
@@ -615,13 +614,19 @@ def peelable_rows(draw):
     return ncols, draw(st.permutations(rows))
 
 
-def peeled_rref(rows, modulus=None):
+def exact_rref(rows, ncols: int) -> dict[int, dict]:
+    """The reference RREF over the rationals (`dense_rref`) of sparse rows,
+    as {pivot column: {column: nonzero entry}} without the pivot's 1."""
+    pivots, reduced = dense_rref([[row.get(k, 0) for k in range(ncols)] for row in rows], ncols)
+    return {pc: {k: x for k, x in enumerate(r) if x and k != pc} for pc, r in zip(pivots, reduced)}
+
+
+def peeled_rref(rows, ncols: int, modulus=None):
     """The RREF the way the oracle builds it: the core's, plus an empty-tailed
-    pivot for each zeroed column."""
+    pivot for each zeroed column; the core's RREF is taken modulo `modulus`,
+    or over the rationals by `dense_rref` without one."""
     zeroed, core = _peel(rows)
-    if modulus:
-        core = [{k: x % modulus for k, x in row.items()} for row in core]
-    pivots = _gauss_jordan(core, modulus=modulus)
+    pivots = exact_rref(core, ncols) if modulus is None else _gauss_jordan(core, modulus)
     assert zeroed.isdisjoint(pivots)
     pivots.update((c, {}) for c in zeroed)
     return pivots
@@ -631,16 +636,15 @@ class TestPeel:
     @settings(max_examples=300, deadline=None)
     @given(peelable_rows())
     def test_peeled_rref_equals_the_unpeeled_rref(self, case):
-        _, rows = case
-        assert peeled_rref(rows) == _gauss_jordan(rows)
-        residues = [{k: x % MODULUS for k, x in row.items()} for row in rows]
-        assert peeled_rref(rows, MODULUS) == _gauss_jordan(residues, modulus=MODULUS)
+        ncols, rows = case
+        assert peeled_rref(rows, ncols) == exact_rref(rows, ncols)
+        assert peeled_rref(rows, ncols, MODULUS) == _gauss_jordan(rows, MODULUS)
 
     @settings(max_examples=300, deadline=None)
     @given(peelable_rows())
     def test_eliminate_gives_the_exact_rref_and_rank(self, case):
         ncols, rows = case
-        exact = _gauss_jordan(rows)
+        exact = exact_rref(rows, ncols)
         reduced = _eliminate(rows, ncols)
         if reduced is None:
             assert len(exact) == ncols
@@ -706,10 +710,10 @@ verdict(gen_equal(3, 3), 0)
 class TestLadderTop:
     @pytest.mark.parametrize("sset", [gen_equal(3, 64), gen_general((3, 32, 64))], ids=lambda s: s.provenance)
     def test_trivial_on_every_party_without_exact_elimination(self, monkeypatch, sset):
-        calls = exact_eliminations(monkeypatch)
+        calls = moduli_used(monkeypatch)
         lifts = []
-        monkeypatch.setattr(nwe.verifier, "_lift", lambda rows, pivots: lifts.append(pivots))
+        monkeypatch.setattr(nwe.verifier, "_lift", lambda *args: lifts.append(args))
         verdicts = verify_all(sset)
         assert [(v.status, v.nullspace_dim) for v in verdicts] == [("Trivial", 1)] * sset.shape.n
-        # every block reaches its full rank modulo p: nothing is lifted
-        assert calls == [] and lifts == []
+        # every block reaches its full rank modulo 2^61 - 1: nothing is lifted
+        assert set(calls) == {MODULUS} and lifts == []
