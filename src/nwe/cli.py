@@ -3,7 +3,9 @@
 Exit codes: 0 = certified nonlocal, 1 = not certified (a nontrivial
 orthogonality-preserving measurement exists, or the rule engine alone could
 not complete), 2 = parameter error (an `--out` path that cannot be written
-included), 3 = invalid input set (even when its report cannot be written).
+included), 3 = invalid input set (even when its report cannot be written),
+or no verdict because an invariant of the oracle failed (for instance,
+coefficients too large for every listed prime); no report is written then.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .states import (
     check_pairwise_orthogonality,
     dim_cap,
 )
-from .verifier import certified_nonlocal, verify_all
+from .verifier import InvariantError, certified_nonlocal, verify_all
 
 EXIT_OK = 0
 EXIT_NOT_CERTIFIED = 1
@@ -243,6 +245,9 @@ def main(argv=None) -> int:
         return EXIT_INVALID_INPUT
     except NonOrthogonalSetError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVALID_INPUT
+    except InvariantError as exc:
+        print(f"error: no verdict: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

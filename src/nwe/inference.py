@@ -119,28 +119,6 @@ def _two_support_signed(vec) -> tuple[int, int, int] | None:
     return (a, b, ca) if ca > 0 else (b, a, cb)
 
 
-class _DSU:
-    def __init__(self, size: int):
-        self.parent = list(range(size))
-
-    def find(self, x: int) -> int:
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, x: int, y: int) -> None:
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[max(rx, ry)] = min(rx, ry)
-
-    def classes(self) -> tuple[tuple[int, ...], ...]:
-        groups: dict[int, list[int]] = {}
-        for x in range(len(self.parent)):
-            groups.setdefault(self.find(x), []).append(x)
-        return tuple(tuple(sorted(g)) for _, g in sorted(groups.items()))
-
-
 def derive_certificate(sset: StateSet) -> Certificate:
     """Run the three rules, party by party, in the module's order; two runs
     on the same set produce identical fact lists."""
@@ -148,7 +126,6 @@ def derive_certificate(sset: StateSet) -> Certificate:
     if table.violations:
         raise NonOrthogonalSetError(list(table.violations))
     states = sset.states
-    count = len(states)
     stopper_idx = find_stopper(sset)
 
     facts: list[Fact] = []
@@ -186,15 +163,16 @@ def derive_certificate(sset: StateSet) -> Certificate:
             (a, b) for a in range(dim) for b in range(a + 1, dim) if (a, b) not in known
         )
 
-        # Lemma2: diagonal linking against the stopper
-        dsu = _DSU(dim)
+        # Lemma2: diagonal linking against the stopper; label[a] is the
+        # least index known to share a's diagonal entry
+        label = list(range(dim))
         if not missing and stopper_idx is not None:
-            linked = set(table.buckets[t])
             seen_diag: set[tuple[int, int]] = set()
-            for i in range(count):
-                if (min(i, stopper_idx), max(i, stopper_idx)) not in linked:
+            for i, j in table.buckets[t]:
+                if stopper_idx not in (i, j):
                     continue
-                signed = _two_support_signed(states[i].locals[t])
+                partner = i + j - stopper_idx
+                signed = _two_support_signed(states[partner].locals[t])
                 if signed is None:
                     continue
                 pos, neg, mag = signed
@@ -203,10 +181,11 @@ def derive_certificate(sset: StateSet) -> Certificate:
                     continue
                 seen_diag.add(key)
                 rule = RULE_LEMMA2 if mag == 1 else RULE_UNIT_PROPAGATION
-                facts.append(DiagonalEqualFact(t, pos, neg, (i, stopper_idx), rule))
-                dsu.union(pos, neg)
+                facts.append(DiagonalEqualFact(t, pos, neg, (partner, stopper_idx), rule))
+                lo, hi = sorted((label[pos], label[neg]))
+                label = [lo if x == hi else x for x in label]
 
-        classes = dsu.classes()
+        classes = tuple(tuple(a for a in range(dim) if label[a] == c) for c in sorted(set(label)))
         trivial = not missing and len(classes) == 1
         conclusions.append(PartyConclusion(t, trivial, missing, classes))
 

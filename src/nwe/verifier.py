@@ -8,8 +8,10 @@ degrees of freedom are laid out as d(d+1)/2 symmetric coordinates S[a,b]
 The set's pair table (`StateSet.pair_table`) sorts every pair once; the
 pairs whose sole zero factor is party t are the ones that constrain E. Each
 gives u^T S v = 0 on the S block and u^T A v = 0 on the A block (u and v
-real), kept as sparse rows. The blocks share no coordinate, so they are
-eliminated apart. The identity satisfies every row, so rank_S is at most
+real). `assemble` is the only builder of these rows: it returns them sparse,
+one tuple per block. The blocks share no coordinate, so they are eliminated
+apart, the S block first, by one loop that `verdict`, `rank` and `nullspace`
+all read. The identity satisfies every row, so rank_S is at most
 d(d+1)/2 - 1, and the measurement is forced trivial iff rank_S reaches that
 and rank_A = d(d-1)/2.
 
@@ -42,14 +44,16 @@ makes it fail. There is one path: the core is tried modulo the Mersenne
 primes 2^61 - 1, 2^127 - 1, 2^521 - 1, ... in turn, until it reaches full
 rank or its lift passes the check. A prime above twice the square of the
 core's Hadamard bound always lifts; if no listed prime does, InvariantError
-is raised. The public `rank` and `nullspace` take the same path, over all
-d*d unknowns as one block.
+is raised.
 
 The RREF gives the nullspace dimension and a basis: one sparse vector per
-free column, read off the RREF's entries in that column. `nullspace`
-returns these vectors densely; on a Nontrivial verdict the witness is the
-first of them, in column order, that is not a multiple of the identity,
-with its identity component projected out.
+free column, read off the RREF's entries in that column. Every S column
+comes before every A column, so the two blocks' vectors, in column order,
+are the basis the RREF over all d*d unknowns would give; an S block at full
+rank contributes the identity. `nullspace` returns these vectors densely;
+on a Nontrivial verdict the witness is the first of them, in column order,
+that is not a multiple of the identity, with its identity component
+projected out.
 
 A Nontrivial verdict means a nontrivial orthogonality-preserving first
 measurement exists on that party; it does not by itself prove that the set
@@ -91,15 +95,28 @@ def identity_coords(dim: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class MeasurementConstraintSystem:
-    """Integer constraint rows over the d*d real unknowns of one party."""
+    """Sparse integer constraint rows over the d*d real unknowns of one party.
+
+    `sym` holds the S-block rows and `anti` the A-block rows, each row as
+    {coordinate: nonzero coefficient}. Every S row must annihilate the
+    identity (its diagonal coefficients sum to zero): `rank` and `nullspace`
+    take the S block's rank to be at most d(d+1)/2 - 1. `assemble` checks
+    this as it builds each row.
+    """
 
     party: int
     dim: int
-    rows: tuple[tuple[int, ...], ...]
+    sym: tuple[dict[int, int], ...]
+    anti: tuple[dict[int, int], ...]
 
     @property
     def num_unknowns(self) -> int:
         return self.dim * self.dim
+
+    @property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        """Dense view of the rows, S rows first, then A rows."""
+        return tuple(tuple(row.get(k, 0) for k in range(self.num_unknowns)) for row in self.sym + self.anti)
 
 
 @dataclass(frozen=True)
@@ -204,8 +221,12 @@ def _pair_rows(u, v, dim: int) -> tuple[dict, dict]:
     return {k: x for k, x in srow.items() if x}, {k: x for k, x in arow.items() if x}
 
 
-def _constraint_rows(sset: StateSet, t: int) -> list[tuple[dict, dict]]:
-    """(S-block row, A-block row) of each pair in party t's bucket, in table order."""
+def assemble(sset: StateSet, t: int) -> MeasurementConstraintSystem:
+    """Constraint system for party t of a pairwise orthogonal set.
+
+    Each pair in party t's bucket, in table order, contributes its S-block
+    row and its A-block row; a row with no nonzero coefficient is left out.
+    """
     if not 0 <= t < sset.shape.n:
         raise IndexError(f"party {t} out of range for {sset.shape.n} parties")
     table = sset.pair_table
@@ -214,26 +235,19 @@ def _constraint_rows(sset: StateSet, t: int) -> list[tuple[dict, dict]]:
     dim = sset.shape.dims[t]
     # each state's nonzero party-t entries, found once for all its pairs
     support = [[(a, c) for a, c in enumerate(s.locals[t].coeffs) if c] for s in sset.states]
-    return [_pair_rows(support[i], support[j], dim) for i, j in table.buckets[t]]
+    sym, anti = [], []
+    for i, j in table.buckets[t]:
+        srow, arow = _pair_rows(support[i], support[j], dim)
+        if srow:
+            sym.append(srow)
+        if arow:
+            anti.append(arow)
+    return MeasurementConstraintSystem(t, dim, tuple(sym), tuple(anti))
 
 
-def assemble(sset: StateSet, t: int) -> MeasurementConstraintSystem:
-    """Constraint system for party t of a pairwise orthogonal set, as dense rows.
-
-    Each constraining pair contributes its S-block row, then its A-block
-    row; a row with no nonzero coefficient is left out.
-    """
-    pair_rows = _constraint_rows(sset, t)
-    dim = sset.shape.dims[t]
-    rows = []
-    for pair in pair_rows:
-        for row in pair:
-            if row:
-                dense = [0] * (dim * dim)
-                for k, x in row.items():
-                    dense[k] = x
-                rows.append(tuple(dense))
-    return MeasurementConstraintSystem(t, dim, tuple(rows))
+# `verdict` reads the builder under this name, so that replacing or deleting
+# the public `assemble` (as a tracer may) leaves the verify path unchanged
+_assemble = assemble
 
 
 def _subtract(row: dict, f, other: dict, modulus: int) -> None:
@@ -298,34 +312,6 @@ def _peel(rows, keep=frozenset()) -> tuple[set[int], list[dict]]:
         zeroed |= new
         core = [row if new.isdisjoint(row) else {k: x for k, x in row.items() if k not in new} for row in core]
         core = [row for row in core if row]
-
-
-def _sparse(rows) -> list[dict[int, int]]:
-    return [{k: x for k, x in enumerate(row) if x} for row in rows]
-
-
-def rank(system: MeasurementConstraintSystem) -> int:
-    size = system.num_unknowns
-    reduced = _eliminate(_sparse(system.rows), size)
-    return size if reduced is None else len(reduced[0])
-
-
-def nullspace(system: MeasurementConstraintSystem) -> list[tuple[Fraction, ...]]:
-    """Exact-rational basis of the solution space, deterministic order."""
-    ncols = system.num_unknowns
-    reduced = _eliminate(_sparse(system.rows), ncols)
-    if reduced is None:
-        return []
-    pivots, den = reduced
-    basis = []
-    for sparse in _free_vectors(pivots, den, range(ncols)):
-        vec = [Fraction(0)] * ncols
-        for k, x in sparse.items():
-            vec[k] = x
-        basis.append(tuple(vec))
-    if len(basis) != ncols - len(pivots):
-        raise InvariantError(f"{len(basis)} basis vectors for {ncols} unknowns and rank {len(pivots)}")
-    return basis
 
 
 LIFT_BOUND = math.isqrt(MODULUS // 2)
@@ -422,6 +408,46 @@ def _free_vectors(pivots: dict[int, dict], den: int, columns):
             yield vec
 
 
+def _blocks(system: MeasurementConstraintSystem):
+    """For the S block, then the A block: its columns, its nullspace
+    dimension, and its exact RREF from `_eliminate` (None at full rank)."""
+    dim = system.dim
+    nsym = dim * (dim + 1) // 2
+    size = dim * dim
+    # the identity satisfies every S row, so no row may zero a diagonal coordinate
+    diagonal = frozenset(sym_index(dim, a, a) for a in range(dim))
+    for rows, columns, full in ((system.sym, range(nsym), nsym - 1), (system.anti, range(nsym, size), size - nsym)):
+        reduced = _eliminate(rows, full, diagonal)
+        yield columns, len(columns) - (full if reduced is None else len(reduced[0])), reduced
+
+
+def rank(system: MeasurementConstraintSystem) -> int:
+    return system.num_unknowns - sum(nullity for _, nullity, _ in _blocks(system))
+
+
+def nullspace(system: MeasurementConstraintSystem) -> list[tuple[Fraction, ...]]:
+    """Exact-rational basis of the solution space, deterministic order: one
+    vector per free column, ascending, as the RREF over all d*d unknowns
+    gives it. An S block at full rank contributes the identity."""
+    size = system.num_unknowns
+    basis = []
+    nullity = 0
+    for columns, block_nullity, reduced in _blocks(system):
+        nullity += block_nullity
+        if reduced is None:
+            if block_nullity:
+                basis.append(tuple(map(Fraction, identity_coords(system.dim))))
+            continue
+        for sparse in _free_vectors(*reduced, columns):
+            vec = [Fraction(0)] * size
+            for k, x in sparse.items():
+                vec[k] = x
+            basis.append(tuple(vec))
+    if len(basis) != nullity:
+        raise InvariantError(f"{len(basis)} basis vectors for {size} unknowns and rank {size - nullity}")
+    return basis
+
+
 def _witness(pivots: dict[int, dict], den: int, columns, dim: int) -> HermitianMatrix | None:
     """The first nullspace basis vector of an RREF, over its free columns in
     ascending order, with a nonzero part off the identity: that part, as a
@@ -463,27 +489,12 @@ def verdict(sset: StateSet, t: int) -> TrivialityVerdict:
     component projected out: an exact Hermitian matrix satisfying every
     constraint and independent of the identity.
     """
-    pair_rows = _constraint_rows(sset, t)
-    dim = sset.shape.dims[t]
-    nsym = dim * (dim + 1) // 2
-    size = dim * dim
-    # the identity satisfies every row, so no row may zero a diagonal coordinate
-    diagonal = frozenset(sym_index(dim, a, a) for a in range(dim))
-    blocks = (
-        ([s for s, _ in pair_rows if s], range(nsym), nsym - 1),
-        ([a for _, a in pair_rows if a], range(nsym, size), size - nsym),
-    )
-    nullity = 0
-    witness = None
-    for rows, columns, full in blocks:
-        reduced = _eliminate(rows, full, diagonal)
-        if reduced is None:
-            nullity += len(columns) - full
-            continue
-        pivots, den = reduced
-        nullity += len(columns) - len(pivots)
-        if witness is None:
-            witness = _witness(pivots, den, columns, dim)
+    system = _assemble(sset, t)
+    nullity, witness = 0, None
+    for columns, block_nullity, reduced in _blocks(system):
+        nullity += block_nullity
+        if reduced is not None and witness is None:
+            witness = _witness(*reduced, columns, system.dim)
     if nullity == 1:
         if witness is not None:
             raise InvariantError(f"party {t}: the one-dimensional nullspace is not the identity's span")

@@ -147,21 +147,30 @@ def dense_constraint_rows(sset: StateSet, t: int) -> list[list[int]]:
     return rows
 
 
+def reference_nullspace(sset: StateSet, t: int) -> tuple[list[int], list[list[Fraction]]]:
+    """(pivot columns, nullspace basis) of party t by dense elimination of
+    every constraint row over all d*d unknowns: one basis vector per free
+    column, in ascending order, with a 1 there."""
+    size = sset.shape.dims[t] ** 2
+    pivots, reduced = dense_rref(dense_constraint_rows(sset, t), size)
+    basis = []
+    for free in (k for k in range(size) if k not in pivots):
+        vec = [Fraction(0)] * size
+        vec[free] = Fraction(1)
+        for p, row in zip(pivots, reduced):
+            vec[p] = -row[free]
+        basis.append(vec)
+    return pivots, basis
+
+
 def reference_verdicts(sset: StateSet) -> list[tuple[str, int, list[list[str]] | None]]:
-    """(status, nullspace dimension, witness strings) per party, by dense
-    elimination of every constraint row: the witness is the first nullspace
-    basis vector, in free-column order, with a nonzero part off the identity."""
+    """(status, nullspace dimension, witness strings) per party, from
+    `reference_nullspace`: the witness is the first nullspace basis vector,
+    in free-column order, with a nonzero part off the identity."""
     out = []
     for t, dim in enumerate(sset.shape.dims):
         size = dim * dim
-        pivots, reduced = dense_rref(dense_constraint_rows(sset, t), size)
-        basis = []
-        for free in (k for k in range(size) if k not in pivots):
-            vec = [Fraction(0)] * size
-            vec[free] = Fraction(1)
-            for p, row in zip(pivots, reduced):
-                vec[p] = -row[free]
-            basis.append(vec)
+        _, basis = reference_nullspace(sset, t)
         if len(basis) == 1:
             out.append(("Trivial", 1, None))
             continue
@@ -176,6 +185,17 @@ def reference_verdicts(sset: StateSet) -> list[tuple[str, int, list[list[str]] |
                 break
         out.append(("Nontrivial", len(basis), witness))
     return out
+
+
+def big_basis_set(big: int) -> StateSet:
+    """Party 0 has the local basis {(1, B), (B, -1)}, party 1 the computational one."""
+    shape = SystemShape((2, 2))
+    local0 = (LocalVector((1, big)), LocalVector((big, -1)))
+    return StateSet(
+        shape,
+        tuple(ProductState(shape, (u, basis_ket(2, j))) for u in local0 for j in range(2)),
+        provenance="big-basis",
+    )
 
 
 def orthogonal_integer_matrix(rng: random.Random, dim: int, fix_ones: bool) -> list[list[int]]:

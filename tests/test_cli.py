@@ -3,11 +3,12 @@ from pathlib import Path
 
 import pytest
 
+import nwe.verifier
 from nwe import gen_equal, gen_general, save_state_set, verify_all
 from nwe.cli import main
 from nwe.serialize import dumps_canonical, state_set_to_document
 
-from helpers import computational_basis_set, without_stopper
+from helpers import big_basis_set, computational_basis_set, without_stopper
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -303,6 +304,16 @@ class TestHostileInput:
         code, err = self.run_verify(path, capsys)
         assert code == 3
         assert "duplicate state label 'a': states[0] and states[2]" in err
+
+    def test_oracle_invariant_failure_exit_3(self, tmp_path, capsys, monkeypatch):
+        # with 2^61 - 1 as the only prime, no prime lifts party 0's core, so
+        # the oracle raises InvariantError and there is no verdict to report
+        monkeypatch.setattr(nwe.verifier, "MERSENNE_EXPONENTS", (61,))
+        path = tmp_path / "big.json"
+        save_state_set(big_basis_set(2**31 + 11), path)
+        code, err = self.run_verify(path, capsys)
+        assert code == 3
+        assert err.startswith("error: no verdict: no Mersenne prime")
 
     def test_missing_input_exit_3(self, tmp_path, capsys):
         path = tmp_path / "absent.json"

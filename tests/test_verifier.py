@@ -45,11 +45,13 @@ from nwe.verifier import (
 
 from helpers import (
     CZERO,
+    big_basis_set,
     computational_basis_set,
     dense_rref,
     measured_overlap,
     orthogonal_integer_matrix,
     primitive,
+    reference_nullspace,
     reference_verdicts,
     rotated,
     without_stopper,
@@ -133,7 +135,7 @@ class TestAssemble:
 
 class TestNullspace:
     def test_no_rows_means_full_space(self):
-        system = MeasurementConstraintSystem(party=0, dim=3, rows=())
+        system = MeasurementConstraintSystem(party=0, dim=3, sym=(), anti=())
         assert len(nullspace(system)) == 9
 
     def test_two_qubit_basis_dim_two(self):
@@ -162,6 +164,38 @@ class TestNullspace:
             for t in range(sset.shape.n):
                 system = assemble(sset, t)
                 assert len(nullspace(system)) == system.num_unknowns - rank(system)
+
+    @pytest.mark.parametrize(
+        "sset",
+        [
+            gen_equal(3, 3),
+            gen_general((3, 4, 5)),
+            computational_basis_set((2, 3)),
+            without_stopper(gen_equal(3, 5)),
+            without_stopper(gen_general((3, 3, 6))),
+            rotated(gen_equal(3, 5), random.Random(11), range(3)),
+            rotated(without_stopper(gen_equal(3, 5)), random.Random(12), range(3)),
+            # party 1 misses S[0,1], S[0,2], A[0,1] and A[0,2]: both blocks have free columns
+            StateSet(
+                SystemShape((2, 3)),
+                tuple(s for s in computational_basis_set((2, 3)).states if s.label not in ("|00>", "|10>")),
+                provenance="user-partial",
+            ),
+        ],
+        ids=lambda s: s.provenance,
+    )
+    def test_blocks_give_the_one_block_rref_basis(self, sset):
+        # the S and A blocks, reduced apart, give the same basis, in the same
+        # order, as dense elimination over all d*d unknowns at once
+        for t in range(sset.shape.n):
+            pivots, basis = reference_nullspace(sset, t)
+            system = assemble(sset, t)
+            rows = system.rows
+            got = nullspace(system)
+            assert got == [tuple(vec) for vec in basis]
+            assert rank(system) == len(pivots)
+            # elimination leaves the system's rows as they were
+            assert system.rows == rows and nullspace(system) == got
 
 
 class TestVerdict:
@@ -479,17 +513,6 @@ def lucas_lehmer(exponent: int) -> bool:
     return s % m == 0
 
 
-def big_basis_set(big: int) -> StateSet:
-    """Party 0 has the local basis {(1, B), (B, -1)}, party 1 the computational one."""
-    shape = SystemShape((2, 2))
-    local0 = (LocalVector((1, big)), LocalVector((big, -1)))
-    return StateSet(
-        shape,
-        tuple(ProductState(shape, (u, basis_ket(2, j))) for u in local0 for j in range(2)),
-        provenance="big-basis",
-    )
-
-
 class TestPrimeLadder:
     def test_listed_exponents_give_primes(self):
         exponents = [e for e in MERSENNE_EXPONENTS if e <= 19937]
@@ -651,14 +674,6 @@ class TestPeel:
         else:
             pivots, den = reduced
             assert {pc: {k: Fraction(x, den) for k, x in tail.items()} for pc, tail in pivots.items()} == exact
-        # the public rank and nullspace, on the rows padded to d*d columns
-        dim = math.isqrt(ncols - 1) + 1
-        dense = tuple(tuple(row.get(k, 0) for k in range(dim * dim)) for row in rows)
-        system = MeasurementConstraintSystem(0, dim, dense)
-        assert rank(system) == len(exact)
-        basis = nullspace(system)
-        assert len(basis) == dim * dim - len(exact)
-        assert all(dot(row, vec) == 0 for row in dense for vec in basis)
 
     def test_cascade_runs_to_its_fixpoint(self):
         # only the first row has one entry; each later row gets one entry
@@ -671,9 +686,8 @@ class TestPeel:
     def test_a_family_cascades(self):
         # on party 1 of general(3,4,5) some rows become one-entry rows only
         # after a first pass
-        sset = gen_general((3, 4, 5))
-        for block in (0, 1):
-            rows = [pair[block] for pair in nwe.verifier._constraint_rows(sset, 1) if pair[block]]
+        system = assemble(gen_general((3, 4, 5)), 1)
+        for rows in (system.sym, system.anti):
             first = {k for row in rows if len(row) == 1 for k in row}
             zeroed, _ = _peel(rows)
             assert zeroed > first
@@ -687,10 +701,15 @@ class TestPeel:
         ids=["direct", "cascade"],
     )
     def test_a_zeroed_diagonal_coordinate_raises(self, monkeypatch, rows):
-        # party 0 of equal(3,3) has dimension 3; its constraint rows are forged
-        monkeypatch.setattr(nwe.verifier, "_constraint_rows", lambda sset, t: [(row, {}) for row in rows])
+        # party 0 of equal(3,3) has dimension 3; its constraint system is forged
+        forged = MeasurementConstraintSystem(0, 3, tuple(rows), ())
+        monkeypatch.setattr(nwe.verifier, "_assemble", lambda sset, t: forged)
         with pytest.raises(InvariantError, match="forces coordinate"):
             verdict(gen_equal(3, 3), 0)
+        # rank and nullspace reduce the blocks the same way, with the same guard
+        for reduce in (rank, nullspace):
+            with pytest.raises(InvariantError, match="forces coordinate"):
+                reduce(forged)
 
 
 def test_zeroed_diagonal_raises_under_python_O():
@@ -699,9 +718,9 @@ def test_zeroed_diagonal_raises_under_python_O():
     message = invariant_error_under_python_O("""
 import nwe.verifier
 from nwe import gen_equal
-from nwe.verifier import sym_index, verdict
-rows = [{sym_index(3, 0, 1): 1}, {sym_index(3, 0, 1): 2, sym_index(3, 1, 1): 1}]
-nwe.verifier._constraint_rows = lambda sset, t: [(row, {}) for row in rows]
+from nwe.verifier import MeasurementConstraintSystem, sym_index, verdict
+rows = ({sym_index(3, 0, 1): 1}, {sym_index(3, 0, 1): 2, sym_index(3, 1, 1): 1})
+nwe.verifier._assemble = lambda sset, t: MeasurementConstraintSystem(0, 3, rows, ())
 verdict(gen_equal(3, 3), 0)
 """)
     assert f"forces coordinate {sym_index(3, 1, 1)} to zero" in message
