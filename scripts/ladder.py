@@ -1,34 +1,49 @@
 #!/usr/bin/env python3
-"""Time the oracle once on each rung of the instance ladder, one JSON line per rung.
+"""Time the oracle on each rung of the instance ladder, one JSON line per rung.
 
-Each line gives the instance, its number of states, the seconds spent
-building the pair table (`pair_table_s`), the seconds `verify_all` then takes
-(`verify_all_s`, which reads the table already built) and the per-party
-statuses. The rotated rungs map every party's vectors by a seeded random
-integer matrix with orthogonal columns (`rotated` in `tests/helpers.py`), so
-no local basis is the computational one. A rung that does not finish
-within 60 s is printed as {"instance": ..., "skipped": "budget"} and the
-ladder goes on.
+Each rung runs three times, each time on a freshly built set. Each line
+gives the instance, its number of states, the median over the runs of the
+seconds spent building the pair table (`pair_table_s`, which includes the
+per-party index of distinct vectors) and of the seconds `verify_all` then
+takes (`verify_all_s`, which reads the table already built), and the
+per-party statuses. The rotated rungs map every party's vectors by a seeded
+random integer matrix with orthogonal columns (`rotated` in
+`tests/helpers.py`), so no local basis is the computational one. A run that
+does not finish within 60 s is printed as
+{"instance": ..., "skipped": "budget"} and the ladder goes on.
 
     python scripts/ladder.py
+    python scripts/ladder.py --json BENCH.json
+
+With `--json PATH`, every rung is also written to PATH, together with a
+stamp: the Python version, the number of CPUs the process may use and the
+git commit of the checkout.
 
 The budget is enforced with SIGALRM, so the script needs a POSIX system.
 """
 
+import argparse
 import json
+import os
+import platform
 import random
 import signal
+import statistics
+import subprocess
 import sys
 import time
 from pathlib import Path
 
 from nwe import gen_equal, gen_general, verify_all
 
+ROOT = Path(__file__).resolve().parents[1]
+
 # the seeded rotations and the stopper removal are shared with the tests
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+sys.path.insert(0, str(ROOT / "tests"))
 from helpers import rotated, without_stopper  # noqa: E402
 
 BUDGET_S = 60.0
+RUNS = 3
 ROTATION_SEED = 2022
 
 
@@ -64,19 +79,48 @@ class OverBudget(Exception):
     pass
 
 
-def run(instance: str, build) -> dict:
+def run(build) -> tuple[int, float, float, list[str]]:
+    """(states, pair table seconds, verify_all seconds, statuses) of one run."""
     sset = build()
     start = time.perf_counter()
     sset.pair_table
     built = time.perf_counter()
     verdicts = verify_all(sset)
     done = time.perf_counter()
+    return len(sset), built - start, done - built, [v.status for v in verdicts]
+
+
+def rung(instance: str, build) -> dict:
+    runs = []
+    for _ in range(RUNS):
+        signal.setitimer(signal.ITIMER_REAL, BUDGET_S)
+        try:
+            runs.append(run(build))
+        except OverBudget:
+            return {"instance": instance, "skipped": "budget"}
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
     return {
         "instance": instance,
-        "states": len(sset),
-        "pair_table_s": round(built - start, 4),
-        "verify_all_s": round(done - built, 4),
-        "statuses": [v.status for v in verdicts],
+        "states": runs[0][0],
+        "pair_table_s": round(statistics.median(r[1] for r in runs), 4),
+        "verify_all_s": round(statistics.median(r[2] for r in runs), 4),
+        "statuses": runs[0][3],
+    }
+
+
+def stamp() -> dict:
+    try:
+        commit = subprocess.run(
+            ["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True, text=True, check=True
+        ).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        commit = None
+    return {
+        "python": platform.python_version(),
+        "nproc": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count(),
+        "commit": commit,
+        "runs_per_rung": RUNS,
     }
 
 
@@ -84,17 +128,20 @@ def _over_budget(signum, frame):
     raise OverBudget
 
 
-def main() -> int:
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--json", metavar="PATH", help="also write every rung and a stamp to PATH")
+    args = parser.parse_args(argv)
     signal.signal(signal.SIGALRM, _over_budget)
+    lines = []
     for instance, build in RUNGS:
-        signal.setitimer(signal.ITIMER_REAL, BUDGET_S)
-        try:
-            line = run(instance, build)
-        except OverBudget:
-            line = {"instance": instance, "skipped": "budget"}
-        finally:
-            signal.setitimer(signal.ITIMER_REAL, 0)
+        line = rung(instance, build)
+        lines.append(line)
         print(json.dumps(line), flush=True)
+    if args.json:
+        with open(args.json, "w", encoding="utf-8", newline="\n") as fh:
+            json.dump({"stamp": stamp(), "rungs": lines}, fh, indent=2)
+            fh.write("\n")
     return 0
 
 

@@ -11,6 +11,7 @@ coefficients too large for every listed prime); no report is written then.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -198,7 +199,9 @@ def _cmd_compare(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once; each `parse_args` call returns a new Namespace."""
     parser = argparse.ArgumentParser(
         prog="nwe",
         description="Generate locally indistinguishable orthogonal product states "

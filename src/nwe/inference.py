@@ -107,13 +107,12 @@ class Certificate:
         )
 
 
-def _two_support_signed(vec) -> tuple[int, int, int] | None:
-    """(positive index, negative index, magnitude) if support is {a: c, b: -c}."""
-    sup = vec.support()
-    if len(sup) != 2:
+def _two_support_signed(support) -> tuple[int, int, int] | None:
+    """(positive index, negative index, magnitude) if the (index, coefficient)
+    support is {a: c, b: -c}."""
+    if len(support) != 2:
         return None
-    a, b = sup
-    ca, cb = vec.coeffs[a], vec.coeffs[b]
+    (a, ca), (b, cb) = support
     if ca + cb != 0:
         return None
     return (a, b, ca) if ca > 0 else (b, a, cb)
@@ -125,7 +124,6 @@ def derive_certificate(sset: StateSet) -> Certificate:
     table = sset.pair_table
     if table.violations:
         raise NonOrthogonalSetError(list(table.violations))
-    states = sset.states
     stopper_idx = find_stopper(sset)
 
     facts: list[Fact] = []
@@ -133,8 +131,9 @@ def derive_certificate(sset: StateSet) -> Certificate:
     for t in range(sset.shape.n):
         dim = sset.shape.dims[t]
         known: set[tuple[int, int]] = set()
-        support = [s.locals[t].support() for s in states]
-        constraints = [(i, j, [(a, b) for a in support[i] for b in support[j]]) for i, j in table.buckets[t]]
+        _, ids, supports = sset.vector_index[t]
+        support = [supports[v] for v in ids]
+        constraints = [(i, j, [(a, b) for a, _ in support[i] for b, _ in support[j]]) for i, j in table.buckets[t]]
 
         # Lemma1: one off-diagonal term
         for i, j, terms in constraints:
@@ -172,7 +171,7 @@ def derive_certificate(sset: StateSet) -> Certificate:
                 if stopper_idx not in (i, j):
                     continue
                 partner = i + j - stopper_idx
-                signed = _two_support_signed(states[partner].locals[t])
+                signed = _two_support_signed(support[partner])
                 if signed is None:
                     continue
                 pos, neg, mag = signed

@@ -6,6 +6,7 @@ trailing newline. Writing the same set twice yields byte-identical files.
 
 from __future__ import annotations
 
+import functools
 import json
 
 from .states import LocalVector, ProductState, StateSet, SystemShape
@@ -53,6 +54,8 @@ def state_set_from_document(doc) -> StateSet:
     if not isinstance(provenance, str):
         raise DocumentError("provenance must be a string")
     states = []
+    # one LocalVector per distinct coefficient list, shared by every state that has it
+    local_vector = functools.cache(LocalVector)
     for idx, entry in enumerate(raw_states):
         if not isinstance(entry, dict):
             raise DocumentError(f"states[{idx}]: expected an object")
@@ -68,7 +71,8 @@ def state_set_from_document(doc) -> StateSet:
                     f"states[{idx}].locals[{k}]: expected {shape.dims[k]} coefficients, got {len(coeffs)}"
                 )
             try:
-                locals_.append(LocalVector(tuple(coeffs)))
+                # the exact type check above must come first: (True, 0) == (1, 0) as keys
+                locals_.append(local_vector(tuple(coeffs)))
             except ValueError as exc:
                 raise DocumentError(f"states[{idx}].locals[{k}]: {exc}") from exc
         label = entry.get("label")

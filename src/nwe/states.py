@@ -4,6 +4,13 @@ A multipartite product state is stored unnormalized as one dense integer
 coefficient vector per party; the full state is the implied tensor product.
 Because the inner product of two product states factorizes party by party,
 orthogonality is decided exactly with integer arithmetic alone.
+
+A party usually has far fewer distinct vectors than the set has states.
+`StateSet.vector_index`, built on first use, lists each party's distinct
+vectors once, with the vector id of every state and each vector's sparse
+support; the pair table, the oracle's rows and the certificate all read
+the supports from it. The pair table takes one inner product per pair of
+distinct vectors and sorts the state pairs with integer bitsets.
 """
 
 from __future__ import annotations
@@ -12,7 +19,9 @@ import math
 import os
 from dataclasses import dataclass
 from functools import cached_property
-from operator import mul
+from itertools import combinations
+from operator import index
+from typing import NamedTuple
 
 DEFAULT_DIM_CAP = 64
 
@@ -27,6 +36,17 @@ class NonOrthogonalSetError(ValueError):
     def __init__(self, pairs: list[tuple[int, int]]):
         self.pairs = list(pairs)
         super().__init__(f"state set is not pairwise orthogonal; violating pairs: {self.pairs}")
+
+
+def _integers(values, what: str) -> tuple[int, ...]:
+    """`values` as exact ints; a value that is not an integer (a float, a
+    Fraction, a string) raises DimensionError rather than being truncated."""
+    values = tuple(values)
+    try:
+        return tuple(map(index, values))
+    except TypeError:
+        bad = next(v for v in values if not hasattr(type(v), "__index__"))
+        raise DimensionError(f"{what} must be integers, got {bad!r}") from None
 
 
 def dim_cap() -> int:
@@ -50,7 +70,7 @@ class SystemShape:
     dims: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
+        object.__setattr__(self, "dims", _integers(self.dims, "dimensions"))
         if len(self.dims) < 2:
             raise DimensionError(f"need at least 2 parties, got {len(self.dims)}")
         cap = dim_cap()
@@ -80,7 +100,7 @@ class LocalVector:
     coeffs: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "coeffs", tuple(int(c) for c in self.coeffs))
+        object.__setattr__(self, "coeffs", _integers(self.coeffs, "coefficients"))
         if not self.coeffs:
             raise DimensionError("local vector must not be empty")
         if not any(self.coeffs):
@@ -88,10 +108,6 @@ class LocalVector:
 
     def __len__(self) -> int:
         return len(self.coeffs)
-
-    def support(self) -> tuple[int, ...]:
-        """Indices of nonzero coefficients, ascending."""
-        return tuple(i for i, c in enumerate(self.coeffs) if c)
 
     def scaled(self, factor: int) -> LocalVector:
         if factor == 0:
@@ -160,9 +176,36 @@ class StateSet:
         return tuple(s.label if s.label is not None else f"#{i}" for i, s in enumerate(self.states))
 
     @cached_property
+    def vector_index(self) -> tuple[PartyVectors, ...]:
+        """Each party's distinct local vectors; computed on first use."""
+        return tuple(_party_vectors(s.locals[t].coeffs for s in self.states) for t in range(self.shape.n))
+
+    @cached_property
     def pair_table(self) -> PairTable:
         """Every state pair sorted once by its zero factors; computed on first use."""
         return _classify_pairs(self)
+
+
+class PartyVectors(NamedTuple):
+    """The distinct local vectors of one party of a state set.
+
+    `coeffs` holds each distinct coefficient tuple once, in order of first
+    appearance; `ids[i]` is the position of state i's vector in it; and
+    `supports[v]` lists vector v's nonzero entries as (index, coefficient)
+    pairs, by ascending index.
+    """
+
+    coeffs: tuple[tuple[int, ...], ...]
+    ids: tuple[int, ...]
+    supports: tuple[tuple[tuple[int, int], ...], ...]
+
+
+def _party_vectors(column) -> PartyVectors:
+    """The index of one party, given each state's coefficient tuple in turn."""
+    ids: dict[tuple[int, ...], int] = {}
+    of_state = tuple(ids.setdefault(coeffs, len(ids)) for coeffs in column)
+    supports = tuple(tuple((a, c) for a, c in enumerate(coeffs) if c) for coeffs in ids)
+    return PartyVectors(tuple(ids), of_state, supports)
 
 
 @dataclass(frozen=True)
@@ -181,25 +224,38 @@ class PairTable:
 
 
 def _classify_pairs(sset: StateSet) -> PairTable:
-    n = sset.shape.n
-    columns = [[s.locals[t].coeffs for s in sset.states] for t in range(n)]
-    violations: list[tuple[int, int]] = []
-    buckets: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    # zeros[t][i]: the states orthogonal to state i on party t, as a bitset
+    # over state indices, from one inner product per pair of distinct vectors
+    zeros = []
+    for coeffs, ids, supports in sset.vector_index:
+        members = [0] * len(coeffs)
+        for i, v in enumerate(ids):
+            members[v] |= 1 << i
+        zero = [0] * len(coeffs)
+        for v, w in combinations(range(len(coeffs)), 2):
+            if not sum(c * coeffs[w][a] for a, c in supports[v]):
+                zero[v] |= members[w]
+                zero[w] |= members[v]
+        zeros.append([zero[v] for v in ids])
+    violations, buckets = [], [[] for _ in zeros]
     count = len(sset.states)
     for i in range(count):
-        for j in range(i + 1, count):
-            zero = -1  # the party of the first zero factor found
-            for t, col in enumerate(columns):
-                if not sum(map(mul, col[i], col[j])):
-                    if zero >= 0:
-                        break  # a second zero factor: the pair is inert
-                    zero = t
-            else:
-                if zero < 0:
-                    violations.append((i, j))
-                else:
-                    buckets[zero].append((i, j))
+        ones = twos = 0  # the states with at least one, at least two zero factors
+        for z in zeros:
+            twos |= ones & z[i]
+            ones |= z[i]
+        later = ((1 << count) - 1) & (-2 << i)  # the states j > i
+        violations.extend((i, j) for j in _bits(later & ~ones))
+        for bucket, z in zip(buckets, zeros):
+            bucket.extend((i, j) for j in _bits(z[i] & later & ~twos))
     return PairTable(tuple(violations), tuple(map(tuple, buckets)))
+
+
+def _bits(x: int):
+    """The positions of the set bits of x >= 0, ascending."""
+    while x:
+        yield (x & -x).bit_length() - 1
+        x &= x - 1
 
 
 def local_inner(u: LocalVector, v: LocalVector) -> int:

@@ -233,11 +233,10 @@ def assemble(sset: StateSet, t: int) -> MeasurementConstraintSystem:
     if table.violations:
         raise NonOrthogonalSetError(list(table.violations))
     dim = sset.shape.dims[t]
-    # each state's nonzero party-t entries, found once for all its pairs
-    support = [[(a, c) for a, c in enumerate(s.locals[t].coeffs) if c] for s in sset.states]
+    _, ids, supports = sset.vector_index[t]
     sym, anti = [], []
     for i, j in table.buckets[t]:
-        srow, arow = _pair_rows(support[i], support[j], dim)
+        srow, arow = _pair_rows(supports[ids[i]], supports[ids[j]], dim)
         if srow:
             sym.append(srow)
         if arow:

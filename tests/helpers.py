@@ -12,7 +12,7 @@ import random
 from fractions import Fraction
 
 from nwe import StateSet
-from nwe.states import LocalVector, ProductState, SystemShape, basis_ket
+from nwe.states import LocalVector, PairTable, PartyVectors, ProductState, SystemShape, basis_ket
 from nwe.verifier import anti_index, coords_to_matrix, sym_index
 
 
@@ -72,6 +72,41 @@ def measured_overlap(a: ProductState, b: ProductState, matrix, t: int):
                 continue
             acc = cadd(acc, cmul((Fraction(ap * bq), Fraction(0)), op[p][q]))
     return acc
+
+
+def reference_pair_table(sset: StateSet) -> PairTable:
+    """The pair table by the direct triple loop: one dense inner product per
+    pair and party, with no index of distinct vectors."""
+    n = sset.shape.n
+    columns = [[s.locals[t].coeffs for s in sset.states] for t in range(n)]
+    violations = []
+    buckets = [[] for _ in range(n)]
+    count = len(sset.states)
+    for i in range(count):
+        for j in range(i + 1, count):
+            zeros = [t for t, col in enumerate(columns) if not sum(a * b for a, b in zip(col[i], col[j]))]
+            if not zeros:
+                violations.append((i, j))
+            elif len(zeros) == 1:
+                buckets[zeros[0]].append((i, j))
+    return PairTable(tuple(violations), tuple(map(tuple, buckets)))
+
+
+def unshared_index(sset: StateSet) -> StateSet:
+    """A copy of the set whose vector index gives every state a vector of its
+    own, with the support read off that state's coefficients; stages that read
+    the index then compute every support per state."""
+    copy = StateSet(sset.shape, sset.states, sset.provenance)
+    states = range(len(sset.states))
+    copy.__dict__["vector_index"] = tuple(
+        PartyVectors(
+            tuple(s.locals[t].coeffs for s in sset.states),
+            tuple(states),
+            tuple(tuple((a, c) for a, c in enumerate(s.locals[t].coeffs) if c) for s in sset.states),
+        )
+        for t in range(sset.shape.n)
+    )
+    return copy
 
 
 def computational_basis_set(dims: tuple[int, ...]) -> StateSet:

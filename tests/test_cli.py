@@ -5,7 +5,7 @@ import pytest
 
 import nwe.verifier
 from nwe import gen_equal, gen_general, save_state_set, verify_all
-from nwe.cli import main
+from nwe.cli import build_parser, main
 from nwe.serialize import dumps_canonical, state_set_to_document
 
 from helpers import big_basis_set, computational_basis_set, without_stopper
@@ -257,6 +257,46 @@ class TestJsonBooleans:
         assert code == 3
         assert "states[0].locals[0]: expected an array of integers" in captured.err
         assert captured.out == ""
+
+    def test_boolean_after_an_equal_integer_vector_exit_3(self, tmp_path, capsys):
+        doc = {
+            "version": "nwe/1",
+            "dims": [2, 2],
+            "states": [{"locals": [[1, 0], [1, 0]]}, {"locals": [[True, 0], [0, 1]]}],
+        }
+        path = tmp_path / "bools.json"
+        write_doc(path, doc)
+        code = main(["verify", "--input", str(path)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert "states[1].locals[0]: expected an array of integers" in captured.err
+        assert captured.out == ""
+
+
+class TestParserReuse:
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_consecutive_calls_start_fresh(self, tmp_path, capsys):
+        out = tmp_path / "lemma.json"
+        assert main(["verify", "--dims", "3,3,3", "--engine", "lemma", "--out", str(out)]) == 0
+        assert {e["engine"] for e in json.loads(out.read_text())["per_party"]} == {"lemma"}
+        assert capsys.readouterr().out == ""
+        # neither the engine nor the report path carries over
+        assert main(["verify", "--dims", "3,3,3"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert {e["engine"] for e in report["per_party"]} == {"lemma", "oracle"}
+        assert main(["compare", "--dims", "3,3,3", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["dims"] == [3, 3, 3]
+        assert main(["compare", "--dims", "3,3,3"]) == 0
+        assert capsys.readouterr().out.startswith("dims: 3,3,3\n")
+
+    def test_usage_error_still_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--engine", "neither"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+        assert main(["compare", "--dims", "3,3,3", "--json"]) == 0
 
 
 class TestHostileInput:

@@ -108,3 +108,31 @@ class TestValidation:
         for entry in doc["states"]:
             del entry["label"]
         assert len(state_set_from_document(doc)) == len(doc["states"])
+
+
+class TestSharedVectors:
+    def test_equal_coefficients_share_one_vector(self):
+        doc = {
+            "version": "nwe/1",
+            "dims": [2, 2],
+            "states": [
+                {"locals": [[1, 0], [1, 0]]},
+                {"locals": [[1, 0], [0, 1]]},
+                {"locals": [[0, 1], [1, 0]]},
+            ],
+        }
+        a, b, c = state_set_from_document(doc).states
+        assert a.locals[0] is b.locals[0]
+        assert a.locals[0] is a.locals[1] is c.locals[1]
+        assert a.locals[0] is not c.locals[0]
+        assert b.locals[1] is not a.locals[1]
+
+    def test_boolean_after_an_equal_integer_vector_rejected(self):
+        # (True, 0) == (1, 0) and both hash alike: the type check must run
+        # before the shared vector is looked up
+        doc = json.loads(
+            '{"version": "nwe/1", "dims": [2, 2], "states": ['
+            '{"locals": [[1, 0], [1, 0]]}, {"locals": [[true, 0], [0, 1]]}]}'
+        )
+        with pytest.raises(DocumentError, match=r"states\[1\].locals\[0\]: expected an array of integers"):
+            state_set_from_document(doc)

@@ -1,15 +1,19 @@
 import math
+import random
+import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nwe import DimensionError, StateSet, gen_equal, gen_general
+from nwe import DimensionError, StateSet, assemble, derive_certificate, gen_equal, gen_general
 from nwe.states import (
     LocalVector,
     ProductState,
     SystemShape,
     are_orthogonal,
+    basis_ket,
     check_pairwise_orthogonality,
     dim_cap,
     inner_factors,
@@ -17,7 +21,7 @@ from nwe.states import (
     stopper,
 )
 
-from helpers import brute_force_inner, expand
+from helpers import brute_force_inner, expand, reference_pair_table, rotated, unshared_index, without_stopper
 
 
 def product_state(shape, *coeff_rows, label=None):
@@ -190,6 +194,30 @@ class TestInvariantsValidation:
             StateSet(SystemShape((2, 3)), (a,))
 
 
+class TestNonIntegers:
+    NON_INTEGERS = [0.5, 3.0, Fraction(1, 2), Fraction(4, 1), "3", None]
+
+    @pytest.mark.parametrize("bad", NON_INTEGERS, ids=repr)
+    def test_coefficient_rejected_and_named(self, bad):
+        with pytest.raises(DimensionError, match=re.escape(f"coefficients must be integers, got {bad!r}")):
+            LocalVector((bad, 1))
+
+    @pytest.mark.parametrize("bad", NON_INTEGERS, ids=repr)
+    def test_dimension_rejected_and_named(self, bad):
+        with pytest.raises(DimensionError, match=re.escape(f"dimensions must be integers, got {bad!r}")):
+            SystemShape((bad, 2))
+
+    def test_fractional_coefficients_are_not_mistaken_for_zero(self):
+        with pytest.raises(DimensionError, match="must be integers, got 0.5"):
+            LocalVector((0.5, 0.4))
+
+    def test_integers_pass_unchanged(self):
+        big = 10**40
+        assert LocalVector((3, -1, 0, big)).coeffs == (3, -1, 0, big)
+        assert SystemShape((3, 2)).dims == (3, 2)
+        assert type(LocalVector((True, 0)).coeffs[0]) is int
+
+
 def small_shapes():
     return st.lists(st.integers(2, 8), min_size=2, max_size=4).filter(
         lambda dims: math.prod(dims) <= 4096
@@ -271,3 +299,69 @@ class TestPairTable:
         sset = StateSet(shape, (ones, product_state(shape, (1, 0), (1, 0)), ones))
         assert sset.pair_table.violations == ((0, 1), (0, 2), (1, 2))
         assert sset.pair_table.buckets == ((), ())
+
+
+@st.composite
+def pooled_sets(draw):
+    """0-9 states over 2-4 parties of dimension at most 4. Each party draws its
+    vectors from a pool of one to four, basis kets or coefficients in
+    {-2..2}, so vectors repeat and pairs of every kind occur: violations,
+    inert pairs and pairs with one zero factor."""
+    dims = tuple(draw(st.lists(st.integers(2, 4), min_size=2, max_size=4)))
+    pools = []
+    for d in dims:
+        ket = st.integers(0, d - 1).map(lambda i, d=d: basis_ket(d, i))
+        coeffs = st.lists(st.integers(-2, 2), min_size=d, max_size=d).filter(any)
+        vector = ket | coeffs.map(lambda c: LocalVector(tuple(c)))
+        pools.append(draw(st.lists(vector, min_size=1, max_size=4)))
+    shape = SystemShape(dims)
+    states = [tuple(draw(st.sampled_from(p)) for p in pools) for _ in range(draw(st.integers(0, 9)))]
+    return StateSet(shape, tuple(ProductState(shape, locals_) for locals_ in states))
+
+
+INDEXED_SETS = [gen_equal(3, 4), gen_general((3, 4, 5)), gen_equal(4, 3)] + [
+    rotated(build, random.Random(seed), range(3))
+    for seed, build in enumerate((gen_equal(3, 4), without_stopper(gen_equal(3, 5)), gen_general((3, 3, 4))))
+]
+
+
+class TestVectorIndex:
+    def test_distinct_vectors_ids_and_supports(self):
+        shape = SystemShape((3, 2))
+        a = product_state(shape, (1, -1, 0), (1, 0))
+        b = product_state(shape, (0, 0, 2), (1, 0))
+        c = product_state(shape, (1, -1, 0), (0, 1))
+        coeffs, ids, supports = StateSet(shape, (a, b, c)).vector_index[0]
+        assert coeffs == ((1, -1, 0), (0, 0, 2))
+        assert ids == (0, 1, 0)
+        assert supports == (((0, 1), (1, -1)), ((2, 2),))
+
+    def test_built_on_first_use(self):
+        sset = gen_equal(3, 4)
+        assert "vector_index" not in sset.__dict__
+        assert sset.vector_index is sset.vector_index
+
+    def test_every_kind_of_pair_with_repeated_vectors(self):
+        shape = SystemShape((2, 2))
+        rows = [((1, 0), (1, 0)), ((0, 1), (0, 1)), ((1, 0), (1, 1)), ((0, 1), (1, 0))]
+        sset = StateSet(shape, tuple(product_state(shape, *r) for r in rows))
+        expected = reference_pair_table(sset)
+        assert expected.violations == ((0, 2),)
+        assert expected.buckets == (((0, 3), (1, 2), (2, 3)), ((1, 3),))
+        assert sset.pair_table == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(pooled_sets())
+    def test_pair_table_matches_the_triple_loop(self, sset):
+        expected = reference_pair_table(sset)
+        assert sset.pair_table == expected
+        assert unshared_index(sset).pair_table == expected
+
+    @pytest.mark.parametrize("sset", INDEXED_SETS, ids=lambda s: f"{s.provenance}{s.shape.dims}")
+    def test_rows_and_certificate_match_per_state_supports(self, sset):
+        reference = unshared_index(sset)
+        assert sset.pair_table == reference.pair_table == reference_pair_table(sset)
+        for t in range(sset.shape.n):
+            system, expected = assemble(sset, t), assemble(reference, t)
+            assert (system.sym, system.anti) == (expected.sym, expected.anti)
+        assert derive_certificate(sset) == derive_certificate(reference)
