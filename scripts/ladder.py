@@ -4,9 +4,11 @@
 Each rung runs three times, each time on a freshly built set. Each line
 gives the instance, its number of states, the median over the runs of the
 seconds spent building the pair table (`pair_table_s`, which includes the
-per-party index of distinct vectors) and of the seconds `verify_all` then
-takes (`verify_all_s`, which reads the table already built), and the
-per-party statuses. The rotated rungs map every party's vectors by a seeded
+per-party index of distinct vectors), of the seconds `verify_all` then
+takes (`verify_all_s`, which reads the table already built, and eliminates
+every party), of the seconds the rule engine takes to derive the
+certificate (`certificate_s`) and of the seconds `check_certificate` takes
+to replay it (`check_s`), and the per-party statuses. The rotated rungs map every party's vectors by a seeded
 random integer matrix with orthogonal columns (`rotated` in
 `tests/helpers.py`), so no local basis is the computational one. A run that
 does not finish within 60 s is printed as
@@ -34,7 +36,8 @@ import sys
 import time
 from pathlib import Path
 
-from nwe import gen_equal, gen_general, verify_all
+from nwe import derive_certificate, gen_equal, gen_general, verify_all
+from nwe.inference import check_certificate
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -79,15 +82,23 @@ class OverBudget(Exception):
     pass
 
 
-def run(build) -> tuple[int, float, float, list[str]]:
-    """(states, pair table seconds, verify_all seconds, statuses) of one run."""
+def run(build) -> tuple[int, list[float], list[str]]:
+    """(states, seconds per timed stage, statuses) of one run."""
     sset = build()
-    start = time.perf_counter()
+    marks = [time.perf_counter()]
     sset.pair_table
-    built = time.perf_counter()
+    marks.append(time.perf_counter())
     verdicts = verify_all(sset)
-    done = time.perf_counter()
-    return len(sset), built - start, done - built, [v.status for v in verdicts]
+    marks.append(time.perf_counter())
+    cert = derive_certificate(sset)
+    marks.append(time.perf_counter())
+    check_certificate(sset, cert)
+    marks.append(time.perf_counter())
+    return len(sset), [b - a for a, b in zip(marks, marks[1:])], [v.status for v in verdicts]
+
+
+# the timed stages of `run`, in order
+STAGES = ("pair_table_s", "verify_all_s", "certificate_s", "check_s")
 
 
 def rung(instance: str, build) -> dict:
@@ -100,13 +111,11 @@ def rung(instance: str, build) -> dict:
             return {"instance": instance, "skipped": "budget"}
         finally:
             signal.setitimer(signal.ITIMER_REAL, 0)
-    return {
-        "instance": instance,
-        "states": runs[0][0],
-        "pair_table_s": round(statistics.median(r[1] for r in runs), 4),
-        "verify_all_s": round(statistics.median(r[2] for r in runs), 4),
-        "statuses": runs[0][3],
-    }
+    line = {"instance": instance, "states": runs[0][0]}
+    for k, stage in enumerate(STAGES):
+        line[stage] = round(statistics.median(r[1][k] for r in runs), 4)
+    line["statuses"] = runs[0][2]
+    return line
 
 
 def stamp() -> dict:

@@ -99,7 +99,9 @@ def _build_report(sset: StateSet, engines: list[str]) -> tuple[dict, int]:
         report["sizes"] = None
 
     cert = derive_certificate(sset) if "lemma" in engines else None
-    verdicts = verify_all(sset) if "oracle" in engines else None
+    # under both engines, verify_all replays the certificate and eliminates
+    # only the parties it does not prove Trivial
+    verdicts = verify_all(sset, cert) if "oracle" in engines else None
 
     for t in range(sset.shape.n):
         if cert is not None:

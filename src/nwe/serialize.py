@@ -64,7 +64,7 @@ def state_set_from_document(doc) -> StateSet:
             raise DocumentError(f"states[{idx}]: locals must be an array of {shape.n} vectors")
         locals_: list[LocalVector] = []
         for k, coeffs in enumerate(raw_locals):
-            if not isinstance(coeffs, list) or not all(type(c) is int for c in coeffs):
+            if not isinstance(coeffs, list) or not {int}.issuperset(map(type, coeffs)):
                 raise DocumentError(f"states[{idx}].locals[{k}]: expected an array of integers")
             if len(coeffs) != shape.dims[k]:
                 raise DocumentError(

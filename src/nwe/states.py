@@ -30,6 +30,11 @@ class DimensionError(ValueError):
     """Vector lengths or system shapes do not match, or the dimension cap is invalid."""
 
 
+class InvariantError(RuntimeError):
+    """An internal invariant of the oracle or of a replayed certificate
+    failed, so no verdict can be trusted."""
+
+
 class NonOrthogonalSetError(ValueError):
     """A state set required to be pairwise orthogonal is not."""
 

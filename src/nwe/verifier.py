@@ -55,6 +55,10 @@ on a Nontrivial verdict the witness is the first of them, in column order,
 that is not a multiple of the identity, with its identity component
 projected out.
 
+Given the rule engine's certificate of the set, `verify_all` replays it
+first (`nwe.inference.check_certificate`). A party the replay proves Trivial
+has nullspace span(I) already, so it is neither assembled nor eliminated.
+
 A Nontrivial verdict means a nontrivial orthogonality-preserving first
 measurement exists on that party; it does not by itself prove that the set
 is LOCC-distinguishable.
@@ -62,11 +66,13 @@ is LOCC-distinguishable.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .states import NonOrthogonalSetError, StateSet
+from .inference import Certificate, check_certificate
+from .states import InvariantError, NonOrthogonalSetError, StateSet
 
 STATUS_TRIVIAL = "Trivial"
 STATUS_NONTRIVIAL = "Nontrivial"
@@ -188,13 +194,19 @@ def matrix_to_coords(mat: HermitianMatrix) -> tuple[Fraction, ...]:
     return tuple(vec)
 
 
-class InvariantError(RuntimeError):
-    """An internal invariant of the oracle failed, so no verdict can be trusted."""
-
-
 # exponents e of Mersenne primes 2^e - 1, each at least about twice the last
 MERSENNE_EXPONENTS = (61, 127, 521, 1279, 2281, 4423, 9941, 19937, 44497, 86243, 216091)
 MODULUS = 2 ** MERSENNE_EXPONENTS[0] - 1
+
+
+@functools.cache
+def _coordinate_tables(dim: int) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int | None, ...], ...]]:
+    """sym[a][b], the coordinate of S[min(a,b), max(a,b)], and anti[a][b], that
+    of A[min(a,b), max(a,b)] (None for a == b), for every a, b < dim; built
+    once per dimension and shared, so they are immutable."""
+    sym = tuple(tuple(sym_index(dim, min(a, b), max(a, b)) for b in range(dim)) for a in range(dim))
+    anti = tuple(tuple(anti_index(dim, min(a, b), max(a, b)) if a != b else None for b in range(dim)) for a in range(dim))
+    return sym, anti
 
 
 def _pair_rows(u, v, dim: int) -> tuple[dict, dict]:
@@ -203,16 +215,17 @@ def _pair_rows(u, v, dim: int) -> tuple[dict, dict]:
     srow: dict[int, int] = {}
     arow: dict[int, int] = {}
     trace = 0
+    sym, anti = _coordinate_tables(dim)
     for a, ua in u:
+        sym_a, anti_a = sym[a], anti[a]
         for b, vb in v:
             w = ua * vb
-            lo, hi = min(a, b), max(a, b)
-            k = sym_index(dim, lo, hi)
+            k = sym_a[b]
             srow[k] = srow.get(k, 0) + w
             if a == b:
                 trace += w
             else:
-                k = anti_index(dim, lo, hi)
+                k = anti_a[b]
                 arow[k] = arow.get(k, 0) + (w if a < b else -w)
     # the diagonal coefficients sum to u.v, which vanishes because party t
     # is the pair's zero factor; so the identity satisfies every row
@@ -503,9 +516,24 @@ def verdict(sset: StateSet, t: int) -> TrivialityVerdict:
     return TrivialityVerdict(t, STATUS_NONTRIVIAL, nullity, witness)
 
 
-def verify_all(sset: StateSet) -> list[TrivialityVerdict]:
-    """One verdict per party; the set is certified nonlocal iff all Trivial."""
-    return [verdict(sset, t) for t in range(sset.shape.n)]
+def verify_all(sset: StateSet, cert: Certificate | None = None) -> list[TrivialityVerdict]:
+    """One verdict per party; the set is certified nonlocal iff all Trivial.
+
+    Given the rule engine's certificate of the set, `check_certificate`
+    replays it first (raising InvariantError on a step that does not
+    follow). A party it proves Trivial has nullspace span(I), so its verdict
+    is Trivial with nullspace dimension 1, and it is neither assembled nor
+    eliminated; every other party is decided by elimination, as without a
+    certificate.
+    """
+    proven: set[int] = set()
+    if cert is not None:
+        check_certificate(sset, cert)
+        proven = {c.party for c in cert.conclusions if c.trivial}
+    return [
+        TrivialityVerdict(t, STATUS_TRIVIAL, 1, None) if t in proven else verdict(sset, t)
+        for t in range(sset.shape.n)
+    ]
 
 
 def certified_nonlocal(verdicts) -> bool:

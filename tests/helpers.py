@@ -8,8 +8,13 @@ factorized predicates, so it can serve as the second route in dual checks.
 from __future__ import annotations
 
 import math
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 from nwe import StateSet
 from nwe.states import LocalVector, PairTable, PartyVectors, ProductState, SystemShape, basis_ket
@@ -286,3 +291,26 @@ def rotated(sset: StateSet, rng: random.Random, parties) -> StateSet:
             locals_[t] = primitive([sum(x * y for x, y in zip(row, u)) for row in m])
         states.append(ProductState(sset.shape, tuple(locals_), state.label))
     return StateSet(sset.shape, tuple(states), provenance=sset.provenance + "-rotated")
+
+
+def invariant_error_under_python_O(code: str) -> str:
+    """Runs `code` under python -O and returns the message of the
+    InvariantError it must raise."""
+    script = f"""
+import sys
+from nwe.verifier import InvariantError
+
+assert False, "asserts run, so this is not python -O"
+try:
+{textwrap.indent(code.strip(), "    ")}
+except InvariantError as exc:
+    print(exc)
+    sys.exit(0)
+sys.exit(1)
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout

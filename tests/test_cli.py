@@ -1,14 +1,17 @@
+import dataclasses
 import json
+import random
 from pathlib import Path
 
 import pytest
 
+import nwe.cli
 import nwe.verifier
-from nwe import gen_equal, gen_general, save_state_set, verify_all
+from nwe import derive_certificate, gen_equal, gen_general, save_state_set, verify_all
 from nwe.cli import build_parser, main
 from nwe.serialize import dumps_canonical, state_set_to_document
 
-from helpers import big_basis_set, computational_basis_set, without_stopper
+from helpers import big_basis_set, computational_basis_set, rotated, without_stopper
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -418,3 +421,81 @@ class TestGoldenReports:
         assert captured.err == ""
         golden = (GOLDEN / f"report_{name}_no_stopper.json").read_text(encoding="utf-8")
         assert captured.out == golden
+
+
+class TestReplayedCertificateSkipsElimination:
+    """Under --engine both, a party the replayed certificate proves Trivial is
+    neither assembled nor eliminated."""
+
+    @pytest.fixture
+    def spy(self, monkeypatch):
+        calls = {"assembled": [], "eliminated": 0}
+        assemble, eliminate = nwe.verifier._assemble, nwe.verifier._eliminate
+
+        def assemble_spy(sset, t):
+            calls["assembled"].append(t)
+            return assemble(sset, t)
+
+        def eliminate_spy(*args):
+            calls["eliminated"] += 1
+            return eliminate(*args)
+
+        monkeypatch.setattr(nwe.verifier, "_assemble", assemble_spy)
+        monkeypatch.setattr(nwe.verifier, "_eliminate", eliminate_spy)
+        return calls
+
+    def verify(self, tmp_path, capsys, sset, engine):
+        path = tmp_path / "set.json"
+        save_state_set(sset, path)
+        code = main(["verify", "--input", str(path), "--engine", engine])
+        return code, capsys.readouterr()
+
+    def test_lemma_trivial_family_is_not_eliminated(self, tmp_path, capsys, spy):
+        code, _ = self.verify(tmp_path, capsys, gen_general((3, 4, 5)), "both")
+        assert code == 0
+        assert spy == {"assembled": [], "eliminated": 0}
+
+    def test_only_the_incomplete_party_is_eliminated(self, tmp_path, capsys, spy):
+        # party 0 rotated: the lemma engine is Incomplete there only
+        sset = rotated(gen_equal(3, 4), random.Random(4), [0])
+        code, captured = self.verify(tmp_path, capsys, sset, "both")
+        assert code == 0
+        assert spy == {"assembled": [0], "eliminated": 2}
+        report = json.loads(captured.out)
+        assert [(e["engine"], e["status"]) for e in report["per_party"]] == [
+            ("lemma", "Incomplete"),
+            ("oracle", "Trivial"),
+            ("lemma", "Trivial"),
+            ("oracle", "Trivial"),
+            ("lemma", "Trivial"),
+            ("oracle", "Trivial"),
+        ]
+
+    def test_oracle_engine_eliminates_every_party(self, tmp_path, capsys, spy):
+        code, _ = self.verify(tmp_path, capsys, gen_general((3, 4, 5)), "oracle")
+        assert code == 0
+        assert spy == {"assembled": [0, 1, 2], "eliminated": 6}
+
+    @pytest.mark.parametrize(
+        "sset",
+        [gen_general((3, 4, 5)), rotated(gen_equal(3, 4), random.Random(4), [0]), without_stopper(gen_equal(3, 4))],
+        ids=lambda s: s.provenance,
+    )
+    def test_report_is_byte_identical(self, tmp_path, capsys, monkeypatch, sset):
+        replayed = self.verify(tmp_path, capsys, sset, "both")
+        # the same run with every party eliminated, the certificate unused
+        monkeypatch.setattr(nwe.cli, "verify_all", lambda sset, cert=None: verify_all(sset))
+        assert self.verify(tmp_path, capsys, sset, "both") == replayed
+
+    def test_forged_trivial_certificate_exit_3(self, tmp_path, capsys, monkeypatch):
+        # the first fact is dropped, yet every party still claims Trivial
+        def forged(sset):
+            cert = derive_certificate(sset)
+            return dataclasses.replace(cert, facts=cert.facts[1:])
+
+        monkeypatch.setattr(nwe.cli, "derive_certificate", forged)
+        code, captured = self.verify(tmp_path, capsys, gen_equal(3, 3), "both")
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err.startswith("error: no verdict: party 0: ")
+        assert captured.err.count("\n") == 1

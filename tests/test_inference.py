@@ -1,3 +1,5 @@
+import dataclasses
+import random
 from pathlib import Path
 
 import pytest
@@ -13,11 +15,11 @@ from nwe import (
     render_certificate,
     verify_all,
 )
-from nwe.inference import DiagonalEqualFact, EntryRef, ZeroEntryFact
+from nwe.inference import DiagonalEqualFact, EntryRef, PartyConclusion, ZeroEntryFact, check_certificate
 from nwe.states import LocalVector, ProductState, SystemShape, basis_ket, diff_ket, flat_ket
-from nwe.verifier import anti_index, sym_index
+from nwe.verifier import InvariantError, anti_index, sym_index
 
-from helpers import computational_basis_set, without_stopper
+from helpers import computational_basis_set, invariant_error_under_python_O, rotated, without_stopper
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -281,3 +283,170 @@ class TestGoldenCertificates:
     def test_general_3_3_4_matches_golden(self):
         cert = derive_certificate(gen_general((3, 3, 4)))
         assert render_certificate(cert) + "\n" == self.read_golden("cert_general_3_3_4.txt")
+
+
+def _checked_sets():
+    """The soundness sweep, the golden certificates' sets and rotated sets,
+    whose rotated parties are Incomplete."""
+    return _soundness_sweep() + [
+        gen_equal(4, 3),
+        gen_general((3, 3, 4)),
+        rotated(gen_equal(3, 4), random.Random(4), [0]),
+        rotated(gen_general((3, 4, 5)), random.Random(5), [1, 2]),
+        without_stopper(rotated(gen_equal(3, 4), random.Random(6), [2])),
+    ]
+
+
+def with_facts(cert, facts):
+    return dataclasses.replace(cert, facts=tuple(facts))
+
+
+def replaced(cert, fact, new):
+    return with_facts(cert, [new if f is fact else f for f in cert.facts])
+
+
+class TestCheckCertificate:
+    @pytest.mark.parametrize("sset", _checked_sets(), ids=lambda s: s.provenance)
+    def test_accepts_every_derived_certificate(self, sset):
+        check_certificate(sset, derive_certificate(sset))
+
+    def test_rotated_parties_are_incomplete(self):
+        # the rotated party's conclusion is replayed too, as Incomplete
+        sset = rotated(gen_equal(3, 4), random.Random(4), [0])
+        cert = derive_certificate(sset)
+        assert [c.trivial for c in cert.conclusions] == [False, True, True]
+        check_certificate(sset, cert)
+
+    def test_groups_facts_by_party_in_order(self):
+        cert = derive_certificate(gen_general((3, 4, 5)))
+        groups = cert.facts_by_party
+        assert sorted(groups) == [0, 1, 2]
+        assert [f for t in range(3) for f in groups[t]] == list(cert.facts)
+        assert cert.facts_for_party(1) == groups[1]
+        assert cert.facts_for_party(7) == ()
+
+    def test_dropped_fact(self):
+        sset = gen_equal(3, 3)
+        cert = derive_certificate(sset)
+        with pytest.raises(InvariantError, match="party 0: "):
+            check_certificate(sset, with_facts(cert, cert.facts[1:]))
+
+    def test_dropped_last_fact_breaks_the_conclusion(self):
+        sset = gen_equal(3, 3)
+        cert = derive_certificate(sset)
+        last = cert.facts_for_party(2)[-1]
+        with pytest.raises(InvariantError, match="party 2: the conclusion .* does not follow"):
+            check_certificate(sset, with_facts(cert, [f for f in cert.facts if f is not last]))
+
+    def test_pair_from_another_bucket(self):
+        sset = gen_equal(3, 3)
+        cert = derive_certificate(sset)
+        fact = cert.facts_for_party(0)[0]
+        other = sset.pair_table.buckets[1][0]
+        forged = replaced(cert, fact, dataclasses.replace(fact, pair=other))
+        with pytest.raises(InvariantError, match="party 0: .*not in the party's bucket"):
+            check_certificate(sset, forged)
+
+    @pytest.mark.parametrize("swap", [True, False], ids=["swapped-indices", "other-entry"])
+    def test_entry_the_pair_does_not_force(self, swap):
+        sset = gen_equal(3, 3)
+        cert = derive_certificate(sset)
+        fact = cert.facts_for_party(0)[0]
+        e = fact.entry
+        row, col = (e.col, e.row) if swap else next(
+            (a, b) for a in range(3) for b in range(3) if a != b and {a, b} != {e.row, e.col}
+        )
+        forged = replaced(cert, fact, dataclasses.replace(fact, entry=EntryRef(0, row, col)))
+        with pytest.raises(InvariantError, match="does not force this entry to zero"):
+            check_certificate(sset, forged)
+
+    @pytest.mark.parametrize(
+        "rule, forged_rule",
+        [("Lemma1", "UnitPropagation"), ("UnitPropagation", "Lemma1"), ("Lemma2", "UnitPropagation")],
+    )
+    def test_forged_rule_label(self, rule, forged_rule):
+        # general(3,4,5) has facts under all three rules
+        sset = gen_general((3, 4, 5))
+        cert = derive_certificate(sset)
+        fact = next(f for f in cert.facts if f.rule == rule)
+        forged = replaced(cert, fact, dataclasses.replace(fact, rule=forged_rule))
+        with pytest.raises(InvariantError, match="the rule does not match the constraint"):
+            check_certificate(sset, forged)
+
+    def test_forged_diagonal_equality(self):
+        sset = gen_equal(3, 3)
+        cert = derive_certificate(sset)
+        fact = next(f for f in cert.facts if isinstance(f, DiagonalEqualFact))
+        third = ({0, 1, 2} - {fact.a, fact.b}).pop()
+        forged = replaced(cert, fact, dataclasses.replace(fact, b=third))
+        with pytest.raises(InvariantError, match="does not force this diagonal equality"):
+            check_certificate(sset, forged)
+
+    def test_swapped_facts_use_a_zero_not_yet_derived(self):
+        # party 1's m[3,0] = 0 follows from m[3,0] - m[3,2] = 0 only once
+        # m[3,2] = 0 is known; swap the two facts
+        sset = gen_general((3, 4, 5))
+        cert = derive_certificate(sset)
+        facts = list(cert.facts)
+        up = next(
+            k
+            for k, f in enumerate(facts)
+            if f.rule == "UnitPropagation" and f.entry.party == 1 and (f.entry.row, f.entry.col) == (3, 0)
+        )
+        used = next(
+            k
+            for k, f in enumerate(facts)
+            if isinstance(f, ZeroEntryFact) and f.entry.party == 1 and {f.entry.row, f.entry.col} == {2, 3}
+        )
+        assert used < up
+        facts[used], facts[up] = facts[up], facts[used]
+        with pytest.raises(InvariantError, match="party 1: .*row=3, col=0.*does not force this entry to zero"):
+            check_certificate(sset, with_facts(cert, facts))
+
+    def test_diagonal_fact_before_the_last_zero(self):
+        sset = gen_equal(3, 3)
+        cert = derive_certificate(sset)
+        facts = list(cert.facts)
+        first_diag = next(k for k, f in enumerate(facts) if isinstance(f, DiagonalEqualFact))
+        facts[first_diag - 1], facts[first_diag] = facts[first_diag], facts[first_diag - 1]
+        with pytest.raises(InvariantError, match="an off-diagonal entry is not yet known zero"):
+            check_certificate(sset, with_facts(cert, facts))
+
+    def test_incomplete_conclusion_flipped_to_trivial(self):
+        sset = rotated(gen_equal(3, 4), random.Random(4), [0])
+        cert = derive_certificate(sset)
+        assert not cert.conclusions[0].trivial
+        flipped = (PartyConclusion(0, True, (), ((0, 1, 2, 3),)),) + cert.conclusions[1:]
+        with pytest.raises(InvariantError, match="party 0: the conclusion .* does not follow"):
+            check_certificate(sset, dataclasses.replace(cert, conclusions=flipped))
+
+    def test_fact_for_a_missing_party(self):
+        sset = gen_equal(3, 3)
+        cert = derive_certificate(sset)
+        fact = cert.facts[0]
+        forged = replaced(cert, fact, dataclasses.replace(fact, entry=EntryRef(5, fact.entry.row, fact.entry.col)))
+        with pytest.raises(InvariantError, match="party 5: no such party"):
+            check_certificate(sset, forged)
+
+    def test_certificate_of_another_set(self):
+        with pytest.raises(InvariantError, match="of another state set"):
+            check_certificate(gen_equal(3, 3), derive_certificate(gen_equal(3, 4)))
+
+    def test_rejects_non_orthogonal_sets(self):
+        shape = SystemShape((2, 2))
+        cert = derive_certificate(computational_basis_set((2, 2)))
+        overlap = StateSet(shape, (ProductState(shape, (flat_ket(2), flat_ket(2))),) * 4)
+        with pytest.raises(NonOrthogonalSetError):
+            check_certificate(overlap, cert)
+
+
+def test_forged_certificate_raises_under_python_O():
+    message = invariant_error_under_python_O("""
+import dataclasses
+from nwe import derive_certificate, gen_equal
+from nwe.inference import check_certificate
+sset = gen_equal(3, 3)
+cert = derive_certificate(sset)
+check_certificate(sset, dataclasses.replace(cert, facts=cert.facts[1:]))
+""")
+    assert message.startswith("party 0: ")

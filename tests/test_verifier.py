@@ -1,11 +1,7 @@
+import dataclasses
 import math
-import os
 import random
-import subprocess
-import sys
-import textwrap
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -30,6 +26,7 @@ from nwe.verifier import (
     MODULUS,
     InvariantError,
     MeasurementConstraintSystem,
+    _coordinate_tables,
     _eliminate,
     _gauss_jordan,
     _peel,
@@ -48,6 +45,7 @@ from helpers import (
     big_basis_set,
     computational_basis_set,
     dense_rref,
+    invariant_error_under_python_O,
     measured_overlap,
     orthogonal_integer_matrix,
     primitive,
@@ -73,6 +71,15 @@ class TestCoordinateLayout:
             for b in range(a + 1, d):
                 seen.add(anti_index(d, a, b))
         assert seen == set(range(d * d))
+
+    @pytest.mark.parametrize("d", [2, 3, 7])
+    def test_tables_read_either_order(self, d):
+        sym, anti = _coordinate_tables(d)
+        for a in range(d):
+            for b in range(d):
+                lo, hi = sorted((a, b))
+                assert sym[a][b] == sym_index(d, lo, hi)
+                assert anti[a][b] == (None if a == b else anti_index(d, lo, hi))
 
     def test_matrix_round_trip(self):
         d = 3
@@ -312,6 +319,30 @@ class TestDenseCrossCheck:
                 for i in range(len(states)):
                     for j in range(i + 1, len(states)):
                         assert measured_overlap(states[i], states[j], matrix, t) == CZERO
+
+
+class TestReplayedCertificate:
+    @pytest.mark.parametrize(
+        "sset",
+        [
+            gen_equal(4, 3),
+            gen_general((3, 4, 5)),
+            without_stopper(gen_equal(3, 4)),
+            computational_basis_set((2, 3)),
+            rotated(gen_equal(3, 4), random.Random(4), [0]),
+            rotated(gen_general((3, 3, 4)), random.Random(8), [0, 1, 2]),
+        ],
+        ids=lambda s: s.provenance,
+    )
+    def test_verdicts_equal_the_eliminated_ones(self, sset):
+        assert verify_all(sset, derive_certificate(sset)) == verify_all(sset)
+
+    def test_forged_certificate_gives_no_verdict(self):
+        sset = gen_equal(3, 3)
+        cert = derive_certificate(sset)
+        forged = dataclasses.replace(cert, facts=cert.facts[:-1])
+        with pytest.raises(InvariantError, match="party 2: "):
+            verify_all(sset, forged)
 
 
 class TestOracleEngineAgreement:
@@ -578,29 +609,6 @@ class TestRandomOrthogonalBases:
         )
         sset = StateSet(shape, states, provenance="rotated-basis")
         assert outcomes(verify_all(sset)) == reference_verdicts(sset)
-
-
-def invariant_error_under_python_O(code: str) -> str:
-    """Runs `code` under python -O and returns the message of the
-    InvariantError it must raise."""
-    script = f"""
-import sys
-from nwe.verifier import InvariantError
-
-assert False, "asserts run, so this is not python -O"
-try:
-{textwrap.indent(code.strip(), "    ")}
-except InvariantError as exc:
-    print(exc)
-    sys.exit(0)
-sys.exit(1)
-"""
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-    result = subprocess.run(
-        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=60
-    )
-    assert result.returncode == 0, result.stderr
-    return result.stdout
 
 
 def test_invariant_checks_survive_python_O():
