@@ -5,13 +5,13 @@ Each rung runs three times, each time on a freshly built set. Each line
 gives the instance, its number of states, the median over the runs of the
 seconds spent building the pair table (`pair_table_s`, which includes the
 per-party index of distinct vectors), of the seconds `verify_all` then
-takes (`verify_all_s`, which reads the table already built, and eliminates
+takes (`verify_all_s`, which reads the table already built and eliminates
 every party), of the seconds the rule engine takes to derive the
 certificate (`certificate_s`) and of the seconds `check_certificate` takes
-to replay it (`check_s`), and the per-party statuses. The rotated rungs map every party's vectors by a seeded
-random integer matrix with orthogonal columns (`rotated` in
-`tests/helpers.py`), so no local basis is the computational one. A run that
-does not finish within 60 s is printed as
+to replay it (`check_s`), and the per-party statuses. The rotated rungs map
+every party's vectors by a seeded random integer matrix with orthogonal
+columns (`rotated` in `tests/helpers.py`), so no local basis is the
+computational one. A run that does not finish within 60 s is printed as
 {"instance": ..., "skipped": "budget"} and the ladder goes on.
 
     python scripts/ladder.py
@@ -82,6 +82,10 @@ class OverBudget(Exception):
     pass
 
 
+# the timed stages of `run`, in order
+STAGES = ("pair_table_s", "verify_all_s", "certificate_s", "check_s")
+
+
 def run(build) -> tuple[int, list[float], list[str]]:
     """(states, seconds per timed stage, statuses) of one run."""
     sset = build()
@@ -95,10 +99,6 @@ def run(build) -> tuple[int, list[float], list[str]]:
     check_certificate(sset, cert)
     marks.append(time.perf_counter())
     return len(sset), [b - a for a, b in zip(marks, marks[1:])], [v.status for v in verdicts]
-
-
-# the timed stages of `run`, in order
-STAGES = ("pair_table_s", "verify_all_s", "certificate_s", "check_s")
 
 
 def rung(instance: str, build) -> dict:

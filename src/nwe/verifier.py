@@ -55,10 +55,6 @@ on a Nontrivial verdict the witness is the first of them, in column order,
 that is not a multiple of the identity, with its identity component
 projected out.
 
-Given the rule engine's certificate of the set, `verify_all` replays it
-first (`nwe.inference.check_certificate`). A party the replay proves Trivial
-has nullspace span(I) already, so it is neither assembled nor eliminated.
-
 A Nontrivial verdict means a nontrivial orthogonality-preserving first
 measurement exists on that party; it does not by itself prove that the set
 is LOCC-distinguishable.
@@ -519,12 +515,9 @@ def verdict(sset: StateSet, t: int) -> TrivialityVerdict:
 def verify_all(sset: StateSet, cert: Certificate | None = None) -> list[TrivialityVerdict]:
     """One verdict per party; the set is certified nonlocal iff all Trivial.
 
-    Given the rule engine's certificate of the set, `check_certificate`
-    replays it first (raising InvariantError on a step that does not
-    follow). A party it proves Trivial has nullspace span(I), so its verdict
-    is Trivial with nullspace dimension 1, and it is neither assembled nor
-    eliminated; every other party is decided by elimination, as without a
-    certificate.
+    Given the set's rule-engine certificate, `check_certificate` replays it
+    first (raising InvariantError if it does not follow); a party it proves
+    Trivial has nullspace span(I), so it is neither assembled nor eliminated.
     """
     proven: set[int] = set()
     if cert is not None:
