@@ -16,10 +16,14 @@ computational one. A run that does not finish within 60 s is printed as
 
     python scripts/ladder.py
     python scripts/ladder.py --json BENCH.json
+    python scripts/ladder.py --baseline BENCH_9.json
 
 With `--json PATH`, every rung is also written to PATH, together with a
 stamp: the Python version, the number of CPUs the process may use and the
-git commit of the checkout.
+git commit of the checkout. With `--baseline PATH`, each printed line also
+gives `baseline_ratio`: the rung's `pair_table_s` and `verify_all_s` divided
+by those of the same rung in PATH, an earlier `--json` file (null where
+PATH lacks the rung or timed it at 0); the `--json` file is unchanged.
 
 The budget is enforced with SIGALRM, so the script needs a POSIX system.
 """
@@ -133,6 +137,19 @@ def stamp() -> dict:
     }
 
 
+# the stages compared with `--baseline`
+COMPARED = ("pair_table_s", "verify_all_s")
+
+
+def baseline_ratio(line: dict, earlier: dict) -> dict:
+    """line's COMPARED stages divided by those of earlier, the same rung of a
+    baseline run (None where either is missing or the baseline reads 0)."""
+    return {
+        stage: round(line[stage] / earlier[stage], 2) if line.get(stage) is not None and earlier.get(stage) else None
+        for stage in COMPARED
+    }
+
+
 def _over_budget(signum, frame):
     raise OverBudget
 
@@ -140,13 +157,21 @@ def _over_budget(signum, frame):
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--json", metavar="PATH", help="also write every rung and a stamp to PATH")
+    parser.add_argument("--baseline", metavar="PATH", help="print each rung's times as ratios to PATH's")
     args = parser.parse_args(argv)
+    baseline = None
+    if args.baseline:
+        with open(args.baseline, encoding="utf-8") as fh:
+            baseline = {r["instance"]: r for r in json.load(fh)["rungs"]}
     signal.signal(signal.SIGALRM, _over_budget)
     lines = []
     for instance, build in RUNGS:
         line = rung(instance, build)
         lines.append(line)
-        print(json.dumps(line), flush=True)
+        shown = line
+        if baseline is not None:
+            shown = {**line, "baseline_ratio": baseline_ratio(line, baseline.get(instance, {}))}
+        print(json.dumps(shown), flush=True)
     if args.json:
         with open(args.json, "w", encoding="utf-8", newline="\n") as fh:
             json.dump({"stamp": stamp(), "rungs": lines}, fh, indent=2)

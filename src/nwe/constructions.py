@@ -30,6 +30,11 @@ class ConstructionError(ValueError):
     """Construction parameters violate the family's domain."""
 
 
+# the most coefficients (states times the sum of the local dimensions) a
+# generated family may have; `equal(16,64)` is just above it
+MAX_COEFFICIENTS = 10**6
+
+
 @dataclass(frozen=True)
 class EqualDims:
     """Parameters of the equal-dimension family: n parties of dimension d."""
@@ -75,6 +80,18 @@ def expected_size(kind: ConstructionKind) -> int:
     return sum(d[1 : n - 1]) + 2 * d[n - 1] - n + 1
 
 
+def _check_size(kind: ConstructionKind, name: str) -> None:
+    """Raise ConstructionError, before anything is built, if the family has
+    more than MAX_COEFFICIENTS coefficients."""
+    states = expected_size(kind)
+    width = kind.n * kind.d if isinstance(kind, EqualDims) else sum(kind.dims)
+    if states * width > MAX_COEFFICIENTS:
+        raise ConstructionError(
+            f"{name} would have {states} states of {width} coefficients each, "
+            f"{states * width} in all, above the bound of {MAX_COEFFICIENTS}"
+        )
+
+
 def gen_equal(n: int, d: int) -> StateSet:
     """The equal-dimension family: n(d-1)+1 pairwise orthogonal states.
 
@@ -83,6 +100,8 @@ def gen_equal(n: int, d: int) -> StateSet:
     """
     kind = EqualDims(n, d)
     n, d = kind.n, kind.d
+    provenance = f"equal(n={n},d={d})"
+    _check_size(kind, provenance)
     shape = SystemShape((d,) * n)
     states: list[ProductState] = []
     for i in range(1, d):
@@ -97,7 +116,7 @@ def gen_equal(n: int, d: int) -> StateSet:
             vecs[g] = diff_ket(d, 0, i)
             states.append(ProductState(shape, tuple(vecs), label=f"G_{g}[i={i}]"))
     states.append(stopper(shape))
-    return StateSet(shape, tuple(states), provenance=f"equal(n={n},d={d})")
+    return StateSet(shape, tuple(states), provenance=provenance)
 
 
 def gen_general(dims: tuple[int, ...] | list[int]) -> StateSet:
@@ -110,6 +129,8 @@ def gen_general(dims: tuple[int, ...] | list[int]) -> StateSet:
     """
     kind = GeneralDims(tuple(dims))
     d = kind.dims
+    provenance = f"general({','.join(map(str, d))})"
+    _check_size(kind, provenance)
     n = len(d)
     shape = SystemShape(d)
     states: list[ProductState] = []
@@ -156,7 +177,7 @@ def gen_general(dims: tuple[int, ...] | list[int]) -> StateSet:
         states.append(ProductState(shape, tuple(v), label=f"B_{2 * n}[i={i}]"))
     # B_{2n+1}: the stopper
     states.append(stopper(shape))
-    return StateSet(shape, tuple(states), provenance=f"general({','.join(map(str, d))})")
+    return StateSet(shape, tuple(states), provenance=provenance)
 
 
 @dataclass(frozen=True)

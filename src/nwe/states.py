@@ -10,7 +10,8 @@ A party usually has far fewer distinct vectors than the set has states.
 vectors once, with the vector id of every state and each vector's sparse
 support; the pair table, the oracle's rows and the certificate all read
 the supports from it. The pair table takes one inner product per pair of
-distinct vectors and sorts the state pairs with integer bitsets.
+distinct vectors that share a coordinate (vectors with disjoint supports
+are orthogonal) and sorts the state pairs with integer bitsets.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import math
 import os
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
 from operator import index
 from typing import NamedTuple
 
@@ -230,37 +230,55 @@ class PairTable:
 
 def _classify_pairs(sset: StateSet) -> PairTable:
     # zeros[t][i]: the states orthogonal to state i on party t, as a bitset
-    # over state indices, from one inner product per pair of distinct vectors
+    # over state indices. Vectors with disjoint supports are orthogonal, so
+    # only the pairs of distinct vectors that share a coordinate are
+    # multiplied; a vector is never orthogonal to itself.
+    count = len(sset.states)
+    every = (1 << count) - 1
     zeros = []
-    for coeffs, ids, supports in sset.vector_index:
+    for dim, (coeffs, ids, supports) in zip(sset.shape.dims, sset.vector_index):
         members = [0] * len(coeffs)
         for i, v in enumerate(ids):
             members[v] |= 1 << i
-        zero = [0] * len(coeffs)
-        for v, w in combinations(range(len(coeffs)), 2):
-            if not sum(c * coeffs[w][a] for a, c in supports[v]):
-                zero[v] |= members[w]
-                zero[w] |= members[v]
+        at = [0] * dim  # at[a]: the vectors nonzero at coordinate a
+        for v, support in enumerate(supports):
+            for a, _ in support:
+                at[a] |= 1 << v
+        meets = members[:]  # meets[v]: the states whose vector is not orthogonal to v
+        for v, support in enumerate(supports):
+            near = 0
+            for a, _ in support:
+                near |= at[a]
+            near &= -2 << v  # the later vectors only
+            while near:
+                low = near & -near
+                near ^= low
+                w = low.bit_length() - 1
+                cw = coeffs[w]
+                if sum([c * cw[a] for a, c in support]):
+                    meets[v] |= members[w]
+                    meets[w] |= members[v]
+        zero = [every & ~m for m in meets]
         zeros.append([zero[v] for v in ids])
     violations, buckets = [], [[] for _ in zeros]
-    count = len(sset.states)
     for i in range(count):
         ones = twos = 0  # the states with at least one, at least two zero factors
         for z in zeros:
             twos |= ones & z[i]
             ones |= z[i]
-        later = ((1 << count) - 1) & (-2 << i)  # the states j > i
-        violations.extend((i, j) for j in _bits(later & ~ones))
+        later = every & (-2 << i)  # the states j > i
+        x = later & ~ones
+        while x:
+            low = x & -x
+            x ^= low
+            violations.append((i, low.bit_length() - 1))
         for bucket, z in zip(buckets, zeros):
-            bucket.extend((i, j) for j in _bits(z[i] & later & ~twos))
+            x = z[i] & later & ~twos
+            while x:
+                low = x & -x
+                x ^= low
+                bucket.append((i, low.bit_length() - 1))
     return PairTable(tuple(violations), tuple(map(tuple, buckets)))
-
-
-def _bits(x: int):
-    """The positions of the set bits of x >= 0, ascending."""
-    while x:
-        yield (x & -x).bit_length() - 1
-        x &= x - 1
 
 
 def local_inner(u: LocalVector, v: LocalVector) -> int:

@@ -72,6 +72,7 @@ from .states import InvariantError, NonOrthogonalSetError, StateSet
 
 STATUS_TRIVIAL = "Trivial"
 STATUS_NONTRIVIAL = "Nontrivial"
+_ZERO = Fraction(0)
 
 
 def sym_index(dim: int, a: int, b: int) -> int:
@@ -151,13 +152,13 @@ class HermitianMatrix:
         out = []
         for a in range(self.dim):
             row = []
-            for b in range(self.dim):
-                re, im = self.real[a][b], self.imag[a][b]
-                if im == 0:
-                    row.append(str(re))
-                else:
+            for re, im in zip(self.real[a], self.imag[a]):
+                # _ZERO fills a sparse witness and takes no Fraction call
+                if im is not _ZERO and im:
                     sign = "+" if im > 0 else "-"
                     row.append(f"{re}{sign}{abs(im)}i")
+                else:
+                    row.append("0" if re is _ZERO else str(re))
             out.append(row)
         return out
 
@@ -181,7 +182,7 @@ def coords_to_matrix(vec, dim: int) -> HermitianMatrix:
 
 def matrix_to_coords(mat: HermitianMatrix) -> tuple[Fraction, ...]:
     dim = mat.dim
-    vec = [Fraction(0)] * (dim * dim)
+    vec = [_ZERO] * (dim * dim)
     for a in range(dim):
         vec[sym_index(dim, a, a)] = mat.real[a][a]
         for b in range(a + 1, dim):
@@ -318,7 +319,11 @@ def _peel(rows, keep=frozenset()) -> tuple[set[int], list[dict]]:
         if not new.isdisjoint(keep):
             raise InvariantError(f"a constraint row forces coordinate {min(new & keep)} to zero")
         zeroed |= new
-        core = [row if new.isdisjoint(row) else {k: x for k, x in row.items() if k not in new} for row in core]
+        core = [
+            row if new.isdisjoint(row) else {k: x for k, x in row.items() if k not in new}
+            for row in core
+            if len(row) > 1  # a one-entry row would end up empty
+        ]
         core = [row for row in core if row]
 
 
@@ -403,16 +408,16 @@ def _eliminate(rows, full: int, keep=frozenset()) -> tuple[dict[int, dict], int]
 def _free_vectors(pivots: dict[int, dict], den: int, columns):
     """The nullspace basis of an RREF whose tail entries are fractions over
     `den`: for each free column of `columns`, ascending, the vector with a 1
-    there, as {coordinate: nonzero Fraction}."""
+    there, as {coordinate: nonzero integer numerator over `den`}."""
     by_column: dict[int, list] = {}
     for pc, tail in pivots.items():
         for k, x in tail.items():
             by_column.setdefault(k, []).append((pc, x))
     for free in columns:
         if free not in pivots:
-            vec = {free: Fraction(1)}
+            vec = {free: den}
             for pc, x in by_column.get(free, ()):
-                vec[pc] = Fraction(-x, den)
+                vec[pc] = -x
             yield vec
 
 
@@ -446,10 +451,11 @@ def nullspace(system: MeasurementConstraintSystem) -> list[tuple[Fraction, ...]]
             if block_nullity:
                 basis.append(tuple(map(Fraction, identity_coords(system.dim))))
             continue
+        den = reduced[1]
         for sparse in _free_vectors(*reduced, columns):
-            vec = [Fraction(0)] * size
+            vec = [_ZERO] * size
             for k, x in sparse.items():
-                vec[k] = x
+                vec[k] = Fraction(x, den)
             basis.append(tuple(vec))
     if len(basis) != nullity:
         raise InvariantError(f"{len(basis)} basis vectors for {size} unknowns and rank {size - nullity}")
@@ -459,27 +465,32 @@ def nullspace(system: MeasurementConstraintSystem) -> list[tuple[Fraction, ...]]
 def _witness(pivots: dict[int, dict], den: int, columns, dim: int) -> HermitianMatrix | None:
     """The first nullspace basis vector of an RREF, over its free columns in
     ascending order, with a nonzero part off the identity: that part, as a
-    matrix. Tail entries are read as fractions over `den`."""
+    matrix. Tail entries are read as fractions over `den`, the projection
+    as integers over dim * den."""
     diagonal = [sym_index(dim, a, a) for a in range(dim)]
     for vec in _free_vectors(pivots, den, columns):
-        coef = sum(vec.get(k, 0) for k in diagonal) / Fraction(dim)
-        if coef:
+        trace = sum(vec.get(k, 0) for k in diagonal)
+        scaled = {k: dim * x for k, x in vec.items()}
+        if trace:
             for k in diagonal:
-                vec[k] = vec.get(k, 0) - coef
-        residual = {k: x for k, x in vec.items() if x}
-        if residual:
-            return _sparse_matrix(residual, dim)
+                scaled[k] = scaled.get(k, 0) - trace
+        if any(scaled.values()):
+            return _sparse_matrix({k: Fraction(x, dim * den) for k, x in scaled.items() if x}, dim)
     return None
+
+
+@functools.cache
+def _places(dim: int) -> tuple[tuple[int, int], ...]:
+    """(a, b) of each coordinate, S block then A block."""
+    return tuple((a, b) for lo in (0, 1) for a in range(dim) for b in range(a + lo, dim))
 
 
 def _sparse_matrix(coords: dict[int, Fraction], dim: int) -> HermitianMatrix:
     """The Hermitian matrix of a sparse coordinate vector; absent entries are 0."""
-    zero = Fraction(0)
-    real = [[zero] * dim for _ in range(dim)]
-    imag = [[zero] * dim for _ in range(dim)]
+    real = [[_ZERO] * dim for _ in range(dim)]
+    imag = [[_ZERO] * dim for _ in range(dim)]
     nsym = dim * (dim + 1) // 2
-    places = [(a, b) for a in range(dim) for b in range(a, dim)]
-    places += [(a, b) for a in range(dim) for b in range(a + 1, dim)]
+    places = _places(dim)
     for k, x in coords.items():
         a, b = places[k]
         if k < nsym:

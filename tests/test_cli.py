@@ -58,6 +58,13 @@ class TestGenerate:
     def test_mode_must_be_chosen(self, capsys):
         assert main(["generate"]) == 2
 
+    def test_family_above_the_size_bound_exit_2(self, capsys):
+        code = main(["generate", "--equal", "--parties", "1000", "--dim", "3"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: equal(n=1000,d=3) would have 2001 states")
+        assert "6003000 in all" in captured.err
+
 
 class TestVerify:
     def test_inline_dims_both_engines(self, capsys):
@@ -158,6 +165,12 @@ class TestVerify:
         assert main(["verify", "--dims", "3,3,3", "--out", str(out)]) == 0
         report = json.loads(out.read_text())
         assert report["certified_nonlocal"] is True
+
+    def test_inline_family_above_the_size_bound_exit_2(self, capsys):
+        code = main(["verify", "--dims", ",".join(["64"] * 16)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "1009 states of 1024 coefficients each, 1033216 in all" in captured.err
 
     def test_requires_exactly_one_source(self, capsys):
         assert main(["verify"]) == 2

@@ -3,7 +3,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nwe import ConstructionError, gen_equal, gen_general, prior_sizes
-from nwe.constructions import EqualDims, GeneralDims, expected_size
+from nwe import constructions
+from nwe.constructions import MAX_COEFFICIENTS, EqualDims, GeneralDims, expected_size
 from nwe.states import basis_ket, check_pairwise_orthogonality, local_inner
 
 
@@ -32,6 +33,33 @@ class TestGenEqual:
             gen_equal(2, 3)
         with pytest.raises(ConstructionError, match="d >= 3"):
             gen_equal(3, 2)
+
+
+class TestFamilySizeBound:
+    """A family above MAX_COEFFICIENTS (states times the sum of the local
+    dimensions) is refused before anything is built."""
+
+    def test_refused_above_the_bound(self):
+        with pytest.raises(ConstructionError, match="2001 states of 3000 coefficients each, 6003000 in all"):
+            gen_equal(1000, 3)
+        with pytest.raises(ConstructionError, match=f"above the bound of {MAX_COEFFICIENTS}"):
+            gen_general((64,) * 16)
+
+    def test_bound_is_inclusive(self, monkeypatch):
+        # equal(3,3) has 7 states of 9 coefficients, equal(3,4) 10 of 12
+        monkeypatch.setattr(constructions, "MAX_COEFFICIENTS", 63)
+        assert len(gen_equal(3, 3)) == 7
+        with pytest.raises(ConstructionError, match="120 in all"):
+            gen_equal(3, 4)
+        # general(3,3,3) has 7 states of 9 coefficients, general(3,3,4) 9 of 10
+        assert len(gen_general((3, 3, 3))) == 7
+        with pytest.raises(ConstructionError, match="90 in all"):
+            gen_general((3, 3, 4))
+
+    def test_largest_equal_family_at_the_cap_is_allowed(self):
+        # checked without building it: equal(15,64) has 946 states of 960
+        assert expected_size(EqualDims(15, 64)) * 15 * 64 <= MAX_COEFFICIENTS
+        constructions._check_size(EqualDims(15, 64), "equal(15,64)")
 
 
 class TestGenGeneral:

@@ -1,0 +1,41 @@
+import importlib.util
+import json
+from pathlib import Path
+
+from nwe import gen_equal
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "ladder.py"
+
+
+def load_ladder():
+    spec = importlib.util.spec_from_file_location("ladder", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_baseline_ratio():
+    ladder = load_ladder()
+    line = {"instance": "x", "pair_table_s": 0.003, "verify_all_s": 0.5}
+    assert ladder.baseline_ratio(line, {"pair_table_s": 0.006, "verify_all_s": 0.25}) == {
+        "pair_table_s": 0.5,
+        "verify_all_s": 2.0,
+    }
+    # a rung missing from the baseline, or timed at 0 there, has no ratio
+    assert ladder.baseline_ratio(line, {}) == {"pair_table_s": None, "verify_all_s": None}
+    assert ladder.baseline_ratio(line, {"pair_table_s": 0.0, "verify_all_s": 0.5})["pair_table_s"] is None
+
+
+def test_baseline_ratios_are_printed_and_not_written(tmp_path, capsys, monkeypatch):
+    ladder = load_ladder()
+    monkeypatch.setattr(ladder, "RUNGS", (("equal(3,3)", lambda: gen_equal(3, 3)),))
+    earlier = {"stamp": {}, "rungs": [{"instance": "equal(3,3)", "pair_table_s": 1.0, "verify_all_s": 1.0}]}
+    (tmp_path / "before.json").write_text(json.dumps(earlier))
+    out = tmp_path / "after.json"
+    assert ladder.main(["--json", str(out), "--baseline", str(tmp_path / "before.json")]) == 0
+    printed = json.loads(capsys.readouterr().out)
+    written = json.loads(out.read_text())["rungs"][0]
+    # the baseline times are 1 s, so each ratio is the time itself
+    assert printed["baseline_ratio"] == {stage: round(printed[stage], 2) for stage in ladder.COMPARED}
+    assert "baseline_ratio" not in written
+    assert written == {k: v for k, v in printed.items() if k != "baseline_ratio"}

@@ -365,3 +365,62 @@ class TestVectorIndex:
             system, expected = assemble(sset, t), assemble(reference, t)
             assert (system.sym, system.anti) == (expected.sym, expected.anti)
         assert derive_certificate(sset) == derive_certificate(reference)
+
+
+def set_of(dims, *rows):
+    """A set with one state per row, each row giving one coefficient tuple per party."""
+    shape = SystemShape(dims)
+    return StateSet(shape, tuple(product_state(shape, *row) for row in rows))
+
+
+class TestOverlappingSupports:
+    """The pair table multiplies only the vector pairs that share a
+    coordinate; every other pair of distinct vectors is orthogonal by
+    disjoint support, and a vector is never orthogonal to itself."""
+
+    def test_orthogonal_by_cancellation(self):
+        # |0>+|1> and |0>-|1>, and 2|0>+|1> and |0>-2|1>, overlap but are orthogonal
+        sset = set_of(
+            (3, 2),
+            ((1, 1, 0), (1, 0)),
+            ((1, -1, 0), (1, 0)),
+            ((2, 1, 0), (1, 1)),
+            ((1, -2, 0), (1, 1)),
+            ((0, 3, -3), (1, -1)),
+        )
+        table = reference_pair_table(sset)
+        assert sset.pair_table == table
+        assert (0, 1) in table.buckets[0] and (2, 3) in table.buckets[0]
+        assert (0, 4) in table.violations and (3, 4) in table.buckets[1]
+
+    def test_disjoint_supports_on_every_party(self):
+        # every pair of distinct vectors is disjoint; the repeated state is a violation
+        rows = [((1, 0, 0, 0), (0, 0, 0, 5)), ((0, 2, 0, 0), (0, 3, -1, 0)), ((0, 0, 3, -1), (1, 0, 0, 0))]
+        sset = set_of((4, 4), *rows, rows[0])
+        table = reference_pair_table(sset)
+        assert sset.pair_table == table
+        assert table.violations == ((0, 3),)
+        assert table.buckets == ((), ())
+
+    def test_one_coordinate_shared_by_every_vector(self):
+        column = [(1, 1, 0), (1, -1, 0), (1, 0, 1), (1, 0, -1), (2, -1, -1), (1, 1, 1)]
+        sset = set_of((3, 3), *((u, v) for u in column for v in column[:2]))
+        table = reference_pair_table(sset)
+        assert sset.pair_table == table
+        assert table.violations and all(table.buckets)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_rotated_dense_sets(self, seed):
+        for build in (gen_equal(3, 5), without_stopper(gen_equal(4, 4)), gen_general((3, 4, 6))):
+            sset = rotated(build, random.Random(seed), range(build.shape.n))
+            assert sset.pair_table == reference_pair_table(sset)
+
+    def test_non_orthogonal_set_reports_its_violations(self):
+        base = gen_equal(3, 4)
+        shape = base.shape
+        extra = product_state(shape, (1, 1, 0, 0), (1, 0, 0, 0), (0, 2, 1, 0))
+        sset = StateSet(shape, base.states + (extra, base.states[2]))
+        table = reference_pair_table(sset)
+        assert sset.pair_table == table
+        assert (2, len(base)) not in table.violations
+        assert (2, len(base) + 1) in table.violations and len(table.violations) > 1

@@ -474,6 +474,35 @@ class TestModularRank:
                 assert outcomes(verify_all(scaled)) == outcomes(verify_all(sset))
 
 
+class TestWitnessStrings:
+    @pytest.mark.parametrize(
+        "sset",
+        [without_stopper(gen_equal(3, 4)), without_stopper(gen_general((3, 3, 4))), without_stopper(gen_equal(4, 3))],
+        ids=lambda s: s.provenance,
+    )
+    def test_no_stopper_witnesses_match_dense_elimination(self, sset):
+        got = outcomes(verify_all(sset))
+        assert got == reference_verdicts(sset)
+        assert any(status == "Nontrivial" for status, _, _ in got)
+
+    def test_entry_strings(self):
+        half, third = Fraction(1, 2), Fraction(1, 3)
+        matrix = nwe.verifier.HermitianMatrix(
+            ((Fraction(0), -half), (-half, Fraction(3))), ((Fraction(0), third), (-third, Fraction(0)))
+        )
+        assert matrix.entry_strings() == [["0", "-1/2+1/3i"], ["-1/2-1/3i", "3"]]
+
+    @pytest.mark.parametrize("factor", [3, -4, 6])
+    def test_scaled_witnesses_match_dense_elimination(self, factor):
+        sset = without_stopper(gen_general((3, 3, 4)))
+        for idx in (0, len(sset) // 2, len(sset) - 1):
+            for party in range(sset.shape.n):
+                sset = scale_local(sset, idx, party, factor)
+        got = outcomes(verify_all(sset))
+        assert got == reference_verdicts(sset)
+        assert any(status == "Nontrivial" for status, _, _ in got)
+
+
 def residue(q: Fraction) -> int:
     return q.numerator * pow(q.denominator, -1, MODULUS) % MODULUS
 
@@ -663,7 +692,33 @@ def peeled_rref(rows, ncols: int, modulus=None):
     return pivots
 
 
+def unfiltered_peel(rows):
+    """The peel with every row of the core rebuilt after each pass, the
+    one-entry rows included, before the empty rows are dropped."""
+    zeroed, core = set(), list(rows)
+    while True:
+        new = {k for row in core if len(row) == 1 for k in row}
+        if not new:
+            return zeroed, core
+        zeroed |= new
+        core = [{k: x for k, x in row.items() if k not in new} for row in core]
+        core = [row for row in core if row]
+
+
 class TestPeel:
+    @settings(max_examples=300, deadline=None)
+    @given(peelable_rows())
+    def test_same_zeroed_columns_and_core_as_the_unfiltered_peel(self, case):
+        _, rows = case
+        assert _peel(rows) == unfiltered_peel(rows)
+
+    @pytest.mark.parametrize("sset", [gen_general((3, 4, 5)), gen_equal(3, 8), without_stopper(gen_equal(4, 5))])
+    def test_family_blocks_peel_as_the_unfiltered_peel(self, sset):
+        for t in range(sset.shape.n):
+            system = assemble(sset, t)
+            for rows in (system.sym, system.anti):
+                assert _peel(rows) == unfiltered_peel(rows)
+
     @settings(max_examples=300, deadline=None)
     @given(peelable_rows())
     def test_peeled_rref_equals_the_unpeeled_rref(self, case):
