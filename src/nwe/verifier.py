@@ -64,6 +64,7 @@ from __future__ import annotations
 
 import functools
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -302,13 +303,9 @@ def _peel(rows, keep=frozenset()) -> tuple[set[int], list[dict]]:
     """The columns that one-entry rows force to zero, and the other rows with
     those columns deleted (the core), repeated until no row has one entry.
 
-    A row with one nonzero entry says that coordinate is zero. The peel
-    runs on the integer rows, so it is exact and no prime is involved. Each
-    zeroed column e_c is in the row space, and every row the peel consumed
-    is in the span of the e_c, so the rational RREF of the rows is the
-    core's plus one empty-tailed pivot per zeroed column; only the core goes
-    on to the modular elimination. A zeroed column in `keep` raises
-    InvariantError.
+    The peel is exact (see the module docstring): the rows' rational RREF
+    is the core's plus one empty-tailed pivot per zeroed column. A zeroed
+    column in `keep` raises InvariantError.
     """
     zeroed: set[int] = set()
     core = list(rows)
@@ -480,22 +477,25 @@ def _witness(pivots: dict[int, dict], den: int, columns, dim: int) -> HermitianM
 
 
 @functools.cache
-def _places(dim: int) -> tuple[tuple[int, int], ...]:
-    """(a, b) of each coordinate, S block then A block."""
-    return tuple((a, b) for lo in (0, 1) for a in range(dim) for b in range(a + lo, dim))
+def _row_starts(dim: int) -> tuple[int, ...]:
+    """The coordinates of S[a,a] for each row a, then those of A[a,a+1]:
+    where each row of each block starts."""
+    return tuple(sym_index(dim, a, a) for a in range(dim)) + tuple(anti_index(dim, a, a + 1) for a in range(dim - 1))
 
 
 def _sparse_matrix(coords: dict[int, Fraction], dim: int) -> HermitianMatrix:
     """The Hermitian matrix of a sparse coordinate vector; absent entries are 0."""
     real = [[_ZERO] * dim for _ in range(dim)]
     imag = [[_ZERO] * dim for _ in range(dim)]
-    nsym = dim * (dim + 1) // 2
-    places = _places(dim)
+    starts = _row_starts(dim)
     for k, x in coords.items():
-        a, b = places[k]
-        if k < nsym:
-            real[a][b] = real[b][a] = x
+        r = bisect_right(starts, k) - 1
+        if r < dim:
+            b = r + k - starts[r]
+            real[r][b] = real[b][r] = x
         else:
+            a = r - dim
+            b = a + 1 + k - starts[r]
             imag[a][b] = x
             imag[b][a] = -x
     return HermitianMatrix(tuple(map(tuple, real)), tuple(map(tuple, imag)))
