@@ -21,9 +21,10 @@ computational one. A run that does not finish within 60 s is printed as
 With `--json PATH`, every rung is also written to PATH, together with a
 stamp: the Python version, the number of CPUs the process may use and the
 git commit of the checkout. With `--baseline PATH`, each printed line also
-gives `baseline_ratio`: the rung's `pair_table_s` and `verify_all_s` divided
-by those of the same rung in PATH, an earlier `--json` file (null where
-PATH lacks the rung or timed it at 0); the `--json` file is unchanged.
+gives `baseline_ratio`: each of the rung's four stage times divided by the
+same stage of the same rung in PATH, an earlier `--json` file (null where
+PATH lacks the rung or the stage, or timed it at 0); the `--json` file is
+unchanged.
 
 The budget is enforced with SIGALRM, so the script needs a POSIX system.
 """
@@ -138,7 +139,7 @@ def stamp() -> dict:
 
 
 # the stages compared with `--baseline`
-COMPARED = ("pair_table_s", "verify_all_s")
+COMPARED = ("pair_table_s", "verify_all_s", "certificate_s", "check_s")
 
 
 def baseline_ratio(line: dict, earlier: dict) -> dict:

@@ -8,26 +8,26 @@ m[a, b] for each a in the support of u and b in the support of v. Party by
 party, three rules turn these constraints into an ordered list of facts,
 each citing the pair that forces it:
 
-1. Lemma1: a constraint with exactly one term m[a, b], a != b (both vectors
-   single-support, at different indices) forces m[a, b] = 0; pairs are read
-   in table order.
+1. Lemma1: a constraint with one term m[a, b] (two single supports; a != b,
+   else the factor would not vanish) forces m[a, b] = 0, in table order.
 2. UnitPropagation: a constraint with no diagonal term, all of whose terms
    but one are already known zero, forces that one to zero; repeated to a
-   fixpoint.
+   fixpoint. A diagonal term is never known zero, so a constraint of
+   overlapping supports never fires.
 3. Lemma2: once every off-diagonal entry of party t is known zero, a state
    whose party-t support is {a: +c, b: -c} and that shares a bucket pair
    with the all-ones stopper forces m[a,a] = m[b,b]. It is recorded as
    Lemma2 when c = 1 and as UnitPropagation otherwise.
 
-The engine is deliberately incomplete: it mirrors a proof search, not a
-decision procedure (the exact nullspace verifier is the decision procedure),
-so Incomplete is a first-class per-party verdict rather than an error.
+One pass over a party's bucket sorts its pairs into single-support,
+overlapping and disjoint ones; only the last get a term list.
+
+The engine is deliberately incomplete: it is a proof search, and the exact
+nullspace verifier is the decision procedure, so Incomplete is a per-party
+verdict, not an error.
 
 `check_certificate` replays a certificate independently of the rules'
-search: each fact from its cited pair's rebuilt constraint and the facts
-before it, then each party's conclusion. Every fact is a consequence of
-the constraints, so a party that replays to Trivial is proven to have
-nullspace span(I); `verify_all` then skips that party's elimination.
+search; `verify_all` skips the elimination of a party it replays to Trivial.
 """
 
 from __future__ import annotations
@@ -118,21 +118,13 @@ class Certificate:
         return self.facts_by_party.get(t, ())
 
 
-def _two_support_signed(support) -> tuple[int, int, int] | None:
-    """(positive index, negative index, magnitude) if the (index, coefficient)
-    support is {a: c, b: -c}."""
-    if len(support) != 2:
-        return None
-    (a, ca), (b, cb) = support
-    if ca + cb != 0:
-        return None
-    return (a, b, ca) if ca > 0 else (b, a, cb)
-
-
 def _conclusion(t: int, dim: int, known, equal) -> PartyConclusion:
-    """Party t's conclusion from its off-diagonal entries known zero, as
-    (a, b) with a < b, and its diagonal equalities m[a,a] = m[b,b], as (a, b)."""
-    missing = tuple((a, b) for a in range(dim) for b in range(a + 1, dim) if (a, b) not in known)
+    """Party t's conclusion from its off-diagonal entries m[a, b] known zero,
+    each as a * dim + b and as b * dim + a, and its diagonal equalities
+    m[a,a] = m[b,b], as (a, b)."""
+    missing = ()
+    if len(known) != dim * (dim - 1):
+        missing = tuple((a, b) for a in range(dim) for b in range(a + 1, dim) if a * dim + b not in known)
     # label[a] is the least index known to share a's diagonal entry
     label = list(range(dim))
     for a, b in equal:
@@ -157,52 +149,60 @@ def derive_certificate(sset: StateSet) -> Certificate:
     conclusions: list[PartyConclusion] = []
     for t in range(sset.shape.n):
         dim = sset.shape.dims[t]
-        known: set[tuple[int, int]] = set()
         _, ids, supports = sset.vector_index[t]
-        support = [supports[v] for v in ids]
-        constraints = [(i, j, [(a, b) for a, _ in support[i] for b, _ in support[j]]) for i, j in table.buckets[t]]
-
-        # Lemma1: one off-diagonal term
-        for i, j, terms in constraints:
-            if len(terms) == 1:
-                a, b = terms[0]
-                key = (min(a, b), max(a, b))
-                if a != b and key not in known:
+        masks = [sum([1 << a for a, _ in s]) for s in supports]
+        known: set[int] = set()  # as in _conclusion
+        constraints = []  # of disjoint supports: (i, j, [(a * dim + b, a, b), ...])
+        linked = []  # the stopper's partners
+        for i, j in table.buckets[t]:
+            vi, vj = ids[i], ids[j]
+            u, v = supports[vi], supports[vj]
+            if len(u) == 1 == len(v):
+                a, b = u[0][0], v[0][0]
+                key = a * dim + b
+                if key not in known:
                     known.add(key)
+                    known.add(b * dim + a)
                     facts.append(ZeroEntryFact(EntryRef(t, a, b), (i, j), RULE_LEMMA1))
+            elif masks[vi] & masks[vj]:
+                if stopper_idx == i or stopper_idx == j:
+                    linked.append(i + j - stopper_idx)
+            else:
+                constraints.append((i, j, [(a * dim + b, a, b) for a, _ in u for b, _ in v]))
 
-        # UnitPropagation to fixpoint; a diagonal entry is never known zero,
-        # so constraints with a diagonal term can never fire
-        offdiag = [con for con in constraints if all(a != b for a, b in con[2])]
+        # UnitPropagation to fixpoint; a scan stops at the second live term
         changed = True
         while changed:
             changed = False
-            for i, j, terms in offdiag:
-                live = [(a, b) for a, b in terms if (min(a, b), max(a, b)) not in known]
-                if len(live) == 1:
-                    a, b = live[0]
-                    known.add((min(a, b), max(a, b)))
-                    facts.append(ZeroEntryFact(EntryRef(t, a, b), (i, j), RULE_UNIT_PROPAGATION))
-                    changed = True
+            for i, j, terms in constraints:
+                live = None
+                for term in terms:
+                    if term[0] not in known:
+                        if live:
+                            break
+                        live = term
+                else:
+                    if live:
+                        key, a, b = live
+                        known.add(key)
+                        known.add(b * dim + a)
+                        facts.append(ZeroEntryFact(EntryRef(t, a, b), (i, j), RULE_UNIT_PROPAGATION))
+                        changed = True
 
-        # Lemma2: diagonal linking against the stopper, once every
-        # off-diagonal entry is known zero
-        equal: list[tuple[int, int]] = []
-        if len(known) == dim * (dim - 1) // 2 and stopper_idx is not None:
-            seen_diag: set[tuple[int, int]] = set()
-            for i, j in table.buckets[t]:
-                if stopper_idx not in (i, j):
+        # Lemma2, once every off-diagonal entry is known zero
+        equal = []
+        if len(known) == dim * (dim - 1):
+            seen = set()
+            for partner in linked:
+                support = supports[ids[partner]]
+                if len(support) != 2:
                     continue
-                partner = i + j - stopper_idx
-                signed = _two_support_signed(support[partner])
-                if signed is None:
+                (a, ca), (b, cb) = support
+                if ca + cb or (a, b) in seen:
                     continue
-                pos, neg, mag = signed
-                key = (min(pos, neg), max(pos, neg))
-                if key in seen_diag:
-                    continue
-                seen_diag.add(key)
-                rule = RULE_LEMMA2 if mag == 1 else RULE_UNIT_PROPAGATION
+                seen.add((a, b))
+                pos, neg = (a, b) if ca > 0 else (b, a)
+                rule = RULE_LEMMA2 if abs(ca) == 1 else RULE_UNIT_PROPAGATION
                 facts.append(DiagonalEqualFact(t, pos, neg, (partner, stopper_idx), rule))
                 equal.append((pos, neg))
 
@@ -241,9 +241,8 @@ def check_certificate(sset: StateSet, cert: Certificate) -> None:
         dim = sset.shape.dims[t]
         _, ids, supports = sset.vector_index[t]
         bucket = set(table.buckets[t])
-        # the off-diagonal entries known zero, each as (a, b) and as (b, a);
-        # a diagonal entry is never in it
-        known: set[tuple[int, int]] = set()
+        # m[a, b] known zero, as a * dim + b and b * dim + a
+        known: set[int] = set()
         equal: list[tuple[int, int]] = []
         for fact in by_party.get(t, ()):
             i, j = fact.pair
@@ -251,15 +250,18 @@ def check_certificate(sset: StateSet, cert: Certificate) -> None:
                 raise InvariantError(f"party {t}: {fact}: the pair is not in the party's bucket")
             u, v = supports[ids[i]], supports[ids[j]]
             if isinstance(fact, ZeroEntryFact):
-                # a diagonal term is never known zero, so it would stay live
                 row, col = entry = fact.entry.row, fact.entry.col
-                live = [(a, b) for a, _ in u for b, _ in v if (a, b) not in known]
-                if live != [entry] or row == col:
+                if len(u) == 1 == len(v):
+                    forced = (u[0][0], v[0][0]) == entry and row * dim + col not in known
+                else:
+                    # a diagonal term is never known zero, so it would stay live
+                    forced = [(a, b) for a, _ in u for b, _ in v if a * dim + b not in known] == [entry]
+                if not forced or row == col:
                     raise InvariantError(f"party {t}: {fact}: the pair does not force this entry to zero")
                 if fact.rule != (RULE_LEMMA1 if len(u) * len(v) == 1 else RULE_UNIT_PROPAGATION):
                     raise InvariantError(f"party {t}: {fact}: the rule does not match the constraint")
-                known.add(entry)
-                known.add((col, row))
+                known.add(row * dim + col)
+                known.add(col * dim + row)
             else:
                 if len(known) != dim * (dim - 1):
                     raise InvariantError(f"party {t}: {fact}: an off-diagonal entry is not yet known zero")

@@ -176,22 +176,6 @@ class TrivialityVerdict:
         return self.status == STATUS_TRIVIAL
 
 
-def coords_to_matrix(vec, dim: int) -> HermitianMatrix:
-    """Reassemble a coordinate vector into the Hermitian matrix it encodes."""
-    return _sparse_matrix({k: Fraction(x) for k, x in enumerate(vec) if x}, dim)
-
-
-def matrix_to_coords(mat: HermitianMatrix) -> tuple[Fraction, ...]:
-    dim = mat.dim
-    vec = [_ZERO] * (dim * dim)
-    for a in range(dim):
-        vec[sym_index(dim, a, a)] = mat.real[a][a]
-        for b in range(a + 1, dim):
-            vec[sym_index(dim, a, b)] = mat.real[a][b]
-            vec[anti_index(dim, a, b)] = mat.imag[a][b]
-    return tuple(vec)
-
-
 # exponents e of Mersenne primes 2^e - 1, each at least about twice the last
 MERSENNE_EXPONENTS = (61, 127, 521, 1279, 2281, 4423, 9941, 19937, 44497, 86243, 216091)
 MODULUS = 2 ** MERSENNE_EXPONENTS[0] - 1
@@ -324,13 +308,9 @@ def _peel(rows, keep=frozenset()) -> tuple[set[int], list[dict]]:
         core = [row for row in core if row]
 
 
-LIFT_BOUND = math.isqrt(MODULUS // 2)
-
-
 def reconstruct(x: int, modulus: int = MODULUS) -> tuple[int, int] | None:
     """(n, d) with n = x*d mod p, gcd(n, d) = 1, |n| <= B and 0 < d <= B
-    for B = isqrt(p // 2) (LIFT_BOUND at the default prime), or None if no
-    such fraction exists.
+    for B = isqrt(p // 2), or None if no such fraction exists.
 
     Two such fractions n/d and n'/d' would give p | nd' - n'd, whose size
     is below 2 * B^2 < p, so the fraction is unique.

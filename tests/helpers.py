@@ -1,8 +1,9 @@
 """Independent brute-force oracles, small fixture sets and seeded basis rotations.
 
 Everything here recomputes from first principles (full tensor expansion,
-exact complex-rational arithmetic) without going through the library's
-factorized predicates, so it can serve as the second route in dual checks.
+exact complex-rational arithmetic, a term list per constraint) without going
+through the library's factorized predicates, so it can serve as the second
+route in dual checks.
 """
 
 from __future__ import annotations
@@ -17,8 +18,57 @@ from fractions import Fraction
 from pathlib import Path
 
 from nwe import StateSet
-from nwe.states import LocalVector, PairTable, PartyVectors, ProductState, SystemShape, basis_ket
-from nwe.verifier import anti_index, coords_to_matrix, sym_index
+from nwe.inference import (
+    RULE_LEMMA1,
+    RULE_LEMMA2,
+    RULE_UNIT_PROPAGATION,
+    Certificate,
+    DiagonalEqualFact,
+    EntryRef,
+    PartyConclusion,
+    ZeroEntryFact,
+)
+from nwe.states import (
+    LocalVector,
+    NonOrthogonalSetError,
+    PairTable,
+    PartyVectors,
+    ProductState,
+    SystemShape,
+    basis_ket,
+    find_stopper,
+)
+from nwe.verifier import MODULUS, HermitianMatrix, anti_index, sym_index
+
+# the bound on the numerator and denominator of a fraction lifted from its
+# residue modulo the oracle's first prime
+LIFT_BOUND = math.isqrt(MODULUS // 2)
+
+
+def coords_to_matrix(vec, dim: int) -> HermitianMatrix:
+    """The Hermitian matrix a coordinate vector encodes: S[a,b] = vec[sym_index]
+    in the real part, A[a,b] = vec[anti_index] above the imaginary diagonal
+    and -A[a,b] below it."""
+    real = [[Fraction(0)] * dim for _ in range(dim)]
+    imag = [[Fraction(0)] * dim for _ in range(dim)]
+    for a in range(dim):
+        for b in range(a, dim):
+            real[a][b] = real[b][a] = Fraction(vec[sym_index(dim, a, b)])
+        for b in range(a + 1, dim):
+            imag[a][b] = Fraction(vec[anti_index(dim, a, b)])
+            imag[b][a] = -imag[a][b]
+    return HermitianMatrix(tuple(map(tuple, real)), tuple(map(tuple, imag)))
+
+
+def matrix_to_coords(mat: HermitianMatrix) -> tuple[Fraction, ...]:
+    dim = mat.dim
+    vec = [Fraction(0)] * (dim * dim)
+    for a in range(dim):
+        vec[sym_index(dim, a, a)] = mat.real[a][a]
+        for b in range(a + 1, dim):
+            vec[sym_index(dim, a, b)] = mat.real[a][b]
+            vec[anti_index(dim, a, b)] = mat.imag[a][b]
+    return tuple(vec)
 
 
 def expand(state: ProductState) -> list[int]:
@@ -97,6 +147,86 @@ def reference_pair_table(sset: StateSet) -> PairTable:
     return PairTable(tuple(violations), tuple(map(tuple, buckets)))
 
 
+def _two_support_signed(support) -> tuple[int, int, int] | None:
+    """(positive index, negative index, magnitude) if the (index, coefficient)
+    support is {a: c, b: -c}."""
+    if len(support) != 2:
+        return None
+    (a, ca), (b, cb) = support
+    if ca + cb != 0:
+        return None
+    return (a, b, ca) if ca > 0 else (b, a, cb)
+
+
+def _reference_conclusion(t: int, dim: int, known, equal) -> PartyConclusion:
+    missing = tuple((a, b) for a in range(dim) for b in range(a + 1, dim) if (a, b) not in known)
+    label = list(range(dim))
+    for a, b in equal:
+        lo, hi = sorted((label[a], label[b]))
+        label = [lo if x == hi else x for x in label]
+    classes: dict[int, list[int]] = {}
+    for a, c in enumerate(label):
+        classes.setdefault(c, []).append(a)
+    return PartyConclusion(t, not missing and len(classes) == 1, missing, tuple(map(tuple, classes.values())))
+
+
+def reference_certificate(sset: StateSet) -> Certificate:
+    """The rule engine written straight from the rules: every bucket pair's
+    full term list, Lemma1 on the one-term lists, unit propagation sweeping
+    every list with no diagonal term until a sweep adds nothing, then Lemma2
+    against the stopper, and a scan of every entry for the conclusion."""
+    table = sset.pair_table
+    if table.violations:
+        raise NonOrthogonalSetError(list(table.violations))
+    stopper_idx = find_stopper(sset)
+    facts = []
+    conclusions = []
+    for t in range(sset.shape.n):
+        dim = sset.shape.dims[t]
+        known: set[tuple[int, int]] = set()
+        _, ids, supports = sset.vector_index[t]
+        support = [supports[v] for v in ids]
+        constraints = [(i, j, [(a, b) for a, _ in support[i] for b, _ in support[j]]) for i, j in table.buckets[t]]
+        for i, j, terms in constraints:
+            if len(terms) == 1:
+                a, b = terms[0]
+                key = (min(a, b), max(a, b))
+                if a != b and key not in known:
+                    known.add(key)
+                    facts.append(ZeroEntryFact(EntryRef(t, a, b), (i, j), RULE_LEMMA1))
+        offdiag = [con for con in constraints if all(a != b for a, b in con[2])]
+        changed = True
+        while changed:
+            changed = False
+            for i, j, terms in offdiag:
+                live = [(a, b) for a, b in terms if (min(a, b), max(a, b)) not in known]
+                if len(live) == 1:
+                    a, b = live[0]
+                    known.add((min(a, b), max(a, b)))
+                    facts.append(ZeroEntryFact(EntryRef(t, a, b), (i, j), RULE_UNIT_PROPAGATION))
+                    changed = True
+        equal: list[tuple[int, int]] = []
+        if len(known) == dim * (dim - 1) // 2 and stopper_idx is not None:
+            seen_diag: set[tuple[int, int]] = set()
+            for i, j in table.buckets[t]:
+                if stopper_idx not in (i, j):
+                    continue
+                partner = i + j - stopper_idx
+                signed = _two_support_signed(support[partner])
+                if signed is None:
+                    continue
+                pos, neg, mag = signed
+                key = (min(pos, neg), max(pos, neg))
+                if key in seen_diag:
+                    continue
+                seen_diag.add(key)
+                rule = RULE_LEMMA2 if mag == 1 else RULE_UNIT_PROPAGATION
+                facts.append(DiagonalEqualFact(t, pos, neg, (partner, stopper_idx), rule))
+                equal.append((pos, neg))
+        conclusions.append(_reference_conclusion(t, dim, known, equal))
+    return Certificate(sset.shape, sset.labels(), tuple(facts), tuple(conclusions))
+
+
 def unshared_index(sset: StateSet) -> StateSet:
     """A copy of the set whose vector index gives every state a vector of its
     own, with the support read off that state's coefficients; stages that read
@@ -134,6 +264,29 @@ def computational_basis_set(dims: tuple[int, ...]) -> StateSet:
 def without_stopper(sset: StateSet) -> StateSet:
     states = tuple(s for s in sset.states if not all(all(c == 1 for c in lv.coeffs) for lv in s.locals))
     return StateSet(sset.shape, states, provenance=sset.provenance + "-no-stopper")
+
+
+def scrambled(sset: StateSet, rng: random.Random, reduce: bool = False) -> StateSet:
+    """The set with its states shuffled and each party's basis relabelled by
+    a random permutation; with `reduce`, first without its stopper and two
+    random states. These are the benchmark's document scrambles."""
+    states = list(sset.states)
+    if reduce:
+        states = [s for s in states if not all(all(c == 1 for c in lv.coeffs) for lv in s.locals)]
+        for idx in sorted(rng.sample(range(len(states)), 2), reverse=True):
+            del states[idx]
+    rng.shuffle(states)
+    perms = [rng.sample(range(d), d) for d in sset.shape.dims]
+    moved = []
+    for state in states:
+        locals_ = []
+        for lv, perm in zip(state.locals, perms):
+            coeffs = [0] * len(lv)
+            for a, c in enumerate(lv.coeffs):
+                coeffs[perm[a]] = c
+            locals_.append(LocalVector(tuple(coeffs)))
+        moved.append(ProductState(sset.shape, tuple(locals_), state.label))
+    return StateSet(sset.shape, tuple(moved), provenance=sset.provenance + ("-reduced" if reduce else "") + "-scrambled")
 
 
 def dense_rref(rows, ncols: int) -> tuple[list[int], list[list[Fraction]]]:

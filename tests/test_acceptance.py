@@ -27,7 +27,7 @@ from nwe.states import ProductState, check_pairwise_orthogonality
 from nwe.verifier import identity_coords
 from nwe.inference import DiagonalEqualFact, ZeroEntryFact
 
-from helpers import computational_basis_set, measured_overlap, without_stopper
+from helpers import computational_basis_set, coords_to_matrix, measured_overlap, without_stopper
 
 GOLDEN = Path(__file__).parent / "golden"
 SWEEP_SEED = 20250810
@@ -208,8 +208,6 @@ def _dense_nullity(sset, t):
     """Independent elimination: constraint rows computed on the fully
     expanded tensors for each Hermitian coordinate matrix, then a from-scratch
     rank count over exact rationals."""
-    from nwe.verifier import coords_to_matrix
-
     d = sset.shape.dims[t]
     size = d * d
     coordinate_matrices = []

@@ -19,7 +19,15 @@ from nwe.inference import DiagonalEqualFact, EntryRef, PartyConclusion, ZeroEntr
 from nwe.states import LocalVector, ProductState, SystemShape, basis_ket, diff_ket, flat_ket
 from nwe.verifier import InvariantError, anti_index, sym_index
 
-from helpers import computational_basis_set, invariant_error_under_python_O, rotated, without_stopper
+from helpers import (
+    computational_basis_set,
+    invariant_error_under_python_O,
+    reference_certificate,
+    rotated,
+    scrambled,
+    unshared_index,
+    without_stopper,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -180,6 +188,18 @@ class TestDeriveCertificate:
             assert conclusion.missing_zeros == ((0, 1),)
             assert not conclusion.trivial
 
+    def test_missing_entries_reported_when_half_are_known(self):
+        # party 0 knows m[0,1], m[0,2], m[1,2] = 0: half of its six
+        # off-diagonal entries, each stored in both orientations
+        shape = SystemShape((4, 2))
+        sset = StateSet(
+            shape,
+            tuple(ProductState(shape, (basis_ket(4, a), basis_ket(2, a // 3))) for a in range(4)),
+        )
+        cert = derive_certificate(sset)
+        assert cert.conclusions[0].missing_zeros == ((0, 3), (1, 3), (2, 3))
+        check_certificate(sset, cert)
+
     def test_determinism(self):
         sset = gen_general((3, 4, 4, 5))
         a = render_certificate(derive_certificate(sset))
@@ -295,6 +315,27 @@ def _checked_sets():
         rotated(gen_general((3, 4, 5)), random.Random(5), [1, 2]),
         without_stopper(rotated(gen_equal(3, 4), random.Random(6), [2])),
     ]
+
+
+def _differential_sets():
+    """The checked sets, families without their stopper or with rotated
+    parties, and perfbench-style scrambles of families, whole and reduced
+    (without the stopper and two random states)."""
+    families = [gen_equal(3, 8), gen_equal(4, 6), gen_general((3, 5, 10)), gen_general((4, 5, 6, 8))]
+    return (
+        _checked_sets()
+        + [without_stopper(s) for s in families]
+        + [rotated(s, random.Random(k), [k % s.shape.n]) for k, s in enumerate(families)]
+        + [scrambled(s, random.Random(k), reduce) for k, s in enumerate(families) for reduce in (False, True)]
+        + [unshared_index(scrambled(gen_general((3, 4, 5)), random.Random(9)))]
+    )
+
+
+class TestAgainstReferenceEngine:
+    @pytest.mark.parametrize("sset", _differential_sets(), ids=lambda s: s.provenance)
+    def test_same_certificate_fact_for_fact(self, sset):
+        # equal fact tuples: the same facts, in the same order
+        assert derive_certificate(sset) == reference_certificate(sset)
 
 
 def with_facts(cert, facts):
@@ -450,3 +491,75 @@ cert = derive_certificate(sset)
 check_certificate(sset, dataclasses.replace(cert, facts=cert.facts[1:]))
 """)
     assert message.startswith("party 0: ")
+
+
+# forged certificates for the replay's two paths; each must raise under python -O
+_FORGERIES = {
+    "lemma1-fact-repeated": (
+        """
+sset = gen_equal(3, 3)
+cert = derive_certificate(sset)
+k = next(k for k, f in enumerate(cert.facts) if f.rule == "Lemma1")
+facts = cert.facts[: k + 1] + cert.facts[k:]
+""",
+        "does not force this entry to zero",
+    ),
+    "ket-pair-swapped-entry": (
+        """
+sset = gen_equal(3, 3)
+cert = derive_certificate(sset)
+k = next(k for k, f in enumerate(cert.facts) if f.rule == "Lemma1")
+e = cert.facts[k].entry
+facts = list(cert.facts)
+facts[k] = dataclasses.replace(facts[k], entry=EntryRef(e.party, e.col, e.row))
+""",
+        "does not force this entry to zero",
+    ),
+    "ket-pair-other-entry": (
+        """
+sset = gen_equal(3, 3)
+cert = derive_certificate(sset)
+k = next(k for k, f in enumerate(cert.facts) if f.rule == "Lemma1")
+e = cert.facts[k].entry
+row, col = next((a, b) for a in range(3) for b in range(a + 1, 3) if {a, b} != {e.row, e.col})
+facts = list(cert.facts)
+facts[k] = dataclasses.replace(facts[k], entry=EntryRef(e.party, row, col))
+""",
+        "does not force this entry to zero",
+    ),
+    "lemma1-label-on-two-terms": (
+        """
+sset = gen_general((3, 4, 5))
+cert = derive_certificate(sset)
+k = next(k for k, f in enumerate(cert.facts) if isinstance(f, ZeroEntryFact) and f.rule == "UnitPropagation")
+facts = list(cert.facts)
+facts[k] = dataclasses.replace(facts[k], rule="Lemma1")
+""",
+        "the rule does not match the constraint",
+    ),
+    "unit-label-on-ket-pair": (
+        """
+sset = gen_equal(3, 3)
+cert = derive_certificate(sset)
+k = next(k for k, f in enumerate(cert.facts) if f.rule == "Lemma1")
+facts = list(cert.facts)
+facts[k] = dataclasses.replace(facts[k], rule="UnitPropagation")
+""",
+        "the rule does not match the constraint",
+    ),
+}
+
+
+@pytest.mark.parametrize("forgery", sorted(_FORGERIES))
+def test_forged_fact_raises_under_python_O(forgery):
+    code, expected = _FORGERIES[forgery]
+    message = invariant_error_under_python_O(
+        """
+import dataclasses
+from nwe import derive_certificate, gen_equal, gen_general
+from nwe.inference import EntryRef, ZeroEntryFact, check_certificate
+"""
+        + code
+        + "check_certificate(sset, dataclasses.replace(cert, facts=tuple(facts)))\n"
+    )
+    assert expected in message

@@ -16,20 +16,25 @@ def load_ladder():
 
 def test_baseline_ratio():
     ladder = load_ladder()
-    line = {"instance": "x", "pair_table_s": 0.003, "verify_all_s": 0.5}
-    assert ladder.baseline_ratio(line, {"pair_table_s": 0.006, "verify_all_s": 0.25}) == {
+    line = {"instance": "x", "pair_table_s": 0.003, "verify_all_s": 0.5, "certificate_s": 0.004, "check_s": 0.001}
+    earlier = {"pair_table_s": 0.006, "verify_all_s": 0.25, "certificate_s": 0.008, "check_s": 0.002}
+    assert ladder.baseline_ratio(line, earlier) == {
         "pair_table_s": 0.5,
         "verify_all_s": 2.0,
+        "certificate_s": 0.5,
+        "check_s": 0.5,
     }
-    # a rung missing from the baseline, or timed at 0 there, has no ratio
-    assert ladder.baseline_ratio(line, {}) == {"pair_table_s": None, "verify_all_s": None}
-    assert ladder.baseline_ratio(line, {"pair_table_s": 0.0, "verify_all_s": 0.5})["pair_table_s"] is None
+    # a rung or a stage missing from the baseline, or timed at 0 there, has no ratio
+    assert ladder.baseline_ratio(line, {}) == dict.fromkeys(ladder.COMPARED)
+    assert ladder.baseline_ratio(line, {**earlier, "pair_table_s": 0.0})["pair_table_s"] is None
+    assert ladder.baseline_ratio(line, {"pair_table_s": 0.006, "verify_all_s": 0.25})["certificate_s"] is None
 
 
 def test_baseline_ratios_are_printed_and_not_written(tmp_path, capsys, monkeypatch):
     ladder = load_ladder()
     monkeypatch.setattr(ladder, "RUNGS", (("equal(3,3)", lambda: gen_equal(3, 3)),))
-    earlier = {"stamp": {}, "rungs": [{"instance": "equal(3,3)", "pair_table_s": 1.0, "verify_all_s": 1.0}]}
+    times = dict.fromkeys(ladder.COMPARED, 1.0)
+    earlier = {"stamp": {}, "rungs": [{"instance": "equal(3,3)", **times}]}
     (tmp_path / "before.json").write_text(json.dumps(earlier))
     out = tmp_path / "after.json"
     assert ladder.main(["--json", str(out), "--baseline", str(tmp_path / "before.json")]) == 0

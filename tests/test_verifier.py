@@ -21,7 +21,6 @@ from nwe import (
 )
 from nwe.states import LocalVector, ProductState, SystemShape, basis_ket
 from nwe.verifier import (
-    LIFT_BOUND,
     MERSENNE_EXPONENTS,
     MODULUS,
     InvariantError,
@@ -32,9 +31,7 @@ from nwe.verifier import (
     _peel,
     anti_index,
     certified_nonlocal,
-    coords_to_matrix,
     identity_coords,
-    matrix_to_coords,
     reconstruct,
     sym_index,
     verdict,
@@ -42,10 +39,13 @@ from nwe.verifier import (
 
 from helpers import (
     CZERO,
+    LIFT_BOUND,
     big_basis_set,
     computational_basis_set,
+    coords_to_matrix,
     dense_rref,
     invariant_error_under_python_O,
+    matrix_to_coords,
     measured_overlap,
     orthogonal_integer_matrix,
     primitive,
