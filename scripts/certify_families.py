@@ -2,14 +2,17 @@
 """Certify the built-in families across a parameter sweep and print a summary.
 
 Runs both engines (rule-based certificate and exact nullspace oracle) on the
-equal-dims grid plus a seeded sample of general dimension vectors.
+equal-dims grid plus a seeded sample of general dimension vectors. Each
+certificate is replayed by `check_certificate`; one that does not replay
+counts as not certified by the lemma engine.
 """
 
 import argparse
 import random
 import time
 
-from nwe import derive_certificate, gen_equal, gen_general, verify_all
+from nwe import InvariantError, derive_certificate, gen_equal, gen_general, verify_all
+from nwe.inference import check_certificate
 
 
 def certify(sset):
@@ -17,8 +20,13 @@ def certify(sset):
     verdicts = verify_all(sset)
     oracle_ok = all(v.status == "Trivial" and v.nullspace_dim == 1 for v in verdicts)
     cert = derive_certificate(sset)
+    try:
+        check_certificate(sset, cert)
+        lemma_ok = cert.trivial_for_all()
+    except InvariantError:
+        lemma_ok = False
     elapsed = time.monotonic() - start
-    return oracle_ok, cert.trivial_for_all(), len(cert.facts), elapsed
+    return oracle_ok, lemma_ok, len(cert.facts), elapsed
 
 
 def main():

@@ -43,29 +43,14 @@ RULE_UNIT_PROPAGATION = "UnitPropagation"
 
 
 @dataclass(frozen=True)
-class EntryRef:
-    """One entry m[row, col] of party `party`'s measurement matrix."""
+class ZeroEntryFact:
+    """m[row, col] = 0 (and by Hermiticity m[col, row] = 0) for party `party`."""
 
     party: int
     row: int
     col: int
-
-    def __post_init__(self) -> None:
-        if self.party < 0 or self.row < 0 or self.col < 0:
-            raise ValueError(f"negative index in entry reference {self}")
-
-
-@dataclass(frozen=True)
-class ZeroEntryFact:
-    """m[row, col] = 0 (and by Hermiticity m[col, row] = 0)."""
-
-    entry: EntryRef
     pair: tuple[int, int]
     rule: str
-
-    def __post_init__(self) -> None:
-        if self.entry.row == self.entry.col:
-            raise ValueError("zero-entry facts are off-diagonal only")
 
 
 @dataclass(frozen=True)
@@ -77,10 +62,6 @@ class DiagonalEqualFact:
     b: int
     pair: tuple[int, int]
     rule: str
-
-    def __post_init__(self) -> None:
-        if self.a == self.b:
-            raise ValueError("diagonal-equality facts need two distinct indices")
 
 
 Fact = ZeroEntryFact | DiagonalEqualFact
@@ -111,7 +92,7 @@ class Certificate:
         """Each party's facts, in derivation order, grouped in one pass."""
         groups: dict[int, list[Fact]] = {}
         for f in self.facts:
-            groups.setdefault(f.entry.party if isinstance(f, ZeroEntryFact) else f.party, []).append(f)
+            groups.setdefault(f.party, []).append(f)
         return {t: tuple(group) for t, group in groups.items()}
 
     def facts_for_party(self, t: int) -> tuple[Fact, ...]:
@@ -163,7 +144,7 @@ def derive_certificate(sset: StateSet) -> Certificate:
                 if key not in known:
                     known.add(key)
                     known.add(b * dim + a)
-                    facts.append(ZeroEntryFact(EntryRef(t, a, b), (i, j), RULE_LEMMA1))
+                    facts.append(ZeroEntryFact(t, a, b, (i, j), RULE_LEMMA1))
             elif masks[vi] & masks[vj]:
                 if stopper_idx == i or stopper_idx == j:
                     linked.append(i + j - stopper_idx)
@@ -186,7 +167,7 @@ def derive_certificate(sset: StateSet) -> Certificate:
                         key, a, b = live
                         known.add(key)
                         known.add(b * dim + a)
-                        facts.append(ZeroEntryFact(EntryRef(t, a, b), (i, j), RULE_UNIT_PROPAGATION))
+                        facts.append(ZeroEntryFact(t, a, b, (i, j), RULE_UNIT_PROPAGATION))
                         changed = True
 
         # Lemma2, once every off-diagonal entry is known zero
@@ -215,7 +196,8 @@ def check_certificate(sset: StateSet, cert: Certificate) -> None:
     """Replay `cert` on `sset`: each fact from its cited pair and the earlier
     facts of its party only, then each party's conclusion from its facts.
     The first step that does not follow raises InvariantError, naming the
-    party and the fact.
+    party and the fact, or the index of an entry that is not a fact. The
+    fact records check nothing themselves: this replay is their validator.
 
     The pair must lie in the party's bucket, and its constraint is rebuilt
     from the two vectors' supports. A zero fact needs a constraint with no
@@ -233,6 +215,9 @@ def check_certificate(sset: StateSet, cert: Certificate) -> None:
     n = sset.shape.n
     if cert.shape != sset.shape or cert.labels != sset.labels() or len(cert.conclusions) != n:
         raise InvariantError("the certificate is of another state set")
+    for k, fact in enumerate(cert.facts):
+        if not isinstance(fact, Fact):
+            raise InvariantError(f"fact {k}: {fact!r} is not a fact")
     by_party = cert.facts_by_party
     for t in by_party:
         if not 0 <= t < n:
@@ -250,7 +235,7 @@ def check_certificate(sset: StateSet, cert: Certificate) -> None:
                 raise InvariantError(f"party {t}: {fact}: the pair is not in the party's bucket")
             u, v = supports[ids[i]], supports[ids[j]]
             if isinstance(fact, ZeroEntryFact):
-                row, col = entry = fact.entry.row, fact.entry.col
+                row, col = entry = fact.row, fact.col
                 if len(u) == 1 == len(v):
                     forced = (u[0][0], v[0][0]) == entry and row * dim + col not in known
                 else:
@@ -277,11 +262,9 @@ def check_certificate(sset: StateSet, cert: Certificate) -> None:
 
 
 def render_fact(fact: Fact, labels: tuple[str, ...]) -> str:
-    if isinstance(fact, ZeroEntryFact):
-        li, lj = labels[fact.pair[0]], labels[fact.pair[1]]
-        e = fact.entry
-        return f"party={e.party} m[{e.row},{e.col}]=0 via states ({li},{lj}) rule={fact.rule}"
     li, lj = labels[fact.pair[0]], labels[fact.pair[1]]
+    if isinstance(fact, ZeroEntryFact):
+        return f"party={fact.party} m[{fact.row},{fact.col}]=0 via states ({li},{lj}) rule={fact.rule}"
     return (
         f"party={fact.party} m[{fact.a},{fact.a}]=m[{fact.b},{fact.b}] "
         f"via ({li},{lj}) rule={fact.rule}"

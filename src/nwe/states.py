@@ -16,7 +16,6 @@ are orthogonal) and sorts the state pairs with integer bitsets.
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass
 from functools import cached_property
@@ -89,9 +88,6 @@ class SystemShape:
     def n(self) -> int:
         return len(self.dims)
 
-    def total_dim(self) -> int:
-        return math.prod(self.dims)
-
 
 @dataclass(frozen=True)
 class LocalVector:
@@ -113,11 +109,6 @@ class LocalVector:
 
     def __len__(self) -> int:
         return len(self.coeffs)
-
-    def scaled(self, factor: int) -> LocalVector:
-        if factor == 0:
-            raise DimensionError("scaling factor must be nonzero")
-        return LocalVector(tuple(factor * c for c in self.coeffs))
 
 
 def basis_ket(dim: int, i: int) -> LocalVector:
@@ -279,25 +270,6 @@ def _classify_pairs(sset: StateSet) -> PairTable:
                 x ^= low
                 bucket.append((i, low.bit_length() - 1))
     return PairTable(tuple(violations), tuple(map(tuple, buckets)))
-
-
-def local_inner(u: LocalVector, v: LocalVector) -> int:
-    """Exact inner product of two real integer local vectors."""
-    if len(u) != len(v):
-        raise DimensionError(f"local vector lengths differ: {len(u)} vs {len(v)}")
-    return sum(a * b for a, b in zip(u.coeffs, v.coeffs))
-
-
-def inner_factors(a: ProductState, b: ProductState) -> tuple[int, ...]:
-    """Per-party inner products; their product is the full inner product <a|b>."""
-    if a.shape != b.shape:
-        raise DimensionError(f"shape mismatch: {a.shape.dims} vs {b.shape.dims}")
-    return tuple(local_inner(u, v) for u, v in zip(a.locals, b.locals))
-
-
-def are_orthogonal(a: ProductState, b: ProductState) -> bool:
-    """True iff <a|b> == 0, i.e. at least one per-party factor vanishes."""
-    return any(f == 0 for f in inner_factors(a, b))
 
 
 def check_pairwise_orthogonality(sset: StateSet) -> list[tuple[int, int]]:

@@ -24,11 +24,11 @@ from nwe.inference import (
     RULE_UNIT_PROPAGATION,
     Certificate,
     DiagonalEqualFact,
-    EntryRef,
     PartyConclusion,
     ZeroEntryFact,
 )
 from nwe.states import (
+    DimensionError,
     LocalVector,
     NonOrthogonalSetError,
     PairTable,
@@ -71,6 +71,31 @@ def matrix_to_coords(mat: HermitianMatrix) -> tuple[Fraction, ...]:
     return tuple(vec)
 
 
+def scaled_vector(lv: LocalVector, factor: int) -> LocalVector:
+    if factor == 0:
+        raise DimensionError("scaling factor must be nonzero")
+    return LocalVector(tuple(factor * c for c in lv.coeffs))
+
+
+def local_inner(u: LocalVector, v: LocalVector) -> int:
+    """Exact inner product of two real integer local vectors."""
+    if len(u) != len(v):
+        raise DimensionError(f"local vector lengths differ: {len(u)} vs {len(v)}")
+    return sum(a * b for a, b in zip(u.coeffs, v.coeffs))
+
+
+def inner_factors(a: ProductState, b: ProductState) -> tuple[int, ...]:
+    """Per-party inner products; their product is the full inner product <a|b>."""
+    if a.shape != b.shape:
+        raise DimensionError(f"shape mismatch: {a.shape.dims} vs {b.shape.dims}")
+    return tuple(local_inner(u, v) for u, v in zip(a.locals, b.locals))
+
+
+def are_orthogonal(a: ProductState, b: ProductState) -> bool:
+    """True iff <a|b> == 0, i.e. at least one per-party factor vanishes."""
+    return any(f == 0 for f in inner_factors(a, b))
+
+
 def expand(state: ProductState) -> list[int]:
     """Full tensor of a product state as a dense integer vector of length prod(dims)."""
     vec = [1]
@@ -97,7 +122,7 @@ def cmul(x, y):
 
 def embedded_operator(matrix, shape: SystemShape, t: int):
     """Kronecker product I x ... x E_t x ... x I as a dense complex matrix."""
-    total = shape.total_dim()
+    total = math.prod(shape.dims)
     dims = shape.dims
     after = 1
     for d in dims[t + 1 :]:
@@ -193,7 +218,7 @@ def reference_certificate(sset: StateSet) -> Certificate:
                 key = (min(a, b), max(a, b))
                 if a != b and key not in known:
                     known.add(key)
-                    facts.append(ZeroEntryFact(EntryRef(t, a, b), (i, j), RULE_LEMMA1))
+                    facts.append(ZeroEntryFact(t, a, b, (i, j), RULE_LEMMA1))
         offdiag = [con for con in constraints if all(a != b for a, b in con[2])]
         changed = True
         while changed:
@@ -203,7 +228,7 @@ def reference_certificate(sset: StateSet) -> Certificate:
                 if len(live) == 1:
                     a, b = live[0]
                     known.add((min(a, b), max(a, b)))
-                    facts.append(ZeroEntryFact(EntryRef(t, a, b), (i, j), RULE_UNIT_PROPAGATION))
+                    facts.append(ZeroEntryFact(t, a, b, (i, j), RULE_UNIT_PROPAGATION))
                     changed = True
         equal: list[tuple[int, int]] = []
         if len(known) == dim * (dim - 1) // 2 and stopper_idx is not None:

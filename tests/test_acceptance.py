@@ -27,7 +27,7 @@ from nwe.states import ProductState, check_pairwise_orthogonality
 from nwe.verifier import identity_coords
 from nwe.inference import DiagonalEqualFact, ZeroEntryFact
 
-from helpers import computational_basis_set, coords_to_matrix, measured_overlap, without_stopper
+from helpers import computational_basis_set, coords_to_matrix, measured_overlap, scaled_vector, without_stopper
 
 GOLDEN = Path(__file__).parent / "golden"
 SWEEP_SEED = 20250810
@@ -111,9 +111,9 @@ def test_criterion_3_triviality_certification():
 
 def _zero_pairs(cert, party):
     return {
-        (frozenset((f.entry.row, f.entry.col)), cert.labels[f.pair[0]], cert.labels[f.pair[1]])
+        (frozenset((f.row, f.col)), cert.labels[f.pair[0]], cert.labels[f.pair[1]])
         for f in cert.facts
-        if isinstance(f, ZeroEntryFact) and f.entry.party == party
+        if isinstance(f, ZeroEntryFact) and f.party == party
     }
 
 
@@ -317,7 +317,7 @@ def test_criterion_7_property_suite():
             factor = rng.choice([-3, -2, -1, 2, 3])
             state = sset.states[idx]
             new_locals = list(state.locals)
-            new_locals[party] = new_locals[party].scaled(factor)
+            new_locals[party] = scaled_vector(new_locals[party], factor)
             states = list(sset.states)
             states[idx] = ProductState(state.shape, tuple(new_locals), state.label)
             scaled = StateSet(sset.shape, tuple(states), provenance=sset.provenance)

@@ -5,7 +5,9 @@ from hypothesis import strategies as st
 from nwe import ConstructionError, gen_equal, gen_general, prior_sizes
 from nwe import constructions
 from nwe.constructions import MAX_COEFFICIENTS, EqualDims, GeneralDims, expected_size
-from nwe.states import basis_ket, check_pairwise_orthogonality, local_inner
+from nwe.states import basis_ket, check_pairwise_orthogonality
+
+from helpers import local_inner
 
 
 class TestGenEqual:

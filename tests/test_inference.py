@@ -15,7 +15,7 @@ from nwe import (
     render_certificate,
     verify_all,
 )
-from nwe.inference import DiagonalEqualFact, EntryRef, PartyConclusion, ZeroEntryFact, check_certificate
+from nwe.inference import DiagonalEqualFact, PartyConclusion, ZeroEntryFact, check_certificate
 from nwe.states import LocalVector, ProductState, SystemShape, basis_ket, diff_ket, flat_ket
 from nwe.verifier import InvariantError, anti_index, sym_index
 
@@ -49,14 +49,14 @@ class TestConstraintPairs:
         # the constraint's one term is m[1,0], with coefficient 1
         assert sset.states[i].locals[0].coeffs == (0, 1, 0)
         assert sset.states[j].locals[0].coeffs == (1, 0, 0)
-        assert cited(derive_certificate(sset), (i, j)) == [ZeroEntryFact(EntryRef(0, 1, 0), (i, j), "Lemma1")]
+        assert cited(derive_certificate(sset), (i, j)) == [ZeroEntryFact(0, 1, 0, (i, j), "Lemma1")]
 
     def test_no_constraint_when_another_factor_vanishes(self):
         sset = gen_equal(3, 3)
         i, j = index_of(sset, "G_1[i=1]"), index_of(sset, "G_2[i=1]")
         buckets = sset.pair_table.buckets
         assert (i, j) not in buckets[1] and (i, j) not in buckets[2]
-        assert all(f.entry.party == 0 for f in cited(derive_certificate(sset), (i, j)))
+        assert all(f.party == 0 for f in cited(derive_certificate(sset), (i, j)))
 
     def test_difference_vector_gives_two_terms(self):
         sset = gen_general((3, 4, 5))
@@ -66,7 +66,7 @@ class TestConstraintPairs:
         assert sset.states[i].locals[1].coeffs == (0, 0, 0, 1)
         assert sset.states[j].locals[1].coeffs == (1, 0, -1, 0)
         cert = derive_certificate(sset)
-        assert cited(cert, (i, j)) == [ZeroEntryFact(EntryRef(1, 3, 0), (i, j), "UnitPropagation")]
+        assert cited(cert, (i, j)) == [ZeroEntryFact(1, 3, 0, (i, j), "UnitPropagation")]
 
 
 class TestLemma1Facts:
@@ -76,7 +76,7 @@ class TestLemma1Facts:
         lemma1 = [f for f in cited(derive_certificate(sset), (i, j)) if f.rule == "Lemma1"]
         assert len(lemma1) == 1
         fact = lemma1[0]
-        assert (fact.entry.party, fact.entry.row, fact.entry.col) == (0, 1, 0)
+        assert (fact.party, fact.row, fact.col) == (0, 1, 0)
         assert fact.pair == (i, j)
 
     def test_multi_support_vector_yields_nothing(self):
@@ -92,7 +92,7 @@ class TestLemma1Facts:
             a = index_of(sset, f"B_1[i={i}]")
             b = index_of(sset, f"B_2[i={i}]")
             assert (a, b) in sset.pair_table.buckets[2]
-            assert cited(cert, (a, b)) == [ZeroEntryFact(EntryRef(2, i, 0), (a, b), "Lemma1")]
+            assert cited(cert, (a, b)) == [ZeroEntryFact(2, i, 0, (a, b), "Lemma1")]
 
 
 class TestLemma2Facts:
@@ -160,8 +160,8 @@ class TestDeriveCertificate:
             for f in cert.facts
             if isinstance(f, ZeroEntryFact)
             and f.rule == "UnitPropagation"
-            and f.entry.party == 1
-            and (f.entry.row, f.entry.col) == (3, 0)
+            and f.party == 1
+            and (f.row, f.col) == (3, 0)
         ]
         assert len(up) == 1
         labels = cert.labels
@@ -266,7 +266,7 @@ class TestSoundnessAgainstOracle:
             basis = nullspace(assemble(sset, t))
             for fact in cert.facts_for_party(t):
                 if isinstance(fact, ZeroEntryFact):
-                    a, b = sorted((fact.entry.row, fact.entry.col))
+                    a, b = sorted((fact.row, fact.col))
                     for vec in basis:
                         assert vec[sym_index(dim, a, b)] == 0
                         assert vec[anti_index(dim, a, b)] == 0
@@ -393,11 +393,10 @@ class TestCheckCertificate:
         sset = gen_equal(3, 3)
         cert = derive_certificate(sset)
         fact = cert.facts_for_party(0)[0]
-        e = fact.entry
-        row, col = (e.col, e.row) if swap else next(
-            (a, b) for a in range(3) for b in range(3) if a != b and {a, b} != {e.row, e.col}
+        row, col = (fact.col, fact.row) if swap else next(
+            (a, b) for a in range(3) for b in range(3) if a != b and {a, b} != {fact.row, fact.col}
         )
-        forged = replaced(cert, fact, dataclasses.replace(fact, entry=EntryRef(0, row, col)))
+        forged = replaced(cert, fact, dataclasses.replace(fact, row=row, col=col))
         with pytest.raises(InvariantError, match="does not force this entry to zero"):
             check_certificate(sset, forged)
 
@@ -432,12 +431,12 @@ class TestCheckCertificate:
         up = next(
             k
             for k, f in enumerate(facts)
-            if f.rule == "UnitPropagation" and f.entry.party == 1 and (f.entry.row, f.entry.col) == (3, 0)
+            if f.rule == "UnitPropagation" and f.party == 1 and (f.row, f.col) == (3, 0)
         )
         used = next(
             k
             for k, f in enumerate(facts)
-            if isinstance(f, ZeroEntryFact) and f.entry.party == 1 and {f.entry.row, f.entry.col} == {2, 3}
+            if isinstance(f, ZeroEntryFact) and f.party == 1 and {f.row, f.col} == {2, 3}
         )
         assert used < up
         facts[used], facts[up] = facts[up], facts[used]
@@ -465,7 +464,7 @@ class TestCheckCertificate:
         sset = gen_equal(3, 3)
         cert = derive_certificate(sset)
         fact = cert.facts[0]
-        forged = replaced(cert, fact, dataclasses.replace(fact, entry=EntryRef(5, fact.entry.row, fact.entry.col)))
+        forged = replaced(cert, fact, dataclasses.replace(fact, party=5))
         with pytest.raises(InvariantError, match="party 5: no such party"):
             check_certificate(sset, forged)
 
@@ -493,7 +492,21 @@ check_certificate(sset, dataclasses.replace(cert, facts=cert.facts[1:]))
     assert message.startswith("party 0: ")
 
 
-# forged certificates for the replay's two paths; each must raise under python -O
+def _forged_field(kind: str, change: str) -> str:
+    """Code that forges gen_equal(3, 3)'s certificate by `change` to the
+    fields of its first fact of type `kind`."""
+    return f"""
+sset = gen_equal(3, 3)
+cert = derive_certificate(sset)
+k = next(k for k, f in enumerate(cert.facts) if isinstance(f, {kind}))
+f = cert.facts[k]
+facts = list(cert.facts)
+facts[k] = dataclasses.replace(f, {change})
+"""
+
+
+# forged certificates for the replay's two paths and for facts no state set
+# could force; each must raise under python -O
 _FORGERIES = {
     "lemma1-fact-repeated": (
         """
@@ -509,9 +522,9 @@ facts = cert.facts[: k + 1] + cert.facts[k:]
 sset = gen_equal(3, 3)
 cert = derive_certificate(sset)
 k = next(k for k, f in enumerate(cert.facts) if f.rule == "Lemma1")
-e = cert.facts[k].entry
+f = cert.facts[k]
 facts = list(cert.facts)
-facts[k] = dataclasses.replace(facts[k], entry=EntryRef(e.party, e.col, e.row))
+facts[k] = dataclasses.replace(f, row=f.col, col=f.row)
 """,
         "does not force this entry to zero",
     ),
@@ -520,10 +533,10 @@ facts[k] = dataclasses.replace(facts[k], entry=EntryRef(e.party, e.col, e.row))
 sset = gen_equal(3, 3)
 cert = derive_certificate(sset)
 k = next(k for k, f in enumerate(cert.facts) if f.rule == "Lemma1")
-e = cert.facts[k].entry
-row, col = next((a, b) for a in range(3) for b in range(a + 1, 3) if {a, b} != {e.row, e.col})
+f = cert.facts[k]
+row, col = next((a, b) for a in range(3) for b in range(a + 1, 3) if {a, b} != {f.row, f.col})
 facts = list(cert.facts)
-facts[k] = dataclasses.replace(facts[k], entry=EntryRef(e.party, row, col))
+facts[k] = dataclasses.replace(f, row=row, col=col)
 """,
         "does not force this entry to zero",
     ),
@@ -547,6 +560,27 @@ facts[k] = dataclasses.replace(facts[k], rule="UnitPropagation")
 """,
         "the rule does not match the constraint",
     ),
+    "zero-fact-on-the-diagonal": (_forged_field("ZeroEntryFact", "col=f.row"), "does not force this entry to zero"),
+    "zero-fact-row-minus-one": (_forged_field("ZeroEntryFact", "row=-1"), "does not force this entry to zero"),
+    "zero-fact-col-minus-one": (_forged_field("ZeroEntryFact", "col=-1"), "does not force this entry to zero"),
+    "diagonal-fact-a-equals-b": (
+        _forged_field("DiagonalEqualFact", "b=f.a"),
+        "does not force this diagonal equality",
+    ),
+    "diagonal-fact-a-minus-one": (
+        _forged_field("DiagonalEqualFact", "a=-1"),
+        "does not force this diagonal equality",
+    ),
+    "fact-of-party-minus-one": (_forged_field("ZeroEntryFact", "party=-1"), "party -1: no such party"),
+    "fact-of-party-n": (_forged_field("DiagonalEqualFact", "party=3"), "party 3: no such party"),
+    "non-fact": (
+        """
+sset = gen_equal(3, 3)
+cert = derive_certificate(sset)
+facts = cert.facts[:1] + ((0, 1, 0),) + cert.facts[1:]
+""",
+        "fact 1: (0, 1, 0) is not a fact",
+    ),
 }
 
 
@@ -557,7 +591,7 @@ def test_forged_fact_raises_under_python_O(forgery):
         """
 import dataclasses
 from nwe import derive_certificate, gen_equal, gen_general
-from nwe.inference import EntryRef, ZeroEntryFact, check_certificate
+from nwe.inference import DiagonalEqualFact, ZeroEntryFact, check_certificate
 """
         + code
         + "check_certificate(sset, dataclasses.replace(cert, facts=tuple(facts)))\n"

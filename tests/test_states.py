@@ -8,20 +8,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nwe import DimensionError, StateSet, assemble, derive_certificate, gen_equal, gen_general
-from nwe.states import (
-    LocalVector,
-    ProductState,
-    SystemShape,
+from nwe.states import LocalVector, ProductState, SystemShape, basis_ket, check_pairwise_orthogonality, dim_cap, stopper
+
+from helpers import (
     are_orthogonal,
-    basis_ket,
-    check_pairwise_orthogonality,
-    dim_cap,
+    brute_force_inner,
+    expand,
     inner_factors,
     local_inner,
-    stopper,
+    reference_pair_table,
+    rotated,
+    scaled_vector,
+    unshared_index,
+    without_stopper,
 )
-
-from helpers import brute_force_inner, expand, reference_pair_table, rotated, unshared_index, without_stopper
 
 
 def product_state(shape, *coeff_rows, label=None):
@@ -261,7 +261,7 @@ class TestProperties:
         a, b = pair
         k = data.draw(st.integers(0, a.shape.n - 1))
         scaled_locals = list(a.locals)
-        scaled_locals[k] = scaled_locals[k].scaled(factor)
+        scaled_locals[k] = scaled_vector(scaled_locals[k], factor)
         a2 = ProductState(a.shape, tuple(scaled_locals))
         before = inner_factors(a, b)
         after = inner_factors(a2, b)

@@ -52,6 +52,7 @@ from helpers import (
     reference_nullspace,
     reference_verdicts,
     rotated,
+    scaled_vector,
     without_stopper,
 )
 
@@ -268,7 +269,7 @@ class TestScalingInvariance:
                 factor = rng.choice([-3, -2, -1, 2, 3, 5])
                 state = sset.states[idx]
                 new_locals = list(state.locals)
-                new_locals[party] = new_locals[party].scaled(factor)
+                new_locals[party] = scaled_vector(new_locals[party], factor)
                 states = list(sset.states)
                 states[idx] = ProductState(state.shape, tuple(new_locals), state.label)
                 scaled = StateSet(sset.shape, tuple(states), provenance=sset.provenance)
@@ -443,7 +444,7 @@ def moduli_used(monkeypatch) -> list:
 def scale_local(sset, idx, party, factor):
     state = sset.states[idx]
     new_locals = list(state.locals)
-    new_locals[party] = new_locals[party].scaled(factor)
+    new_locals[party] = scaled_vector(new_locals[party], factor)
     states = list(sset.states)
     states[idx] = ProductState(state.shape, tuple(new_locals), state.label)
     return StateSet(sset.shape, tuple(states), provenance=sset.provenance)
