@@ -87,7 +87,7 @@ class OverBudget(Exception):
     pass
 
 
-# the timed stages of `run`, in order
+# the timed stages of `run`, in order; `--baseline` compares each of them
 STAGES = ("pair_table_s", "verify_all_s", "certificate_s", "check_s")
 
 
@@ -138,16 +138,12 @@ def stamp() -> dict:
     }
 
 
-# the stages compared with `--baseline`
-COMPARED = ("pair_table_s", "verify_all_s", "certificate_s", "check_s")
-
-
 def baseline_ratio(line: dict, earlier: dict) -> dict:
-    """line's COMPARED stages divided by those of earlier, the same rung of a
+    """line's STAGES divided by those of earlier, the same rung of a
     baseline run (None where either is missing or the baseline reads 0)."""
     return {
         stage: round(line[stage] / earlier[stage], 2) if line.get(stage) is not None and earlier.get(stage) else None
-        for stage in COMPARED
+        for stage in STAGES
     }
 
 

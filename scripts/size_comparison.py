@@ -10,10 +10,10 @@ def fmt(value):
     return "-" if value is None else str(value)
 
 
-def main():
+def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--max-dim", type=int, default=8)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     print("equal dimensions (n parties of dimension d)")
     print(f"{'dims':<16} {'ours':>6} {'jiang':>6} {'wang':>6}")

@@ -1,12 +1,14 @@
 """Generators for the built-in locally indistinguishable product-state families.
 
-Two families are provided, both with coefficients restricted to -1, 0, 1:
+One builder emits both families, with coefficients restricted to -1, 0, 1:
 
-* equal dimensions, n parties of dimension d (n, d >= 3): n(d-1)+1 states,
-  a ring of |i>|0-i> blocks closed by |0-i>...|i> plus the all-ones stopper;
 * general nondecreasing dimensions 3 <= d_1 <= ... <= d_n (n >= 3):
   sum(d_2..d_{n-1}) + 2 d_n - n + 1 states, emitted in labeled groups
-  B_1 ... B_2n followed by the stopper.
+  B_1 ... B_2n followed by the stopper;
+* equal dimensions, n parties of dimension d (n, d >= 3): the general family
+  on (d, ..., d), n(d-1)+1 states. Its groups B_{n+1} ... B_2n are empty and
+  B_1 ... B_n are labeled G_0 ... G_{n-1}: a ring of |i>|0-i> blocks closed
+  by |0-i>...|i>, plus the all-ones stopper.
 
 State labels record the group and the running index i so that certificates
 can cite them; the stopper is always labeled "S".
@@ -14,9 +16,11 @@ can cite them; the stopper is always labeled "S".
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .states import (
+    LocalVector,
     ProductState,
     StateSet,
     SystemShape,
@@ -33,20 +37,6 @@ class ConstructionError(ValueError):
 # the most coefficients (states times the sum of the local dimensions) a
 # generated family may have; `equal(16,64)` is just above it
 MAX_COEFFICIENTS = 10**6
-
-
-@dataclass(frozen=True)
-class EqualDims:
-    """Parameters of the equal-dimension family: n parties of dimension d."""
-
-    n: int
-    d: int
-
-    def __post_init__(self) -> None:
-        if self.n < 3:
-            raise ConstructionError(f"equal-dims family needs n >= 3 parties, got n={self.n}")
-        if self.d < 3:
-            raise ConstructionError(f"equal-dims family needs dimension d >= 3, got d={self.d}")
 
 
 @dataclass(frozen=True)
@@ -68,23 +58,17 @@ class GeneralDims:
             raise ConstructionError(f"smallest dimension must be >= 3, got d_1={self.dims[0]}")
 
 
-ConstructionKind = EqualDims | GeneralDims
-
-
-def expected_size(kind: ConstructionKind) -> int:
-    """Closed-form state count of a family; always equals len(gen_*(...))."""
-    if isinstance(kind, EqualDims):
-        return kind.n * (kind.d - 1) + 1
+def expected_size(kind: GeneralDims) -> int:
+    """Closed-form state count of the general family; always equals
+    len(gen_general(kind.dims)), and n(d-1)+1 on n equal dims d."""
     d = kind.dims
     n = len(d)
     return sum(d[1 : n - 1]) + 2 * d[n - 1] - n + 1
 
 
-def _check_size(kind: ConstructionKind, name: str) -> None:
-    """Raise ConstructionError, before anything is built, if the family has
-    more than MAX_COEFFICIENTS coefficients."""
-    states = expected_size(kind)
-    width = kind.n * kind.d if isinstance(kind, EqualDims) else sum(kind.dims)
+def _check_size(states: int, width: int, name: str) -> None:
+    """Raise ConstructionError, before anything is built, if a family of
+    `states` states of `width` coefficients each exceeds MAX_COEFFICIENTS."""
     if states * width > MAX_COEFFICIENTS:
         raise ConstructionError(
             f"{name} would have {states} states of {width} coefficients each, "
@@ -95,86 +79,67 @@ def _check_size(kind: ConstructionKind, name: str) -> None:
 def gen_equal(n: int, d: int) -> StateSet:
     """The equal-dimension family: n(d-1)+1 pairwise orthogonal states.
 
-    Group 0 is |0-i>|0>...|0>|i>; group g (1 <= g <= n-1) puts |i> on party
+    It is the general family on (d, ..., d) with group B_{g+1} labeled G_g:
+    group 0 is |0-i>|0>...|0>|i>; group g (1 <= g <= n-1) puts |i> on party
     g-1 and |0-i> on party g (0-indexed); the stopper closes the set.
     """
-    kind = EqualDims(n, d)
-    n, d = kind.n, kind.d
+    if n < 3:
+        raise ConstructionError(f"equal-dims family needs n >= 3 parties, got n={n}")
+    if d < 3:
+        raise ConstructionError(f"equal-dims family needs dimension d >= 3, got d={d}")
     provenance = f"equal(n={n},d={d})"
-    _check_size(kind, provenance)
-    shape = SystemShape((d,) * n)
-    states: list[ProductState] = []
-    for i in range(1, d):
-        vecs = [basis_ket(d, 0) for _ in range(n)]
-        vecs[0] = diff_ket(d, 0, i)
-        vecs[n - 1] = basis_ket(d, i)
-        states.append(ProductState(shape, tuple(vecs), label=f"G_0[i={i}]"))
-    for g in range(1, n):
-        for i in range(1, d):
-            vecs = [basis_ket(d, 0) for _ in range(n)]
-            vecs[g - 1] = basis_ket(d, i)
-            vecs[g] = diff_ket(d, 0, i)
-            states.append(ProductState(shape, tuple(vecs), label=f"G_{g}[i={i}]"))
-    states.append(stopper(shape))
-    return StateSet(shape, tuple(states), provenance=provenance)
+    _check_size(n * (d - 1) + 1, n * d, provenance)
+    return _build((d,) * n, provenance, lambda g: f"G_{g - 1}")
 
 
 def gen_general(dims: tuple[int, ...] | list[int]) -> StateSet:
-    """The general-dimension family over nondecreasing dims, groups B_1..B_2n+1.
+    """The general-dimension family over nondecreasing dims, groups B_1..B_2n+1."""
+    kind = GeneralDims(tuple(dims))
+    provenance = f"general({','.join(map(str, kind.dims))})"
+    _check_size(expected_size(kind), sum(kind.dims), provenance)
+    return _build(kind.dims, provenance, lambda g: f"B_{g}")
+
+
+def _build(d: tuple[int, ...], provenance: str, group: Callable[[int], str]) -> StateSet:
+    """The general family over d, which the caller has checked; group(g)
+    names group B_g in the labels.
 
     Empty groups (when consecutive dimensions coincide) are skipped silently;
     the count formula already accounts for them. In group B_2n-1 the first
     party carries |2> when i is even and |1> when i is odd, which keeps
     consecutive members orthogonal despite their overlapping last factors.
+    Every state not given a factor on a party shares that party's one |0>.
     """
-    kind = GeneralDims(tuple(dims))
-    d = kind.dims
-    provenance = f"general({','.join(map(str, d))})"
-    _check_size(kind, provenance)
     n = len(d)
     shape = SystemShape(d)
+    zeros = [basis_ket(dk, 0) for dk in d]
     states: list[ProductState] = []
 
-    def blank() -> list:
-        return [basis_ket(d[k], 0) for k in range(n)]
+    def add(g: int, i: int, *factors: tuple[int, LocalVector]) -> None:
+        v = zeros.copy()
+        for k, lv in factors:
+            v[k] = lv
+        states.append(ProductState(shape, tuple(v), label=f"{group(g)}[i={i}]"))
 
     # B_1: |0-i> on party 0, |i> on party n-1
     for i in range(1, d[0]):
-        v = blank()
-        v[0] = diff_ket(d[0], 0, i)
-        v[n - 1] = basis_ket(d[n - 1], i)
-        states.append(ProductState(shape, tuple(v), label=f"B_1[i={i}]"))
+        add(1, i, (0, diff_ket(d[0], 0, i)), (n - 1, basis_ket(d[n - 1], i)))
     # B_g for g in [2, n]: |i> on party g-2, |0-i> on party g-1 (0-indexed)
     for g in range(2, n + 1):
         for i in range(1, d[g - 2]):
-            v = blank()
-            v[g - 2] = basis_ket(d[g - 2], i)
-            v[g - 1] = diff_ket(d[g - 1], 0, i)
-            states.append(ProductState(shape, tuple(v), label=f"B_{g}[i={i}]"))
+            add(g, i, (g - 2, basis_ket(d[g - 2], i)), (g - 1, diff_ket(d[g - 1], 0, i)))
     # B_{n+g} for g in [1, n-2]: |1> on party g-1, |0-i> on party g, |i> on party g+1
     for g in range(1, n - 1):
         for i in range(d[g - 1], d[g]):
-            v = blank()
-            v[g - 1] = basis_ket(d[g - 1], 1)
-            v[g] = diff_ket(d[g], 0, i)
-            v[g + 1] = basis_ket(d[g + 1], i)
-            states.append(ProductState(shape, tuple(v), label=f"B_{n + g}[i={i}]"))
+            add(n + g, i, (g - 1, basis_ket(d[g - 1], 1)), (g, diff_ket(d[g], 0, i)), (g + 1, basis_ket(d[g + 1], i)))
     # B_{2n-1}: |m> on party 0 (m = 2 for even i, 1 for odd i), |1> on party n-2,
     # |(i-1)-i> on party n-1
     for i in range(d[n - 2], d[n - 1]):
         m = 2 if i % 2 == 0 else 1
-        v = blank()
-        v[0] = basis_ket(d[0], m)
-        v[n - 2] = basis_ket(d[n - 2], 1)
-        v[n - 1] = diff_ket(d[n - 1], i - 1, i)
-        states.append(ProductState(shape, tuple(v), label=f"B_{2 * n - 1}[i={i}]"))
+        add(2 * n - 1, i, (0, basis_ket(d[0], m)), (n - 2, basis_ket(d[n - 2], 1)), (n - 1, diff_ket(d[n - 1], i - 1, i)))
     # B_{2n}: |0-2> on parties 0 and n-2, |i> on party n-1
     for i in range(d[0], d[n - 1]):
-        v = blank()
-        v[0] = diff_ket(d[0], 0, 2)
-        v[n - 2] = diff_ket(d[n - 2], 0, 2)
-        v[n - 1] = basis_ket(d[n - 1], i)
-        states.append(ProductState(shape, tuple(v), label=f"B_{2 * n}[i={i}]"))
+        add(2 * n, i, (0, diff_ket(d[0], 0, 2)), (n - 2, diff_ket(d[n - 2], 0, 2)), (n - 1, basis_ket(d[n - 1], i)))
     # B_{2n+1}: the stopper
     states.append(stopper(shape))
     return StateSet(shape, tuple(states), provenance=provenance)

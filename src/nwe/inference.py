@@ -196,8 +196,9 @@ def check_certificate(sset: StateSet, cert: Certificate) -> None:
     """Replay `cert` on `sset`: each fact from its cited pair and the earlier
     facts of its party only, then each party's conclusion from its facts.
     The first step that does not follow raises InvariantError, naming the
-    party and the fact, or the index of an entry that is not a fact. The
-    fact records check nothing themselves: this replay is their validator.
+    party and the fact, or the index of an entry that is not a fact or whose
+    party, entry or pair indices are not exact ints. The fact records check
+    nothing themselves: this replay is their validator.
 
     The pair must lie in the party's bucket, and its constraint is rebuilt
     from the two vectors' supports. A zero fact needs a constraint with no
@@ -216,8 +217,17 @@ def check_certificate(sset: StateSet, cert: Certificate) -> None:
     if cert.shape != sset.shape or cert.labels != sset.labels() or len(cert.conclusions) != n:
         raise InvariantError("the certificate is of another state set")
     for k, fact in enumerate(cert.facts):
-        if not isinstance(fact, Fact):
+        if isinstance(fact, ZeroEntryFact):
+            a, b = fact.row, fact.col
+        elif isinstance(fact, DiagonalEqualFact):
+            a, b = fact.a, fact.b
+        else:
             raise InvariantError(f"fact {k}: {fact!r} is not a fact")
+        # exact ints only: a bool, a float or an int subclass could replay but render otherwise
+        pair = fact.pair
+        ints = type(pair) is tuple and len(pair) == 2 and type(pair[0]) is type(pair[1]) is int
+        if not (ints and type(fact.party) is type(a) is type(b) is int):
+            raise InvariantError(f"fact {k}: {fact!r}: the party and entries must be ints, the pair two ints")
     by_party = cert.facts_by_party
     for t in by_party:
         if not 0 <= t < n:

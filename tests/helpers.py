@@ -8,6 +8,7 @@ route in dual checks.
 
 from __future__ import annotations
 
+import importlib.util
 import math
 import os
 import random
@@ -492,3 +493,12 @@ sys.exit(1)
     )
     assert result.returncode == 0, result.stderr
     return result.stdout
+
+
+def load_script(name: str):
+    """scripts/<name>.py as a module, loaded by path."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

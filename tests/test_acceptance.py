@@ -22,7 +22,7 @@ from nwe import (
     render_certificate,
     verify_all,
 )
-from nwe.constructions import EqualDims, GeneralDims, expected_size
+from nwe.constructions import GeneralDims, expected_size
 from nwe.states import ProductState, check_pairwise_orthogonality
 from nwe.verifier import identity_coords
 from nwe.inference import DiagonalEqualFact, ZeroEntryFact
@@ -65,7 +65,7 @@ def test_criterion_1_count_reproduction():
             if kind == "equal":
                 n, d = params
                 assert len(sset) == n * (d - 1) + 1
-                assert len(sset) == expected_size(EqualDims(n, d))
+                assert len(sset) == expected_size(GeneralDims((d,) * n))
             else:
                 dims = params
                 n = len(dims)

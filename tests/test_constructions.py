@@ -1,10 +1,12 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nwe import ConstructionError, gen_equal, gen_general, prior_sizes
 from nwe import constructions
-from nwe.constructions import MAX_COEFFICIENTS, EqualDims, GeneralDims, expected_size
+from nwe.constructions import MAX_COEFFICIENTS, GeneralDims, expected_size
 from nwe.states import basis_ket, check_pairwise_orthogonality
 
 from helpers import local_inner
@@ -59,9 +61,10 @@ class TestFamilySizeBound:
             gen_general((3, 3, 4))
 
     def test_largest_equal_family_at_the_cap_is_allowed(self):
-        # checked without building it: equal(15,64) has 946 states of 960
-        assert expected_size(EqualDims(15, 64)) * 15 * 64 <= MAX_COEFFICIENTS
-        constructions._check_size(EqualDims(15, 64), "equal(15,64)")
+        # checked without building it: equal(15,64) has n(d-1)+1 = 946 states of 960
+        n, d = 15, 64
+        assert (n * (d - 1) + 1) * n * d <= MAX_COEFFICIENTS
+        constructions._check_size(n * (d - 1) + 1, n * d, "equal(15,64)")
 
 
 class TestGenGeneral:
@@ -109,8 +112,9 @@ class TestGenGeneral:
 
 class TestExpectedSize:
     def test_equal_examples(self):
-        assert expected_size(EqualDims(4, 3)) == 9
-        assert expected_size(EqualDims(3, 3)) == 7
+        # the paper's count n(d-1)+1 for n parties of dimension d
+        assert expected_size(GeneralDims((3,) * 4)) == 4 * (3 - 1) + 1 == 9
+        assert expected_size(GeneralDims((3,) * 3)) == 3 * (3 - 1) + 1 == 7
 
     def test_general_examples(self):
         assert expected_size(GeneralDims((3, 3, 3))) == 7
@@ -119,8 +123,15 @@ class TestExpectedSize:
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(3, 8), st.integers(3, 8))
-    def test_general_formula_collapses_to_equal_formula(self, n, d):
-        assert expected_size(GeneralDims((d,) * n)) == expected_size(EqualDims(n, d))
+    def test_equal_family_is_the_general_family_relabelled(self, n, d):
+        equal, general = gen_equal(n, d), gen_general((d,) * n)
+        assert [s.locals for s in equal.states] == [s.locals for s in general.states]
+        # G_g is B_{g+1}, and back; the stopper is S in both
+        g_to_b = [re.sub(r"^G_(\d+)", lambda m: f"B_{int(m[1]) + 1}", label) for label in equal.labels()]
+        b_to_g = [re.sub(r"^B_(\d+)", lambda m: f"G_{int(m[1]) - 1}", label) for label in general.labels()]
+        assert g_to_b == list(general.labels())
+        assert b_to_g == list(equal.labels())
+        assert len(equal) == n * (d - 1) + 1 == expected_size(GeneralDims((d,) * n))
 
 
 @st.composite

@@ -573,6 +573,14 @@ facts[k] = dataclasses.replace(facts[k], rule="UnitPropagation")
     ),
     "fact-of-party-minus-one": (_forged_field("ZeroEntryFact", "party=-1"), "party -1: no such party"),
     "fact-of-party-n": (_forged_field("DiagonalEqualFact", "party=3"), "party 3: no such party"),
+    # indices equal to ints but not ints, which would replay and render otherwise
+    "zero-fact-float-row": (_forged_field("ZeroEntryFact", "row=float(f.row)"), "fact 0: ZeroEntryFact(party=0, row=1.0"),
+    "fact-of-party-false": (_forged_field("ZeroEntryFact", "party=False"), "the party and entries must be ints"),
+    "fact-with-float-pair": (
+        _forged_field("ZeroEntryFact", "pair=(float(f.pair[0]), f.pair[1])"),
+        "the pair two ints",
+    ),
+    "fact-with-pair-of-three": (_forged_field("ZeroEntryFact", "pair=(0, 1, 2)"), "the pair two ints"),
     "non-fact": (
         """
 sset = gen_equal(3, 3)

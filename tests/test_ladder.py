@@ -1,21 +1,12 @@
-import importlib.util
 import json
-from pathlib import Path
 
 from nwe import gen_equal
 
-SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "ladder.py"
-
-
-def load_ladder():
-    spec = importlib.util.spec_from_file_location("ladder", SCRIPT)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from helpers import load_script
 
 
 def test_baseline_ratio():
-    ladder = load_ladder()
+    ladder = load_script("ladder")
     line = {"instance": "x", "pair_table_s": 0.003, "verify_all_s": 0.5, "certificate_s": 0.004, "check_s": 0.001}
     earlier = {"pair_table_s": 0.006, "verify_all_s": 0.25, "certificate_s": 0.008, "check_s": 0.002}
     assert ladder.baseline_ratio(line, earlier) == {
@@ -25,15 +16,15 @@ def test_baseline_ratio():
         "check_s": 0.5,
     }
     # a rung or a stage missing from the baseline, or timed at 0 there, has no ratio
-    assert ladder.baseline_ratio(line, {}) == dict.fromkeys(ladder.COMPARED)
+    assert ladder.baseline_ratio(line, {}) == dict.fromkeys(ladder.STAGES)
     assert ladder.baseline_ratio(line, {**earlier, "pair_table_s": 0.0})["pair_table_s"] is None
     assert ladder.baseline_ratio(line, {"pair_table_s": 0.006, "verify_all_s": 0.25})["certificate_s"] is None
 
 
 def test_baseline_ratios_are_printed_and_not_written(tmp_path, capsys, monkeypatch):
-    ladder = load_ladder()
+    ladder = load_script("ladder")
     monkeypatch.setattr(ladder, "RUNGS", (("equal(3,3)", lambda: gen_equal(3, 3)),))
-    times = dict.fromkeys(ladder.COMPARED, 1.0)
+    times = dict.fromkeys(ladder.STAGES, 1.0)
     earlier = {"stamp": {}, "rungs": [{"instance": "equal(3,3)", **times}]}
     (tmp_path / "before.json").write_text(json.dumps(earlier))
     out = tmp_path / "after.json"
@@ -41,6 +32,6 @@ def test_baseline_ratios_are_printed_and_not_written(tmp_path, capsys, monkeypat
     printed = json.loads(capsys.readouterr().out)
     written = json.loads(out.read_text())["rungs"][0]
     # the baseline times are 1 s, so each ratio is the time itself
-    assert printed["baseline_ratio"] == {stage: round(printed[stage], 2) for stage in ladder.COMPARED}
+    assert printed["baseline_ratio"] == {stage: round(printed[stage], 2) for stage in ladder.STAGES}
     assert "baseline_ratio" not in written
     assert written == {k: v for k, v in printed.items() if k != "baseline_ratio"}
