@@ -24,6 +24,7 @@ from .states import (
     ProductState,
     StateSet,
     SystemShape,
+    _integers,
     basis_ket,
     diff_ket,
     stopper,
@@ -46,7 +47,7 @@ class GeneralDims:
     dims: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
+        object.__setattr__(self, "dims", _integers(self.dims, "dimensions"))
         if len(self.dims) < 3:
             raise ConstructionError(f"general family needs n >= 3 parties, got n={len(self.dims)}")
         for k in range(len(self.dims) - 1):

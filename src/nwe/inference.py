@@ -106,11 +106,17 @@ def _conclusion(t: int, dim: int, known, equal) -> PartyConclusion:
     missing = ()
     if len(known) != dim * (dim - 1):
         missing = tuple((a, b) for a in range(dim) for b in range(a + 1, dim) if a * dim + b not in known)
-    # label[a] is the least index known to share a's diagonal entry
+    # label[a] is the least index known to share a's diagonal entry, and
+    # members[c] lists the indices labelled c; a merge relabels one class
     label = list(range(dim))
+    members = [[a] for a in range(dim)]
     for a, b in equal:
         lo, hi = sorted((label[a], label[b]))
-        label = [lo if x == hi else x for x in label]
+        if lo != hi:
+            for x in members[hi]:
+                label[x] = lo
+            members[lo] += members[hi]
+            members[hi] = []
     # a class's least index is its label and comes first, so classes follow it
     classes: dict[int, list[int]] = {}
     for a, c in enumerate(label):

@@ -2,12 +2,18 @@
 
 Canonical form: UTF-8, keys sorted, two-space indent, LF newlines, single
 trailing newline. Writing the same set twice yields byte-identical files.
+`dumps_canonical` writes containers itself, and its text equals
+json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n" byte
+for byte: json's indent runs its pure-Python encoder, while this writer
+joins each list of strings or of ints in one call over json's C string
+encoder or int.__repr__.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+from json.encoder import encode_basestring as _encode_str
 
 from .states import LocalVector, ProductState, StateSet, SystemShape
 
@@ -93,8 +99,54 @@ def state_set_from_document(doc) -> StateSet:
     return sset
 
 
+_CONSTANTS = {None: "null", True: "true", False: "false"}
+
+
+def _key(key) -> str:
+    if isinstance(key, str):
+        return _encode_str(key)
+    # json writes an int, float, bool or None key as its JSON text, quoted
+    if not isinstance(key, (int, float)) and key is not None:
+        raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+    return _encode_str(json.dumps(key))
+
+
+def _encode(x, indent: str) -> str:
+    """x as json.dumps writes it with sort_keys=True, indent=2 and
+    ensure_ascii=False, its inner lines starting with `indent`."""
+    if isinstance(x, (list, tuple)):
+        if not x:
+            return "[]"
+        inner = indent + "  "
+        sep = ",\n" + inner
+        types = set(map(type, x))
+        if types == {str}:
+            body = sep.join(map(_encode_str, x))
+        elif types == {int}:
+            body = sep.join(map(int.__repr__, x))
+        else:
+            body = sep.join([_encode(v, inner) for v in x])
+        return "[\n" + inner + body + "\n" + indent + "]"
+    if isinstance(x, dict):
+        if not x:
+            return "{}"
+        inner = indent + "  "
+        body = (",\n" + inner).join(
+            [_key(k) + ": " + (_encode_str(v) if type(v) is str else _encode(v, inner)) for k, v in sorted(x.items())]
+        )
+        return "{\n" + inner + body + "\n" + indent + "}"
+    if isinstance(x, str):
+        return _encode_str(x)
+    if type(x) is int:
+        return int.__repr__(x)
+    if x is None or type(x) is bool:
+        return _CONSTANTS[x]
+    return json.dumps(x, ensure_ascii=False)
+
+
 def dumps_canonical(doc) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    """The canonical text of `doc` (see the module docstring)."""
+    return _encode(doc, "") + "\n"
 
 
 def save_state_set(sset: StateSet, path) -> None:

@@ -9,9 +9,10 @@ A party usually has far fewer distinct vectors than the set has states.
 `StateSet.vector_index`, built on first use, lists each party's distinct
 vectors once, with the vector id of every state and each vector's sparse
 support; the pair table, the oracle's rows and the certificate all read
-the supports from it. The pair table takes one inner product per pair of
-distinct vectors that share a coordinate (vectors with disjoint supports
-are orthogonal) and sorts the state pairs with integer bitsets.
+the supports from it. The pair table sums the inner products of distinct
+vectors coordinate by coordinate, so only the entries two vectors share
+are multiplied (vectors with disjoint supports are orthogonal), and sorts
+the state pairs with integer bitsets.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 from operator import index
 from typing import NamedTuple
 
@@ -221,9 +223,11 @@ class PairTable:
 
 def _classify_pairs(sset: StateSet) -> PairTable:
     # zeros[t][i]: the states orthogonal to state i on party t, as a bitset
-    # over state indices. Vectors with disjoint supports are orthogonal, so
-    # only the pairs of distinct vectors that share a coordinate are
-    # multiplied; a vector is never orthogonal to itself.
+    # over state indices. Each vector's inner products with the earlier
+    # ones are summed coordinate by coordinate, from the lists of the
+    # earlier vectors nonzero there, so vectors with disjoint supports
+    # (which are orthogonal) are never multiplied; a vector is never
+    # orthogonal to itself.
     count = len(sset.states)
     every = (1 << count) - 1
     zeros = []
@@ -231,24 +235,17 @@ def _classify_pairs(sset: StateSet) -> PairTable:
         members = [0] * len(coeffs)
         for i, v in enumerate(ids):
             members[v] |= 1 << i
-        at = [0] * dim  # at[a]: the vectors nonzero at coordinate a
-        for v, support in enumerate(supports):
-            for a, _ in support:
-                at[a] |= 1 << v
+        at: list[list] = [[] for _ in range(dim)]  # at[a]: (w, entry a of w) for the earlier vectors w nonzero at a
         meets = members[:]  # meets[v]: the states whose vector is not orthogonal to v
         for v, support in enumerate(supports):
-            near = 0
-            for a, _ in support:
-                near |= at[a]
-            near &= -2 << v  # the later vectors only
-            while near:
-                low = near & -near
-                near ^= low
-                w = low.bit_length() - 1
-                cw = coeffs[w]
-                if sum([c * cw[a] for a, c in support]):
-                    meets[v] |= members[w]
-                    meets[w] |= members[v]
+            dots = [0] * v  # dots[w]: the inner product of v with the earlier vector w
+            for a, c in support:
+                for w, cw in at[a]:
+                    dots[w] += c * cw
+                at[a].append((v, c))
+            for w in compress(range(v), dots):
+                meets[v] |= members[w]
+                meets[w] |= members[v]
         zero = [every & ~m for m in meets]
         zeros.append([zero[v] for v in ids])
     violations, buckets = [], [[] for _ in zeros]

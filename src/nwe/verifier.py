@@ -19,8 +19,9 @@ Each block is first peeled on its integer rows, as in the paper's Lemma 1:
 a row with one nonzero entry forces that coordinate to zero, so the column
 is deleted from every other row, and this repeats until no row has one
 entry (at most three passes on the built-in families). A pair of basis kets
-gives such a row, so most rows of a family are peeled and only the rest,
-the core, is eliminated. This is exact: each zeroed coordinate's unit
+|a>, |b> gives such a row in each block; `assemble` builds these ket rows
+directly, with no product loop, and they are the rows the peel consumes:
+most rows of a family, so that only the rest, the core, is eliminated. This is exact: each zeroed coordinate's unit
 vector e_c lies in the row space, so the block's unique RREF has e_c as the
 row of pivot c, and every row the peel consumed lies in the span of the
 e_c. The block's RREF is therefore the core's plus one pivot with an empty
@@ -135,17 +136,15 @@ class HermitianMatrix:
         return len(self.real)
 
     def is_identity_multiple(self) -> bool:
-        d = self.dim
         lead = self.real[0][0]
-        for a in range(d):
-            for b in range(d):
-                if self.imag[a][b] != 0:
-                    return False
-                if a == b:
-                    if self.real[a][a] != lead:
-                        return False
-                elif self.real[a][b] != 0:
-                    return False
+        for a, (re_row, im_row) in enumerate(zip(self.real, self.imag)):
+            if re_row[a] != lead:
+                return False
+            # _ZERO fills a sparse witness and takes no Fraction call
+            if any(x is not _ZERO and x for x in im_row):
+                return False
+            if any(x is not _ZERO and x and b != a for b, x in enumerate(re_row)):
+                return False
         return True
 
     def entry_strings(self) -> list[list[str]]:
@@ -194,10 +193,15 @@ def _coordinate_tables(dim: int) -> tuple[tuple[tuple[int, ...], ...], tuple[tup
 def _pair_rows(u, v, dim: int) -> tuple[dict, dict]:
     """The S-block and A-block rows of u^T E v = 0, as {coordinate: coefficient};
     u and v are given as the (index, coefficient) pairs of their nonzero entries."""
+    sym, anti = _coordinate_tables(dim)
+    if len(u) == 1 == len(v) and u[0][0] != v[0][0]:
+        # two kets |a>, |b>, a != b: one entry per block (a == b fails the trace check below)
+        (a, ua), (b, vb) = u[0], v[0]
+        w = ua * vb
+        return {sym[a][b]: w}, {anti[a][b]: w if a < b else -w}
     srow: dict[int, int] = {}
     arow: dict[int, int] = {}
     trace = 0
-    sym, anti = _coordinate_tables(dim)
     for a, ua in u:
         sym_a, anti_a = sym[a], anti[a]
         for b, vb in v:
@@ -377,7 +381,7 @@ def _eliminate(rows, full: int, keep=frozenset()) -> tuple[dict[int, dict], int]
         lifted = _lift(core, pivots, modulus)
         if lifted is not None:
             pivots, den = lifted
-            pivots.update((c, {}) for c in zeroed)
+            pivots.update({c: {} for c in zeroed})
             return pivots, den
     raise InvariantError(f"no Mersenne prime up to 2^{MERSENNE_EXPONENTS[-1]} - 1 lifts a core of {len(core)} rows")
 

@@ -50,6 +50,12 @@ class TestGenerate:
         assert code == 2
         assert "nondecreasing" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("dims", ["3.7,4,4", "3.0,4,4"])
+    def test_non_integer_dims_exit_2(self, capsys, dims):
+        assert main(["generate", "--dims", dims]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+
     def test_equal_out_of_range_exit_2(self, capsys):
         code = main(["generate", "--equal", "--parties", "2", "--dim", "3"])
         assert code == 2

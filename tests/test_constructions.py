@@ -1,10 +1,11 @@
 import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nwe import ConstructionError, gen_equal, gen_general, prior_sizes
+from nwe import ConstructionError, DimensionError, gen_equal, gen_general, prior_sizes
 from nwe import constructions
 from nwe.constructions import MAX_COEFFICIENTS, GeneralDims, expected_size
 from nwe.states import basis_ket, check_pairwise_orthogonality
@@ -95,6 +96,15 @@ class TestGenGeneral:
     def test_rejects_out_of_range(self, dims, fragment):
         with pytest.raises(ConstructionError, match=fragment):
             gen_general(dims)
+
+    @pytest.mark.parametrize("bad", [3.7, 3.0, Fraction(3)], ids=repr)
+    @pytest.mark.parametrize("position", [0, 2])
+    def test_rejects_non_integer_dimensions(self, bad, position):
+        # a dimension is never truncated: (3.7, 4, 4) is not general(3,4,4)
+        dims = [3, 4, 4]
+        dims[position] = bad
+        with pytest.raises(DimensionError, match=re.escape(f"dimensions must be integers, got {bad!r}")):
+            gen_general(tuple(dims))
 
     def test_parity_rule_keeps_neighbors_orthogonal(self):
         # (3,3,6) has three members in the B_5 group (i = 3, 4, 5)

@@ -3,6 +3,8 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nwe import (
     NonOrthogonalSetError,
@@ -15,11 +17,12 @@ from nwe import (
     render_certificate,
     verify_all,
 )
-from nwe.inference import DiagonalEqualFact, PartyConclusion, ZeroEntryFact, check_certificate
+from nwe.inference import DiagonalEqualFact, PartyConclusion, ZeroEntryFact, _conclusion, check_certificate
 from nwe.states import LocalVector, ProductState, SystemShape, basis_ket, diff_ket, flat_ket
 from nwe.verifier import InvariantError, anti_index, sym_index
 
 from helpers import (
+    _reference_conclusion,
     computational_basis_set,
     invariant_error_under_python_O,
     reference_certificate,
@@ -605,3 +608,36 @@ from nwe.inference import DiagonalEqualFact, ZeroEntryFact, check_certificate
         + "check_certificate(sset, dataclasses.replace(cert, facts=tuple(facts)))\n"
     )
     assert expected in message
+
+
+@st.composite
+def conclusion_inputs(draw):
+    """A dimension, a set of off-diagonal entries known zero and a list of
+    diagonal equalities in any order: random pairs (a == b included) and,
+    sometimes, a chain through a random ordering of the indices."""
+    dim = draw(st.integers(1, 9))
+    entries = [(a, b) for a in range(dim) for b in range(a + 1, dim)]
+    known = draw(st.sets(st.sampled_from(entries))) if entries else set()
+    index = st.integers(0, dim - 1)
+    equal = draw(st.lists(st.tuples(index, index), max_size=2 * dim))
+    if draw(st.booleans()):
+        chain = draw(st.permutations(range(dim)))[: draw(st.integers(0, dim))]
+        equal += zip(chain, chain[1:])
+    return dim, known, draw(st.permutations(equal))
+
+
+class TestConclusion:
+    @settings(max_examples=400, deadline=None)
+    @given(conclusion_inputs())
+    def test_equals_the_relabelling_reference(self, case):
+        # _conclusion relabels only the members of the class merged away;
+        # the reference rewrites every label for each equality
+        dim, known, equal = case
+        keys = {a * dim + b for a, b in known} | {b * dim + a for a, b in known}
+        assert _conclusion(2, dim, keys, equal) == _reference_conclusion(2, dim, known, equal)
+
+    def test_a_chain_merged_from_the_top(self):
+        equal = [(3, 4), (2, 3), (1, 2), (0, 1)]
+        known = {a * 5 + b for a in range(5) for b in range(5) if a != b}
+        assert _conclusion(0, 5, known, equal) == PartyConclusion(0, True, (), ((0, 1, 2, 3, 4),))
+        assert _conclusion(0, 5, known, equal[:2]) == PartyConclusion(0, False, (), ((0,), (1,), (2, 3, 4)))

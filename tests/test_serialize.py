@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nwe import DocumentError, gen_equal, gen_general, load_state_set, save_state_set
 from nwe.serialize import dumps_canonical, state_set_from_document, state_set_to_document
@@ -136,3 +138,71 @@ class TestSharedVectors:
         )
         with pytest.raises(DocumentError, match=r"states\[1\].locals\[0\]: expected an array of integers"):
             state_set_from_document(doc)
+
+
+class SubDict(dict):
+    pass
+
+
+class SubList(list):
+    pass
+
+
+def as_json(doc) -> str:
+    return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+
+
+SCALARS = st.one_of(
+    st.text(),
+    st.text(st.characters(max_codepoint=0x1F)),  # control characters only
+    st.text("é→🙂\"\\"),
+    st.integers(),
+    st.integers(min_value=2**64, max_value=2**200).flatmap(lambda x: st.sampled_from([x, -x])),
+    st.booleans(),
+    st.none(),
+    st.floats(),
+)
+
+DOCUMENTS = st.recursive(
+    SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.lists(inner, max_size=4).map(SubList),
+        st.lists(st.text(), max_size=4),  # the string and int fast paths
+        st.lists(st.integers(), max_size=4).map(tuple),
+        st.dictionaries(st.text(), inner, max_size=4),
+        st.dictionaries(st.text(), inner, max_size=4).map(SubDict),
+    ),
+    max_leaves=30,
+)
+
+
+class TestCanonicalWriter:
+    """dumps_canonical writes containers itself and must give json.dumps's
+    sorted, indent-2, non-ASCII text byte for byte."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(DOCUMENTS)
+    def test_equals_json_dumps(self, doc):
+        assert dumps_canonical(doc) == as_json(doc)
+
+    @pytest.mark.parametrize(
+        "doc",
+        [[], {}, (), [[], {}, ()], {"b": [1, True, None], "a": ["x", "\u2028", "\x00"]}, {1: "a", 2: [1.5]}, {None: 0}, {True: 0, 2.5: 1}],
+        ids=repr,
+    )
+    def test_edge_documents(self, doc):
+        assert dumps_canonical(doc) == as_json(doc)
+
+    def test_report_documents(self):
+        sset = gen_general((3, 3, 4))
+        for doc in (state_set_to_document(sset), {"witness": [["0", "-1/2+1/3i"], ["-1/2-1/3i", "3"]], "party": 0}):
+            assert dumps_canonical(doc) == as_json(doc)
+
+    def test_unwritable_keys_and_values_raise_as_json_does(self):
+        for doc in ({(1, 2): 0}, {"a": object()}):
+            with pytest.raises(TypeError):
+                as_json(doc)
+            with pytest.raises(TypeError):
+                dumps_canonical(doc)

@@ -28,6 +28,7 @@ from nwe.verifier import (
     _coordinate_tables,
     _eliminate,
     _gauss_jordan,
+    _pair_rows,
     _peel,
     anti_index,
     certified_nonlocal,
@@ -43,6 +44,7 @@ from helpers import (
     big_basis_set,
     computational_basis_set,
     coords_to_matrix,
+    dense_constraint_rows,
     dense_rref,
     invariant_error_under_python_O,
     matrix_to_coords,
@@ -53,6 +55,8 @@ from helpers import (
     reference_verdicts,
     rotated,
     scaled_vector,
+    scrambled,
+    unshared_index,
     without_stopper,
 )
 
@@ -131,6 +135,37 @@ class TestAssemble:
         )
         with pytest.raises(NonOrthogonalSetError):
             assemble(sset, 0)
+
+    def test_ket_pair_rows(self):
+        # two kets |a>, |b>, a != b, give one S entry and one A entry, whose
+        # sign follows the order of a and b
+        sym, anti = _coordinate_tables(4)
+        assert _pair_rows(((0, 2),), ((3, -1),), 4) == ({sym[0][3]: -2}, {anti[0][3]: -2})
+        assert _pair_rows(((3, 2),), ((0, -1),), 4) == ({sym[0][3]: -2}, {anti[0][3]: 2})
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda rng: scrambled(gen_equal(3, 4), rng),
+            lambda rng: scrambled(gen_general((3, 4, 5)), rng, reduce=True),
+            lambda rng: scrambled(gen_equal(4, 3), rng, reduce=True),
+            lambda rng: rotated(gen_equal(3, 4), rng, range(3)),
+            lambda rng: without_stopper(rotated(gen_general((3, 3, 4)), rng, (0, 2))),
+            lambda rng: unshared_index(scrambled(gen_general((3, 3, 4)), rng, reduce=True)),
+        ],
+        ids=["scrambled", "reduced", "reduced-4-parties", "rotated", "rotated-no-stopper", "unshared-index"],
+    )
+    @pytest.mark.parametrize("seed", range(3))
+    def test_rows_equal_the_dense_rows(self, build, seed):
+        # the ket rows are built directly, every other row by the product
+        # loop; both must be the rows the dense expansion of each pair gives
+        sset = build(random.Random(seed))
+        for t in range(sset.shape.n):
+            system = assemble(sset, t)
+            nsym = system.dim * (system.dim + 1) // 2
+            dense = [tuple(row) for row in dense_constraint_rows(sset, t)]
+            assert system.rows == tuple([r for r in dense if any(r[:nsym])] + [r for r in dense if any(r[nsym:])])
+            assert all(all(row.values()) for row in system.sym + system.anti)
 
     def test_identity_satisfies_every_row(self):
         for sset in (gen_equal(3, 4), gen_general((3, 4, 5)), computational_basis_set((2, 3))):
@@ -486,6 +521,29 @@ class TestWitnessStrings:
         assert got == reference_verdicts(sset)
         assert any(status == "Nontrivial" for status, _, _ in got)
 
+    @pytest.mark.parametrize("dim", [4, 6, 8])
+    def test_rotated_no_stopper_witnesses_match_dense_elimination(self, dim):
+        # the ladder's rotated rungs without their stopper (equal(3,8) is
+        # one): dense vectors on every party, so no row is a ket row
+        sset = without_stopper(rotated(gen_equal(3, dim), random.Random(2022 + dim), range(3)))
+        got = outcomes(verify_all(sset))
+        assert got == reference_verdicts(sset)
+        assert all(status == "Nontrivial" for status, _, _ in got)
+
+    def test_identity_multiple_reads_only_nonzero_entries(self):
+        zero, two = Fraction(0), Fraction(2)
+        scalar = nwe.verifier.HermitianMatrix(((two, zero), (zero, two)), ((zero, zero), (zero, zero)))
+        assert scalar.is_identity_multiple()
+        # entries given as plain ints, not the shared zero, are compared too
+        assert nwe.verifier.HermitianMatrix(((0, 0), (0, 0)), ((0, 0), (0, 0))).is_identity_multiple()
+        for real, imag in [
+            (((two, zero), (zero, Fraction(3))), ((zero, zero), (zero, zero))),
+            (((two, Fraction(1)), (Fraction(1), two)), ((zero, zero), (zero, zero))),
+            (((two, zero), (zero, two)), ((zero, Fraction(1)), (Fraction(-1), zero))),
+            (((zero, zero), (zero, two)), ((zero, zero), (zero, zero))),
+        ]:
+            assert not nwe.verifier.HermitianMatrix(real, imag).is_identity_multiple()
+
     def test_entry_strings(self):
         half, third = Fraction(1, 2), Fraction(1, 3)
         matrix = nwe.verifier.HermitianMatrix(
@@ -651,6 +709,15 @@ sset = gen_equal(3, 3)
 buckets = sset.pair_table.buckets
 sset.__dict__["pair_table"] = PairTable((), (buckets[1],) + buckets[1:])
 verify_all(sset)
+""")
+    assert "does not annihilate the identity" in message
+
+
+def test_ket_pair_on_one_index_raises_under_python_O():
+    # |2> and 3|2> are not orthogonal: their row would not annihilate the identity
+    message = invariant_error_under_python_O("""
+from nwe.verifier import _pair_rows
+_pair_rows(((2, 1),), ((2, 3),), 4)
 """)
     assert "does not annihilate the identity" in message
 
