@@ -4,8 +4,8 @@ Exit codes: 0 = certified nonlocal, 1 = not certified (a nontrivial
 orthogonality-preserving measurement exists, or the rule engine alone could
 not complete), 2 = parameter error (an `--out` path that cannot be written
 included), 3 = invalid input set (even when its report cannot be written),
-or no verdict because an invariant of the oracle failed (for instance,
-coefficients too large for every listed prime); no report is written then.
+or no verdict because an internal check failed (for instance, a rule-engine
+certificate that does not replay); no report is written then.
 """
 
 from __future__ import annotations

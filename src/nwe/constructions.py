@@ -163,7 +163,7 @@ def prior_sizes(dims: tuple[int, ...] | list[int]) -> SizeReport:
     2(d_1 + d_3) - 3 (three parties only); zhang = 2 d_2 - 1 (two parties
     only); ours = the general-family count when its hypotheses hold.
     """
-    d = tuple(int(x) for x in dims)
+    d = _integers(dims, "dimensions")
     if len(d) < 2:
         raise ConstructionError(f"size comparison needs at least 2 dimensions, got {len(d)}")
     for k, dk in enumerate(d):

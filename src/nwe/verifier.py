@@ -29,23 +29,14 @@ tail per zeroed column, and its rank is the core's plus their number. A
 diagonal coordinate of S is never zeroed, since the identity satisfies
 every row; if one is, InvariantError is raised.
 
-The core is eliminated modulo a prime p, stopping once the full rank (less
-the zeroed columns) is reached. Rank modulo p never exceeds rank over the
-rationals, so full rank modulo p on both blocks proves Trivial exactly.
-
-A core short of full rank modulo p has its reduced row echelon form (RREF)
-modulo p lifted to the rationals: each entry is rebuilt by rational
-reconstruction, with numerator and denominator at most sqrt(p/2), and the
-result is kept only if an exact integer check shows that every core row
-lies in the span of the lifted rows. That span check gives
-rank_Q <= rank_p, so the two ranks are equal and the lifted rows span the
-core's rational span; being in reduced form, they are its unique rational
-RREF. The check is sound for any prime; an unlucky or too small prime only
-makes it fail. There is one path: the core is tried modulo the Mersenne
-primes 2^61 - 1, 2^127 - 1, 2^521 - 1, ... in turn, until it reaches full
-rank or its lift passes the check. A prime above twice the square of the
-core's Hadamard bound always lifts; if no listed prime does, InvariantError
-is raised.
+The core is eliminated modulo the prime p = 2^61 - 1, stopping once the
+full rank (less the zeroed columns) is reached. Rank modulo p never exceeds
+rank over the rationals, so full rank modulo p on both blocks proves Trivial
+exactly. A core short of full rank modulo p, or with fewer rows than that
+rank, is eliminated over the integers by a fraction-free Gauss-Jordan. Its
+result is the core's unique reduced row echelon form (RREF) over the
+rationals, each pivot row kept as the primitive integer multiple of its
+RREF row: exact by construction, for coefficients of any size.
 
 The RREF gives the nullspace dimension and a basis: one sparse vector per
 free column, read off the RREF's entries in that column. Every S column
@@ -175,9 +166,8 @@ class TrivialityVerdict:
         return self.status == STATUS_TRIVIAL
 
 
-# exponents e of Mersenne primes 2^e - 1, each at least about twice the last
-MERSENNE_EXPONENTS = (61, 127, 521, 1279, 2281, 4423, 9941, 19937, 44497, 86243, 216091)
-MODULUS = 2 ** MERSENNE_EXPONENTS[0] - 1
+# the Mersenne prime of the rank test
+MODULUS = 2**61 - 1
 
 
 @functools.cache
@@ -248,43 +238,101 @@ def assemble(sset: StateSet, t: int) -> MeasurementConstraintSystem:
 _assemble = assemble
 
 
-def _subtract(row: dict, f, other: dict, modulus: int) -> None:
-    """row -= f * other modulo `modulus` in place, dropping the entries that become zero."""
+def _subtract(row: dict, f, other: dict) -> None:
+    """row -= f * other modulo MODULUS in place, dropping the entries that become zero."""
     for k, x in other.items():
-        y = (row.get(k, 0) - f * x) % modulus
+        y = (row.get(k, 0) - f * x) % MODULUS
         if y:
             row[k] = y
         else:
             del row[k]
 
 
-def _gauss_jordan(rows, modulus: int, target: int | None = None) -> dict[int, dict]:
-    """Reduced row echelon form of sparse integer rows modulo the prime
-    `modulus`, pivoting on the first nonzero column.
+def _gauss_jordan(rows, target: int | None = None) -> dict[int, dict]:
+    """Reduced row echelon form of sparse integer rows modulo MODULUS,
+    pivoting on the first nonzero column.
 
     Returns {pivot column: the rest of its row}: each pivot entry is 1 and
     left out, and no row has an entry in another row's pivot column, so the
-    result is the unique RREF of the rows' span modulo `modulus`. Stops once
+    result is the unique RREF of the rows' span modulo MODULUS. Stops once
     `target` pivots are found.
     """
     pivots: dict[int, dict] = {}
     for row in rows:
         if len(pivots) == target:
             break
-        r = {k: x % modulus for k, x in row.items() if x % modulus}
+        r = {k: x % MODULUS for k, x in row.items() if x % MODULUS}
         for c in [c for c in r if c in pivots]:
-            _subtract(r, r.pop(c), pivots[c], modulus)
+            _subtract(r, r.pop(c), pivots[c])
         if not r:
             continue
         pc = min(r)
-        inv = pow(r.pop(pc), -1, modulus)
-        tail = {k: x * inv % modulus for k, x in r.items()}
+        inv = pow(r.pop(pc), -1, MODULUS)
+        tail = {k: x * inv % MODULUS for k, x in r.items()}
         for other in pivots.values():
             f = other.pop(pc, 0)
             if f:
-                _subtract(other, f, tail, modulus)
+                _subtract(other, f, tail)
         pivots[pc] = tail
     return pivots
+
+
+def _subtract_exact(row: dict, f: int, other: dict) -> None:
+    """row -= f * other over the integers in place, dropping the entries that become zero."""
+    for k, x in other.items():
+        y = row.get(k, 0) - f * x
+        if y:
+            row[k] = y
+        else:
+            del row[k]
+
+
+def _exact_rref(rows) -> tuple[dict[int, dict], int]:
+    """The rational RREF of sparse integer rows, pivoting on the first
+    nonzero column, as integer tails over one common denominator `den`:
+    row pc of the RREF is e_pc + tails[pc] / den.
+
+    A fraction-free Gauss-Jordan: each pivot row is kept as lead * e_pc +
+    tail, the primitive integer multiple of its RREF row with lead > 0, so
+    the kept rows stay as small as the RREF's own fractions allow; `den` is
+    the lcm of the leads. Rows are {column: nonzero integer}.
+    """
+    leads: dict[int, int] = {}
+    tails: dict[int, dict] = {}
+    for row in rows:
+        hit = [c for c in row if c in tails]
+        # scale * (row minus its components along the pivot rows it meets)
+        scale = math.lcm(*(leads[c] for c in hit))
+        r = {k: scale * x for k, x in row.items() if k not in tails}
+        for c in hit:
+            _subtract_exact(r, row[c] * (scale // leads[c]), tails[c])
+        if not r:
+            continue
+        pc = min(r)
+        g = math.gcd(*r.values())
+        if r[pc] < 0:
+            g = -g
+        lead = r.pop(pc) // g
+        tail = {k: x // g for k, x in r.items()}
+        for c, other in tails.items():
+            f = other.pop(pc, 0)
+            if f:
+                # a * (leads[c] e_c + other) - b * (lead e_pc + tail), made primitive
+                g = math.gcd(lead, f)
+                a, b = lead // g, f // g
+                for k in other:
+                    other[k] *= a
+                _subtract_exact(other, b, tail)
+                lead_c = a * leads[c]
+                g = math.gcd(lead_c, *other.values())
+                leads[c] = lead_c // g
+                if g != 1:
+                    for k in other:
+                        other[k] //= g
+        leads[pc] = lead
+        tails[pc] = tail
+    den = math.lcm(*leads.values())
+    return {pc: {k: x * (den // leads[pc]) for k, x in tail.items()} for pc, tail in tails.items()}, den
 
 
 def _peel(rows, keep=frozenset()) -> tuple[set[int], list[dict]]:
@@ -312,78 +360,24 @@ def _peel(rows, keep=frozenset()) -> tuple[set[int], list[dict]]:
         core = [row for row in core if row]
 
 
-def reconstruct(x: int, modulus: int = MODULUS) -> tuple[int, int] | None:
-    """(n, d) with n = x*d mod p, gcd(n, d) = 1, |n| <= B and 0 < d <= B
-    for B = isqrt(p // 2), or None if no such fraction exists.
-
-    Two such fractions n/d and n'/d' would give p | nd' - n'd, whose size
-    is below 2 * B^2 < p, so the fraction is unique.
-    """
-    bound = math.isqrt(modulus // 2)
-    r0, r1 = modulus, x % modulus
-    s0, s1 = 0, 1
-    # invariant: r = s * x (mod p) for both (r0, s0) and (r1, s1)
-    while r1 > bound:
-        q = r0 // r1
-        r0, r1 = r1, r0 - q * r1
-        s0, s1 = s1, s0 - q * s1
-    if not 0 < abs(s1) <= bound or math.gcd(r1, s1) != 1:
-        return None
-    return (r1, s1) if s1 > 0 else (-r1, -s1)
-
-
-def _lift(rows, pivots: dict[int, dict], modulus: int) -> tuple[dict[int, dict], int] | None:
-    """The rational RREF whose residues modulo `modulus` are `pivots`, as
-    integer tails over one common denominator, or None if an entry does not
-    reconstruct or some row of `rows` is not in the span of the lifted rows.
-    """
-    lifted = {pc: {k: reconstruct(x, modulus) for k, x in tail.items()} for pc, tail in pivots.items()}
-    if any(None in tail.values() for tail in lifted.values()):
-        return None
-    den = math.lcm(*(d for tail in lifted.values() for _, d in tail.values()))
-    tails = {pc: {k: n * (den // d) for k, (n, d) in tail.items()} for pc, tail in lifted.items()}
-    for row in rows:
-        # the row is in the span iff den * row is the sum, over its pivot
-        # columns pc, of row[pc] * (den at pc plus tails[pc]); that sum has
-        # den * row[pc] at each pivot column, so only the others are compared
-        rest = {k: den * x for k, x in row.items() if k not in tails}
-        for pc, c in row.items():
-            tail = tails.get(pc)
-            if tail:
-                for k, x in tail.items():
-                    rest[k] = rest.get(k, 0) - c * x
-        if any(rest.values()):
-            return None
-    return tails, den
-
-
 def _eliminate(rows, full: int, keep=frozenset()) -> tuple[dict[int, dict], int] | None:
     """The exact RREF of integer rows whose rational rank is at most `full`,
     as integer tails over one common denominator, or None if the rank is
     proven to be `full`.
 
-    The rows are peeled first. The core is then eliminated modulo each
-    Mersenne prime 2^e - 1 of MERSENNE_EXPONENTS in turn, until it reaches
-    full rank (less the zeroed columns) or its RREF lifts and passes the span
-    check. Every RREF entry is a ratio of two minors of the core, both at
-    most its Hadamard bound H, and no nonzero minor vanishes modulo a prime
-    above H; so a prime above 2H^2 always lifts. If none of the primes does,
-    InvariantError is raised.
+    The rows are peeled first. The core is then eliminated modulo MODULUS
+    until it reaches full rank (less the zeroed columns); rank modulo a
+    prime never exceeds rank over the rationals, so that proves the rank.
+    A core short of it, or with fewer rows than that rank, is eliminated
+    exactly by `_exact_rref`.
     """
     zeroed, core = _peel(rows, keep)
     target = full - len(zeroed)
-    for exponent in MERSENNE_EXPONENTS:
-        modulus = 2**exponent - 1
-        pivots = _gauss_jordan(core, modulus, target)
-        if len(pivots) == target:
-            # rank mod p <= rank over Q <= full
-            return None
-        lifted = _lift(core, pivots, modulus)
-        if lifted is not None:
-            pivots, den = lifted
-            pivots.update({c: {} for c in zeroed})
-            return pivots, den
-    raise InvariantError(f"no Mersenne prime up to 2^{MERSENNE_EXPONENTS[-1]} - 1 lifts a core of {len(core)} rows")
+    if len(core) >= target and len(_gauss_jordan(core, target)) == target:
+        return None
+    pivots, den = _exact_rref(core)
+    pivots.update({c: {} for c in zeroed})
+    return pivots, den
 
 
 def _free_vectors(pivots: dict[int, dict], den: int, columns):

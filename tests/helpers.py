@@ -39,11 +39,7 @@ from nwe.states import (
     basis_ket,
     find_stopper,
 )
-from nwe.verifier import MODULUS, HermitianMatrix, anti_index, sym_index
-
-# the bound on the numerator and denominator of a fraction lifted from its
-# residue modulo the oracle's first prime
-LIFT_BOUND = math.isqrt(MODULUS // 2)
+from nwe.verifier import HermitianMatrix, anti_index, sym_index
 
 
 def coords_to_matrix(vec, dim: int) -> HermitianMatrix:

@@ -216,6 +216,12 @@ class TestPriorSizes:
         with pytest.raises(ConstructionError):
             prior_sizes((3,))
 
+    @pytest.mark.parametrize("bad", [3.7, 3.0], ids=repr)
+    def test_non_integer_dimension_raises(self, bad):
+        # a dimension is never truncated: (3.7, 4, 4) is not general(3,4,4)
+        with pytest.raises(DimensionError, match=re.escape(f"dimensions must be integers, got {bad!r}")):
+            prior_sizes((bad, 4, 4))
+
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.integers(2, 9), min_size=2, max_size=5))
     def test_all_reported_entries_positive(self, dims):

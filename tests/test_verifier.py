@@ -1,10 +1,9 @@
 import dataclasses
-import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nwe.verifier
@@ -21,26 +20,24 @@ from nwe import (
 )
 from nwe.states import LocalVector, ProductState, SystemShape, basis_ket
 from nwe.verifier import (
-    MERSENNE_EXPONENTS,
     MODULUS,
     InvariantError,
     MeasurementConstraintSystem,
     _coordinate_tables,
     _eliminate,
+    _exact_rref,
     _gauss_jordan,
     _pair_rows,
     _peel,
     anti_index,
     certified_nonlocal,
     identity_coords,
-    reconstruct,
     sym_index,
     verdict,
 )
 
 from helpers import (
     CZERO,
-    LIFT_BOUND,
     big_basis_set,
     computational_basis_set,
     coords_to_matrix,
@@ -463,16 +460,16 @@ class TestAgainstDenseReference:
         assert outcomes(verify_all(sset)) == reference_verdicts(sset)
 
 
-def moduli_used(monkeypatch) -> list:
-    """Records the modulus of each block elimination, in call order."""
+def exact_runs(monkeypatch) -> list:
+    """Records the number of core rows of each exact elimination, in call order."""
     calls = []
-    original = nwe.verifier._gauss_jordan
+    original = nwe.verifier._exact_rref
 
-    def spy(rows, modulus, target=None):
-        calls.append(modulus)
-        return original(rows, modulus, target)
+    def spy(rows):
+        calls.append(len(rows))
+        return original(rows)
 
-    monkeypatch.setattr(nwe.verifier, "_gauss_jordan", spy)
+    monkeypatch.setattr(nwe.verifier, "_exact_rref", spy)
     return calls
 
 
@@ -487,20 +484,39 @@ def scale_local(sset, idx, party, factor):
 
 class TestModularRank:
     def test_full_rank_mod_p_needs_no_exact_elimination(self, monkeypatch):
-        calls = moduli_used(monkeypatch)
+        calls = exact_runs(monkeypatch)
         assert all(v.trivial for v in verify_all(gen_general((3, 3, 4))))
-        assert set(calls) == {MODULUS}
+        assert calls == []
 
     @pytest.mark.parametrize("party", [0, 1, 2])
     def test_rank_drop_mod_p_falls_back_to_exact(self, monkeypatch, party):
         # the stopper's rows on this party vanish mod p, so rank_S drops mod p
-        # while the rational rank, and so the verdict, is unchanged; the next
-        # prime of the ladder recovers it
+        # while the rational rank, and so the verdict, is unchanged; the
+        # exact elimination recovers it
         sset = gen_equal(3, 3)
         scaled = scale_local(sset, len(sset) - 1, party, MODULUS)
-        calls = moduli_used(monkeypatch)
-        assert outcomes(verify_all(scaled)) == outcomes(verify_all(sset))
-        assert max(calls) > MODULUS, "no prime after 2^61 - 1 ran"
+        calls = exact_runs(monkeypatch)
+        got = outcomes(verify_all(scaled))
+        assert calls, "the exact elimination did not run"
+        assert got == outcomes(verify_all(sset)) == reference_verdicts(scaled)
+
+    def test_core_with_fewer_rows_than_its_rank_skips_the_modular_pass(self, monkeypatch):
+        # each party's S-block core has 6 rows for a target rank of 9, so it
+        # goes straight to the exact elimination; each A-block core has 6
+        # rows for 6 and reaches full rank modulo p
+        sset = without_stopper(rotated(gen_equal(3, 4), random.Random(2026), range(3)))
+        targets = []
+        original = nwe.verifier._gauss_jordan
+
+        def spy(rows, target=None):
+            targets.append(target)
+            return original(rows, target)
+
+        monkeypatch.setattr(nwe.verifier, "_gauss_jordan", spy)
+        calls = exact_runs(monkeypatch)
+        got = outcomes(verify_all(sset))
+        assert targets == [6, 6, 6] and calls == [6, 6, 6]
+        assert got == reference_verdicts(sset)
 
     def test_scaled_nontrivial_set_keeps_its_witness(self):
         sset = without_stopper(gen_general((3, 3, 4)))
@@ -562,62 +578,57 @@ class TestWitnessStrings:
         assert any(status == "Nontrivial" for status, _, _ in got)
 
 
-def residue(q: Fraction) -> int:
-    return q.numerator * pow(q.denominator, -1, MODULUS) % MODULUS
+@st.composite
+def integer_rows(draw):
+    """Sparse integer rows over a few columns, with coefficients beyond 2^64:
+    random rows, integer combinations of them (which make the set rank
+    deficient), duplicates and empty rows, in shuffled order."""
+    ncols = draw(st.integers(1, 8))
+    coef = st.one_of(st.integers(-3, 3), st.integers(-(2**80), 2**80)).filter(bool)
+    base = draw(st.lists(st.dictionaries(st.integers(0, ncols - 1), coef, min_size=1), max_size=4))
+    rows = list(base)
+    for _ in range(draw(st.integers(0, 4))):
+        combo: dict[int, int] = {}
+        for row in base:
+            m = draw(st.integers(-3, 3))
+            for k, x in row.items():
+                combo[k] = combo.get(k, 0) + m * x
+        rows.append({k: x for k, x in combo.items() if x})
+    if rows:
+        rows += [dict(row) for row in draw(st.lists(st.sampled_from(rows), max_size=2))]
+    rows += [{} for _ in range(draw(st.integers(0, 2)))]
+    return ncols, draw(st.permutations(rows))
 
 
-class TestLift:
+class TestExactElimination:
     @settings(max_examples=300, deadline=None)
-    @given(st.integers(-LIFT_BOUND, LIFT_BOUND), st.integers(1, LIFT_BOUND))
-    def test_reconstruction_recovers_fractions_inside_the_bound(self, n, d):
-        q = Fraction(n, d)
-        assert reconstruct(residue(q)) == (q.numerator, q.denominator)
+    @given(integer_rows())
+    def test_exact_rref_equals_the_dense_rref(self, case):
+        ncols, rows = case
+        pivots, den = _exact_rref(rows)
+        assert den > 0
+        assert {pc: {k: Fraction(x, den) for k, x in tail.items()} for pc, tail in pivots.items()} == exact_rref(
+            rows, ncols
+        )
 
-    @settings(max_examples=300, deadline=None)
-    @given(st.integers(-(LIFT_BOUND**2), LIFT_BOUND**2), st.integers(1, LIFT_BOUND**2))
-    def test_reconstruction_rejects_fractions_outside_the_bound(self, n, d):
-        q = Fraction(n, d)
-        assume(abs(q.numerator) > LIFT_BOUND or q.denominator > LIFT_BOUND)
-        got = reconstruct(residue(q))
-        assert got != (q.numerator, q.denominator)
-        if got is not None:
-            # another fraction with the same residue, inside the bound
-            num, den = got
-            assert abs(num) <= LIFT_BOUND and 0 < den <= LIFT_BOUND and math.gcd(num, den) == 1
-            assert residue(Fraction(num, den)) == residue(q)
-
-    @pytest.mark.parametrize(
-        "q", [Fraction(LIFT_BOUND + 1), Fraction(-LIFT_BOUND - 1), Fraction(1, LIFT_BOUND + 1)]
-    )
-    def test_just_outside_the_bound_is_rejected(self, q):
-        assert reconstruct(residue(q)) is None
-
-    def test_nontrivial_family_needs_no_exact_elimination(self, monkeypatch):
+    def test_nontrivial_family_matches_dense_elimination(self, monkeypatch):
         sset = without_stopper(gen_general((3, 3, 4)))
-        calls = moduli_used(monkeypatch)
+        calls = exact_runs(monkeypatch)
         got = outcomes(verify_all(sset))
-        assert set(calls) == {MODULUS}
+        assert calls, "the exact elimination did not run"
         assert all(status == "Nontrivial" for status, _, _ in got)
         assert got == reference_verdicts(sset)
 
-    def test_entry_beyond_the_bound_falls_back_to_exact(self, monkeypatch):
+    @pytest.mark.parametrize("big", [2**31 + 11, 2**70 + 25], ids=["2^31+11", "2^70+25"])
+    def test_large_coefficients_are_eliminated_exactly(self, monkeypatch, big):
         # party 0's S-block RREF has the entry (B^2 - 1)/B, whose numerator
-        # exceeds the bound of 2^61 - 1 but not that of 2^127 - 1
-        sset = big_basis_set(2**31 + 11)
-        calls = moduli_used(monkeypatch)
+        # is near 2^62 or 2^140
+        sset = big_basis_set(big)
+        calls = exact_runs(monkeypatch)
         got = outcomes(verify_all(sset))
-        assert max(calls) > MODULUS, "no prime after 2^61 - 1 ran"
+        assert calls, "the exact elimination did not run"
         assert got == reference_verdicts(sset)
         assert got[0][:2] == ("Nontrivial", 2)
-
-    @pytest.mark.parametrize("exponent", [127, 521])
-    def test_reconstruction_at_a_larger_prime(self, exponent):
-        modulus = 2**exponent - 1
-        bound = math.isqrt(modulus // 2)
-        for q in (Fraction(bound, 7), Fraction(-3, bound), Fraction(2**60 + 1, 3)):
-            x = q.numerator * pow(q.denominator, -1, modulus) % modulus
-            assert reconstruct(x, modulus) == (q.numerator, q.denominator)
-        assert reconstruct(bound + 1, modulus) is None
 
 
 def lucas_lehmer(exponent: int) -> bool:
@@ -632,28 +643,9 @@ def lucas_lehmer(exponent: int) -> bool:
     return s % m == 0
 
 
-class TestPrimeLadder:
-    def test_listed_exponents_give_primes(self):
-        exponents = [e for e in MERSENNE_EXPONENTS if e <= 19937]
-        assert exponents == sorted(exponents) and exponents[0] == 61
-        assert all(lucas_lehmer(e) for e in exponents)
-        assert not any(lucas_lehmer(e) for e in (67, 257))
-        assert MODULUS == 2 ** MERSENNE_EXPONENTS[0] - 1
-
-    def test_entry_near_2_to_the_140_needs_the_521_bit_prime(self, monkeypatch):
-        # the entry (B^2 - 1)/B has a numerator near 2^140, beyond the bound
-        # 2^63 of 2^127 - 1 and inside the bound 2^260 of 2^521 - 1
-        sset = big_basis_set(2**70 + 25)
-        calls = moduli_used(monkeypatch)
-        got = outcomes(verify_all(sset))
-        assert max(calls) == 2**521 - 1
-        assert got == reference_verdicts(sset)
-        assert got[0][:2] == ("Nontrivial", 2)
-
-    def test_exhausted_ladder_raises(self, monkeypatch):
-        monkeypatch.setattr(nwe.verifier, "MERSENNE_EXPONENTS", (61,))
-        with pytest.raises(InvariantError, match="no Mersenne prime"):
-            verify_all(big_basis_set(2**31 + 11))
+def test_modulus_is_a_mersenne_prime():
+    assert MODULUS == 2**61 - 1 and lucas_lehmer(61)
+    assert not any(lucas_lehmer(e) for e in (67, 257))
 
 
 class TestRandomOrthogonalBases:
@@ -749,12 +741,12 @@ def exact_rref(rows, ncols: int) -> dict[int, dict]:
     return {pc: {k: x for k, x in enumerate(r) if x and k != pc} for pc, r in zip(pivots, reduced)}
 
 
-def peeled_rref(rows, ncols: int, modulus=None):
+def peeled_rref(rows, ncols: int, modular: bool = False):
     """The RREF the way the oracle builds it: the core's, plus an empty-tailed
-    pivot for each zeroed column; the core's RREF is taken modulo `modulus`,
-    or over the rationals by `dense_rref` without one."""
+    pivot for each zeroed column; the core's RREF is taken modulo MODULUS if
+    `modular`, else over the rationals by `dense_rref`."""
     zeroed, core = _peel(rows)
-    pivots = exact_rref(core, ncols) if modulus is None else _gauss_jordan(core, modulus)
+    pivots = _gauss_jordan(core) if modular else exact_rref(core, ncols)
     assert zeroed.isdisjoint(pivots)
     pivots.update((c, {}) for c in zeroed)
     return pivots
@@ -792,7 +784,7 @@ class TestPeel:
     def test_peeled_rref_equals_the_unpeeled_rref(self, case):
         ncols, rows = case
         assert peeled_rref(rows, ncols) == exact_rref(rows, ncols)
-        assert peeled_rref(rows, ncols, MODULUS) == _gauss_jordan(rows, MODULUS)
+        assert peeled_rref(rows, ncols, modular=True) == _gauss_jordan(rows)
 
     @settings(max_examples=300, deadline=None)
     @given(peelable_rows())
@@ -860,10 +852,8 @@ verdict(gen_equal(3, 3), 0)
 class TestLadderTop:
     @pytest.mark.parametrize("sset", [gen_equal(3, 64), gen_general((3, 32, 64))], ids=lambda s: s.provenance)
     def test_trivial_on_every_party_without_exact_elimination(self, monkeypatch, sset):
-        calls = moduli_used(monkeypatch)
-        lifts = []
-        monkeypatch.setattr(nwe.verifier, "_lift", lambda *args: lifts.append(args))
+        calls = exact_runs(monkeypatch)
         verdicts = verify_all(sset)
         assert [(v.status, v.nullspace_dim) for v in verdicts] == [("Trivial", 1)] * sset.shape.n
-        # every block reaches its full rank modulo 2^61 - 1: nothing is lifted
-        assert set(calls) == {MODULUS} and lifts == []
+        # every block reaches its full rank modulo 2^61 - 1: nothing is eliminated exactly
+        assert calls == []
