@@ -11,7 +11,7 @@ from nwe import derive_certificate, gen_equal, gen_general, save_state_set, veri
 from nwe.cli import build_parser, main
 from nwe.serialize import dumps_canonical, state_set_to_document
 
-from helpers import computational_basis_set, rotated, without_stopper
+from helpers import big_basis_set, computational_basis_set, rotated, without_stopper
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -366,6 +366,16 @@ class TestHostileInput:
         code, err = self.run_verify(path, capsys)
         assert code == 3
         assert "duplicate state label 'a': states[0] and states[2]" in err
+
+    def test_oracle_invariant_failure_exit_3(self, tmp_path, capsys, monkeypatch):
+        # party 0's nullspace has dimension 2; with no witness drawn from it
+        # the oracle raises InvariantError and there is no verdict to report
+        monkeypatch.setattr(nwe.verifier, "_witness", lambda *args: None)
+        path = tmp_path / "big.json"
+        save_state_set(big_basis_set(2**31 + 11), path)
+        code, err = self.run_verify(path, capsys)
+        assert code == 3
+        assert err.startswith("error: no verdict: party 0: nullspace of dimension 2 yields no witness")
 
     def test_missing_input_exit_3(self, tmp_path, capsys):
         path = tmp_path / "absent.json"

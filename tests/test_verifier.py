@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import random
 from fractions import Fraction
 
@@ -610,6 +611,51 @@ class TestExactElimination:
         assert {pc: {k: Fraction(x, den) for k, x in tail.items()} for pc, tail in pivots.items()} == exact_rref(
             rows, ncols
         )
+
+    @pytest.mark.parametrize("rows", [[], [{}, {}]], ids=["no rows", "empty rows"])
+    def test_exact_rref_of_no_entries_is_empty(self, rows):
+        assert _exact_rref(rows) == ({}, 1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(integer_rows(), st.data())
+    def test_exact_rref_ignores_row_order_and_scale(self, case, data):
+        # the rational RREF and its least common denominator depend only on
+        # the rows' span
+        _, rows = case
+        factor = st.integers(-(2**40), 2**40).filter(bool)
+        factors = data.draw(st.lists(factor, min_size=len(rows), max_size=len(rows)))
+        scaled = [{k: x * m for k, x in row.items()} for row, m in zip(rows, factors)]
+        assert _exact_rref(data.draw(st.permutations(scaled))) == _exact_rref(rows)
+
+    @settings(max_examples=200, deadline=None)
+    @given(integer_rows())
+    def test_exact_rref_denominator_is_the_least_common_one(self, case):
+        _, rows = case
+        pivots, den = _exact_rref(rows)
+        assert den == math.lcm(*(Fraction(x, den).denominator for tail in pivots.values() for x in tail.values()))
+
+    @settings(max_examples=200, deadline=None)
+    @given(integer_rows())
+    def test_eliminate_is_sound_about_full_rank(self, case):
+        # None proves the rank is `full`; otherwise the result is the exact
+        # RREF, which a `full` above the rational rank always gets
+        ncols, rows = case
+        expected = exact_rref(rows, ncols)
+        for full in (len(expected), len(expected) + 1):
+            got = _eliminate(rows, full)
+            if got is None:
+                assert full == len(expected)
+                continue
+            pivots, den = got
+            assert {pc: {k: Fraction(x, den) for k, x in tail.items()} for pc, tail in pivots.items()} == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(integer_rows(), st.integers(0, 9))
+    def test_gauss_jordan_stops_at_its_target(self, case, target):
+        _, rows = case
+        full = _gauss_jordan(rows)
+        partial = _gauss_jordan(rows, target)
+        assert len(partial) == min(target, len(full))
 
     def test_nontrivial_family_matches_dense_elimination(self, monkeypatch):
         sset = without_stopper(gen_general((3, 3, 4)))
