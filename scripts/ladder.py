@@ -19,17 +19,20 @@ computational one. A run that does not finish within 60 s is printed as
     python scripts/ladder.py --baseline BENCH_9.json
 
 With `--json PATH`, every rung is also written to PATH, together with a
-stamp: the Python version, the number of CPUs the process may use and the
-git commit of the checkout. With `--baseline PATH`, each printed line also
-gives `baseline_ratio`: each of the rung's four stage times divided by the
-same stage of the same rung in PATH, an earlier `--json` file (null where
-PATH lacks the rung or the stage, or timed it at 0); the `--json` file is
-unchanged.
+stamp: the Python version, the number of CPUs the process may use, the
+git commit of the checkout and a digest of the source the rungs ran
+(`source_sha256`, as `perfbench/run.py` computes it), which names the code
+even when it was measured before its commit. With `--baseline PATH`, each
+printed line also gives `baseline_ratio`: each of the rung's four stage
+times divided by the same stage of the same rung in PATH, an earlier
+`--json` file (null where PATH lacks the rung or the stage, or timed it at
+0); the `--json` file is unchanged.
 
 The budget is enforced with SIGALRM, so the script needs a POSIX system.
 """
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -123,6 +126,15 @@ def rung(instance: str, build) -> dict:
     return line
 
 
+def source_digest() -> str:
+    """The first 16 hex digits of the sha256 over each `src/nwe/*.py`, in
+    name order, as its name, a NUL byte and its bytes."""
+    digest = hashlib.sha256()
+    for path in sorted((ROOT / "src" / "nwe").glob("*.py")):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    return digest.hexdigest()[:16]
+
+
 def stamp() -> dict:
     try:
         commit = subprocess.run(
@@ -134,6 +146,7 @@ def stamp() -> dict:
         "python": platform.python_version(),
         "nproc": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count(),
         "commit": commit,
+        "source_sha256": source_digest(),
         "runs_per_rung": RUNS,
     }
 

@@ -15,37 +15,35 @@ all read. The identity satisfies every row, so rank_S is at most
 d(d+1)/2 - 1, and the measurement is forced trivial iff rank_S reaches that
 and rank_A = d(d-1)/2.
 
-Each block is first peeled on its integer rows, as in the paper's Lemma 1:
-a row with one nonzero entry forces that coordinate to zero, so the column
-is deleted from every other row, and this repeats until no row has one
-entry (at most three passes on the built-in families). A pair of basis kets
+Each block is first peeled on its integer rows, as in the paper's Lemma 1: a
+row with one nonzero entry forces that coordinate to zero, so the column is
+deleted from every other row, and this repeats until no row has one entry
+(at most three passes on the built-in families). A pair of basis kets
 |a>, |b> gives such a row in each block; `assemble` builds these ket rows
 directly, with no product loop, and they are the rows the peel consumes:
-most rows of a family, so that only the rest, the core, is eliminated. This is exact: each zeroed coordinate's unit
-vector e_c lies in the row space, so the block's unique RREF has e_c as the
-row of pivot c, and every row the peel consumed lies in the span of the
-e_c. The block's RREF is therefore the core's plus one pivot with an empty
-tail per zeroed column, and its rank is the core's plus their number. A
-diagonal coordinate of S is never zeroed, since the identity satisfies
+most rows of a family, so that only the rest, the core, is eliminated. This
+is exact: each zeroed coordinate's unit vector e_c lies in the row space, so
+the block's unique reduced row echelon form (RREF) over the rationals has
+e_c as the row of pivot c, and every row the peel consumed lies in the span
+of the e_c. The block's RREF is therefore the core's plus one pivot with an
+empty tail per zeroed column, and its rank is the core's plus their number.
+A diagonal coordinate of S is never zeroed, since the identity satisfies
 every row; if one is, InvariantError is raised.
 
-The core is eliminated modulo the prime p = 2^61 - 1, stopping once the
-full rank (less the zeroed columns) is reached. Rank modulo p never exceeds
-rank over the rationals, so full rank modulo p on both blocks proves Trivial
-exactly. A core short of full rank modulo p, or with fewer rows than that
-rank, is eliminated over the integers by a fraction-free Gauss-Jordan. Its
-result is the core's unique reduced row echelon form (RREF) over the
-rationals, each pivot row kept as the primitive integer multiple of its
-RREF row: exact by construction, for coefficients of any size.
+The core is eliminated over the integers by a fraction-free Gauss-Jordan.
+Its result is the core's RREF, each pivot row kept as the primitive integer
+multiple of its RREF row: exact by construction, for coefficients of any
+size. A block's rank is its number of pivots.
 
 The RREF gives the nullspace dimension and a basis: one sparse vector per
 free column, read off the RREF's entries in that column. Every S column
 comes before every A column, so the two blocks' vectors, in column order,
-are the basis the RREF over all d*d unknowns would give; an S block at full
-rank contributes the identity. `nullspace` returns these vectors densely;
-on a Nontrivial verdict the witness is the first of them, in column order,
-that is not a multiple of the identity, with its identity component
-projected out.
+are the basis the RREF over all d*d unknowns would give. An S block at full
+rank has one free column, the last diagonal coordinate, and its vector is
+exactly the identity. `nullspace` returns these vectors densely; on a
+Nontrivial verdict the witness is the first of them, in column order, that
+is not a multiple of the identity, with its identity component projected
+out.
 
 A Nontrivial verdict means a nontrivial orthogonality-preserving first
 measurement exists on that party; it does not by itself prove that the set
@@ -166,10 +164,6 @@ class TrivialityVerdict:
         return self.status == STATUS_TRIVIAL
 
 
-# the Mersenne prime of the rank test
-MODULUS = 2**61 - 1
-
-
 @functools.cache
 def _coordinate_tables(dim: int) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int | None, ...], ...]]:
     """sym[a][b], the coordinate of S[min(a,b), max(a,b)], and anti[a][b], that
@@ -236,45 +230,6 @@ def assemble(sset: StateSet, t: int) -> MeasurementConstraintSystem:
 # `verdict` reads the builder under this name, so that replacing or deleting
 # the public `assemble` (as a tracer may) leaves the verify path unchanged
 _assemble = assemble
-
-
-def _subtract(row: dict, f, other: dict) -> None:
-    """row -= f * other modulo MODULUS in place, dropping the entries that become zero."""
-    for k, x in other.items():
-        y = (row.get(k, 0) - f * x) % MODULUS
-        if y:
-            row[k] = y
-        else:
-            del row[k]
-
-
-def _gauss_jordan(rows, target: int | None = None) -> dict[int, dict]:
-    """Reduced row echelon form of sparse integer rows modulo MODULUS,
-    pivoting on the first nonzero column.
-
-    Returns {pivot column: the rest of its row}: each pivot entry is 1 and
-    left out, and no row has an entry in another row's pivot column, so the
-    result is the unique RREF of the rows' span modulo MODULUS. Stops once
-    `target` pivots are found.
-    """
-    pivots: dict[int, dict] = {}
-    for row in rows:
-        if len(pivots) == target:
-            break
-        r = {k: x % MODULUS for k, x in row.items() if x % MODULUS}
-        for c in [c for c in r if c in pivots]:
-            _subtract(r, r.pop(c), pivots[c])
-        if not r:
-            continue
-        pc = min(r)
-        inv = pow(r.pop(pc), -1, MODULUS)
-        tail = {k: x * inv % MODULUS for k, x in r.items()}
-        for other in pivots.values():
-            f = other.pop(pc, 0)
-            if f:
-                _subtract(other, f, tail)
-        pivots[pc] = tail
-    return pivots
 
 
 def _subtract_exact(row: dict, f: int, other: dict) -> None:
@@ -360,21 +315,11 @@ def _peel(rows, keep=frozenset()) -> tuple[set[int], list[dict]]:
         core = [row for row in core if row]
 
 
-def _eliminate(rows, full: int, keep=frozenset()) -> tuple[dict[int, dict], int] | None:
-    """The exact RREF of integer rows whose rational rank is at most `full`,
-    as integer tails over one common denominator, or None if the rank is
-    proven to be `full`.
-
-    The rows are peeled first. The core is then eliminated modulo MODULUS
-    until it reaches full rank (less the zeroed columns); rank modulo a
-    prime never exceeds rank over the rationals, so that proves the rank.
-    A core short of it, or with fewer rows than that rank, is eliminated
-    exactly by `_exact_rref`.
-    """
+def _eliminate(rows, keep=frozenset()) -> tuple[dict[int, dict], int]:
+    """The exact RREF of integer rows, as integer tails over one common
+    denominator: the rows are peeled, `_exact_rref` reduces the core, and
+    each zeroed column adds a pivot with an empty tail."""
     zeroed, core = _peel(rows, keep)
-    target = full - len(zeroed)
-    if len(core) >= target and len(_gauss_jordan(core, target)) == target:
-        return None
     pivots, den = _exact_rref(core)
     pivots.update({c: {} for c in zeroed})
     return pivots, den
@@ -398,15 +343,15 @@ def _free_vectors(pivots: dict[int, dict], den: int, columns):
 
 def _blocks(system: MeasurementConstraintSystem):
     """For the S block, then the A block: its columns, its nullspace
-    dimension, and its exact RREF from `_eliminate` (None at full rank)."""
+    dimension (its columns less its pivots) and its exact RREF from
+    `_eliminate`."""
     dim = system.dim
     nsym = dim * (dim + 1) // 2
-    size = dim * dim
     # the identity satisfies every S row, so no row may zero a diagonal coordinate
     diagonal = frozenset(sym_index(dim, a, a) for a in range(dim))
-    for rows, columns, full in ((system.sym, range(nsym), nsym - 1), (system.anti, range(nsym, size), size - nsym)):
-        reduced = _eliminate(rows, full, diagonal)
-        yield columns, len(columns) - (full if reduced is None else len(reduced[0])), reduced
+    for rows, columns in ((system.sym, range(nsym)), (system.anti, range(nsym, dim * dim))):
+        reduced = _eliminate(rows, diagonal)
+        yield columns, len(columns) - len(reduced[0]), reduced
 
 
 def rank(system: MeasurementConstraintSystem) -> int:
@@ -416,18 +361,13 @@ def rank(system: MeasurementConstraintSystem) -> int:
 def nullspace(system: MeasurementConstraintSystem) -> list[tuple[Fraction, ...]]:
     """Exact-rational basis of the solution space, deterministic order: one
     vector per free column, ascending, as the RREF over all d*d unknowns
-    gives it. An S block at full rank contributes the identity."""
+    gives it. An S block at full rank contributes exactly the identity."""
     size = system.num_unknowns
     basis = []
     nullity = 0
-    for columns, block_nullity, reduced in _blocks(system):
+    for columns, block_nullity, (pivots, den) in _blocks(system):
         nullity += block_nullity
-        if reduced is None:
-            if block_nullity:
-                basis.append(tuple(map(Fraction, identity_coords(system.dim))))
-            continue
-        den = reduced[1]
-        for sparse in _free_vectors(*reduced, columns):
+        for sparse in _free_vectors(pivots, den, columns):
             vec = [_ZERO] * size
             for k, x in sparse.items():
                 vec[k] = Fraction(x, den)
@@ -490,7 +430,7 @@ def verdict(sset: StateSet, t: int) -> TrivialityVerdict:
     nullity, witness = 0, None
     for columns, block_nullity, reduced in _blocks(system):
         nullity += block_nullity
-        if reduced is not None and witness is None:
+        if witness is None:
             witness = _witness(*reduced, columns, system.dim)
     if nullity == 1:
         if witness is not None:

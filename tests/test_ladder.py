@@ -1,4 +1,6 @@
+import hashlib
 import json
+from pathlib import Path
 
 from nwe import gen_equal
 
@@ -35,3 +37,16 @@ def test_baseline_ratios_are_printed_and_not_written(tmp_path, capsys, monkeypat
     assert printed["baseline_ratio"] == {stage: round(printed[stage], 2) for stage in ladder.STAGES}
     assert "baseline_ratio" not in written
     assert written == {k: v for k, v in printed.items() if k != "baseline_ratio"}
+
+
+def test_stamp_carries_the_source_digest(tmp_path, monkeypatch):
+    # the digest `perfbench/run.py` stamps its runs with: sha256 over each
+    # src/nwe/*.py in name order, as name, NUL and bytes; first 16 hex digits
+    ladder = load_script("ladder")
+    monkeypatch.setattr(ladder, "RUNGS", (("equal(3,3)", lambda: gen_equal(3, 3)),))
+    out = tmp_path / "ladder.json"
+    assert ladder.main(["--json", str(out)]) == 0
+    digest = hashlib.sha256()
+    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "nwe").glob("*.py")):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    assert json.loads(out.read_text())["stamp"]["source_sha256"] == digest.hexdigest()[:16]

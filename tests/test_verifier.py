@@ -21,13 +21,11 @@ from nwe import (
 )
 from nwe.states import LocalVector, ProductState, SystemShape, basis_ket
 from nwe.verifier import (
-    MODULUS,
     InvariantError,
     MeasurementConstraintSystem,
     _coordinate_tables,
     _eliminate,
     _exact_rref,
-    _gauss_jordan,
     _pair_rows,
     _peel,
     anti_index,
@@ -483,47 +481,44 @@ def scale_local(sset, idx, party, factor):
     return StateSet(sset.shape, tuple(states), provenance=sset.provenance)
 
 
-class TestModularRank:
-    def test_full_rank_mod_p_needs_no_exact_elimination(self, monkeypatch):
-        calls = exact_runs(monkeypatch)
-        assert all(v.trivial for v in verify_all(gen_general((3, 3, 4))))
-        assert calls == []
+# scaling a state's vector by this prime makes its rows vanish modulo the
+# prime, and leaves every verdict as it was
+LARGE_PRIME = 2**61 - 1
+
+
+class TestExactRank:
+    def test_full_rank_family_matches_dense_elimination(self):
+        sset = gen_general((3, 3, 4))
+        got = outcomes(verify_all(sset))
+        assert all(status == "Trivial" for status, _, _ in got)
+        assert got == reference_verdicts(sset)
 
     @pytest.mark.parametrize("party", [0, 1, 2])
-    def test_rank_drop_mod_p_falls_back_to_exact(self, monkeypatch, party):
-        # the stopper's rows on this party vanish mod p, so rank_S drops mod p
-        # while the rational rank, and so the verdict, is unchanged; the
-        # exact elimination recovers it
+    def test_stopper_scaled_by_a_large_prime_keeps_its_verdicts(self, monkeypatch, party):
+        # the stopper's rows on this party are multiples of the prime, so
+        # they vanish modulo it, while the rational rank, and so the
+        # verdict, is unchanged
         sset = gen_equal(3, 3)
-        scaled = scale_local(sset, len(sset) - 1, party, MODULUS)
+        scaled = scale_local(sset, len(sset) - 1, party, LARGE_PRIME)
         calls = exact_runs(monkeypatch)
         got = outcomes(verify_all(scaled))
         assert calls, "the exact elimination did not run"
         assert got == outcomes(verify_all(sset)) == reference_verdicts(scaled)
 
-    def test_core_with_fewer_rows_than_its_rank_skips_the_modular_pass(self, monkeypatch):
-        # each party's S-block core has 6 rows for a target rank of 9, so it
-        # goes straight to the exact elimination; each A-block core has 6
-        # rows for 6 and reaches full rank modulo p
+    def test_core_with_fewer_rows_than_its_rank_matches_dense_elimination(self, monkeypatch):
+        # each party's S-block core has 6 rows for a rank of 9 less the
+        # zeroed columns, and each A-block core 6 rows for 6
         sset = without_stopper(rotated(gen_equal(3, 4), random.Random(2026), range(3)))
-        targets = []
-        original = nwe.verifier._gauss_jordan
-
-        def spy(rows, target=None):
-            targets.append(target)
-            return original(rows, target)
-
-        monkeypatch.setattr(nwe.verifier, "_gauss_jordan", spy)
         calls = exact_runs(monkeypatch)
         got = outcomes(verify_all(sset))
-        assert targets == [6, 6, 6] and calls == [6, 6, 6]
+        assert calls == [6] * 6
         assert got == reference_verdicts(sset)
 
     def test_scaled_nontrivial_set_keeps_its_witness(self):
         sset = without_stopper(gen_general((3, 3, 4)))
         for idx in (0, len(sset) // 2, len(sset) - 1):
             for party in range(sset.shape.n):
-                scaled = scale_local(sset, idx, party, MODULUS)
+                scaled = scale_local(sset, idx, party, LARGE_PRIME)
                 assert outcomes(verify_all(scaled)) == outcomes(verify_all(sset))
 
 
@@ -634,29 +629,6 @@ class TestExactElimination:
         pivots, den = _exact_rref(rows)
         assert den == math.lcm(*(Fraction(x, den).denominator for tail in pivots.values() for x in tail.values()))
 
-    @settings(max_examples=200, deadline=None)
-    @given(integer_rows())
-    def test_eliminate_is_sound_about_full_rank(self, case):
-        # None proves the rank is `full`; otherwise the result is the exact
-        # RREF, which a `full` above the rational rank always gets
-        ncols, rows = case
-        expected = exact_rref(rows, ncols)
-        for full in (len(expected), len(expected) + 1):
-            got = _eliminate(rows, full)
-            if got is None:
-                assert full == len(expected)
-                continue
-            pivots, den = got
-            assert {pc: {k: Fraction(x, den) for k, x in tail.items()} for pc, tail in pivots.items()} == expected
-
-    @settings(max_examples=200, deadline=None)
-    @given(integer_rows(), st.integers(0, 9))
-    def test_gauss_jordan_stops_at_its_target(self, case, target):
-        _, rows = case
-        full = _gauss_jordan(rows)
-        partial = _gauss_jordan(rows, target)
-        assert len(partial) == min(target, len(full))
-
     def test_nontrivial_family_matches_dense_elimination(self, monkeypatch):
         sset = without_stopper(gen_general((3, 3, 4)))
         calls = exact_runs(monkeypatch)
@@ -675,23 +647,6 @@ class TestExactElimination:
         assert calls, "the exact elimination did not run"
         assert got == reference_verdicts(sset)
         assert got[0][:2] == ("Nontrivial", 2)
-
-
-def lucas_lehmer(exponent: int) -> bool:
-    """Whether 2^e - 1 is prime, for an odd prime e. Each step reduces
-    s^2 - 2 modulo m = 2^e - 1 by folding, since 2^e = 1 (mod m)."""
-    m = 2**exponent - 1
-    s = 4
-    for _ in range(exponent - 2):
-        s = s * s + m - 2
-        s = (s & m) + (s >> exponent)
-        s = (s & m) + (s >> exponent)
-    return s % m == 0
-
-
-def test_modulus_is_a_mersenne_prime():
-    assert MODULUS == 2**61 - 1 and lucas_lehmer(61)
-    assert not any(lucas_lehmer(e) for e in (67, 257))
 
 
 class TestRandomOrthogonalBases:
@@ -787,12 +742,11 @@ def exact_rref(rows, ncols: int) -> dict[int, dict]:
     return {pc: {k: x for k, x in enumerate(r) if x and k != pc} for pc, r in zip(pivots, reduced)}
 
 
-def peeled_rref(rows, ncols: int, modular: bool = False):
-    """The RREF the way the oracle builds it: the core's, plus an empty-tailed
-    pivot for each zeroed column; the core's RREF is taken modulo MODULUS if
-    `modular`, else over the rationals by `dense_rref`."""
+def peeled_rref(rows, ncols: int):
+    """The RREF the way the oracle builds it: the core's, over the rationals
+    by `dense_rref`, plus an empty-tailed pivot for each zeroed column."""
     zeroed, core = _peel(rows)
-    pivots = _gauss_jordan(core) if modular else exact_rref(core, ncols)
+    pivots = exact_rref(core, ncols)
     assert zeroed.isdisjoint(pivots)
     pivots.update((c, {}) for c in zeroed)
     return pivots
@@ -830,19 +784,15 @@ class TestPeel:
     def test_peeled_rref_equals_the_unpeeled_rref(self, case):
         ncols, rows = case
         assert peeled_rref(rows, ncols) == exact_rref(rows, ncols)
-        assert peeled_rref(rows, ncols, modular=True) == _gauss_jordan(rows)
 
     @settings(max_examples=300, deadline=None)
-    @given(peelable_rows())
+    @given(st.one_of(peelable_rows(), integer_rows()))
     def test_eliminate_gives_the_exact_rref_and_rank(self, case):
         ncols, rows = case
-        exact = exact_rref(rows, ncols)
-        reduced = _eliminate(rows, ncols)
-        if reduced is None:
-            assert len(exact) == ncols
-        else:
-            pivots, den = reduced
-            assert {pc: {k: Fraction(x, den) for k, x in tail.items()} for pc, tail in pivots.items()} == exact
+        pivots, den = _eliminate(rows)
+        assert {pc: {k: Fraction(x, den) for k, x in tail.items()} for pc, tail in pivots.items()} == exact_rref(
+            rows, ncols
+        )
 
     def test_cascade_runs_to_its_fixpoint(self):
         # only the first row has one entry; each later row gets one entry
@@ -897,9 +847,10 @@ verdict(gen_equal(3, 3), 0)
 
 class TestLadderTop:
     @pytest.mark.parametrize("sset", [gen_equal(3, 64), gen_general((3, 32, 64))], ids=lambda s: s.provenance)
-    def test_trivial_on_every_party_without_exact_elimination(self, monkeypatch, sset):
-        calls = exact_runs(monkeypatch)
+    def test_trivial_on_every_party(self, sset):
         verdicts = verify_all(sset)
         assert [(v.status, v.nullspace_dim) for v in verdicts] == [("Trivial", 1)] * sset.shape.n
-        # every block reaches its full rank modulo 2^61 - 1: nothing is eliminated exactly
-        assert calls == []
+        # the basis `reference_nullspace` gives a Trivial party: the identity,
+        # with a 1 at its last diagonal coordinate, the one free column
+        for t, dim in enumerate(sset.shape.dims):
+            assert nullspace(assemble(sset, t)) == [tuple(map(Fraction, identity_coords(dim)))]
