@@ -198,6 +198,18 @@ class TestNullspace:
                     assert vec[sym_index(3, a, b)] == 0
                     assert vec[anti_index(3, a, b)] == 0
 
+    @pytest.mark.parametrize(
+        "sset",
+        [gen_equal(3, 3), gen_general((3, 4, 5)), rotated(gen_equal(3, 5), random.Random(13), range(3))],
+        ids=lambda s: s.provenance,
+    )
+    def test_full_rank_s_block_gives_exactly_the_identity(self, sset):
+        # the one free vector of a Trivial party is read off the S block's
+        # RREF, with a 1 at the last diagonal coordinate: the identity itself
+        for t, dim in enumerate(sset.shape.dims):
+            assert verdict(sset, t).status == "Trivial"
+            assert nullspace(assemble(sset, t)) == [tuple(map(Fraction, identity_coords(dim)))]
+
     def test_rank_nullity(self):
         for sset in (gen_equal(3, 3), gen_general((3, 3, 4)), computational_basis_set((2, 2))):
             for t in range(sset.shape.n):
@@ -628,6 +640,18 @@ class TestExactElimination:
         _, rows = case
         pivots, den = _exact_rref(rows)
         assert den == math.lcm(*(Fraction(x, den).denominator for tail in pivots.values() for x in tail.values()))
+
+    @settings(max_examples=200, deadline=None)
+    @given(integer_rows())
+    def test_eliminate_is_sound_about_full_rank(self, case):
+        # rows of full rank, among them a Vandermonde block that the peel
+        # leaves to the core, reduce to the identity: every column a pivot
+        # with an empty tail, over the denominator 1
+        ncols, rows = case
+        vandermonde = [{k: (i + 1) ** k for k in range(ncols)} for i in range(ncols)]
+        full = rows + vandermonde
+        assert len(exact_rref(full, ncols)) == ncols
+        assert _eliminate(full) == ({c: {} for c in range(ncols)}, 1)
 
     def test_nontrivial_family_matches_dense_elimination(self, monkeypatch):
         sset = without_stopper(gen_general((3, 3, 4)))
