@@ -25,25 +25,26 @@ most rows of a family, so that only the rest, the core, is eliminated. This
 is exact: each zeroed coordinate's unit vector e_c lies in the row space, so
 the block's unique reduced row echelon form (RREF) over the rationals has
 e_c as the row of pivot c, and every row the peel consumed lies in the span
-of the e_c. The block's RREF is therefore the core's plus one pivot with an
-empty tail per zeroed column, and its rank is the core's plus their number.
-A diagonal coordinate of S is never zeroed, since the identity satisfies
-every row; if one is, InvariantError is raised.
+of the e_c. The block's RREF is therefore the core's plus the unit row e_c
+per zeroed column, and its rank is the number of zeroed columns plus the
+number of the core's pivots. A diagonal coordinate of S is never zeroed,
+since the identity satisfies every row; if one is, InvariantError is raised.
 
 The core is eliminated over the integers by a fraction-free Gauss-Jordan.
 Its result is the core's RREF, each pivot row kept as the primitive integer
 multiple of its RREF row: exact by construction, for coefficients of any
-size. A block's rank is its number of pivots.
+size.
 
-The RREF gives the nullspace dimension and a basis: one sparse vector per
-free column, read off the RREF's entries in that column. Every S column
-comes before every A column, so the two blocks' vectors, in column order,
-are the basis the RREF over all d*d unknowns would give. An S block at full
-rank has one free column, the last diagonal coordinate, and its vector is
-exactly the identity. `nullspace` returns these vectors densely; on a
-Nontrivial verdict the witness is the first of them, in column order, that
-is not a multiple of the identity, with its identity component projected
-out.
+A block's free columns are those neither zeroed nor a pivot of the core;
+their number is the block's nullity. Its nullspace basis has one sparse
+vector per free column, read off the core's RREF entries in that column,
+with every zeroed coordinate 0. Every S column comes before every A column,
+so the two blocks' vectors, in column order, are the basis the RREF over
+all d*d unknowns would give. An S block at full rank has one free column,
+the last diagonal coordinate, and its vector is exactly the identity.
+`nullspace` returns these vectors densely; on a Nontrivial verdict the
+witness is the first of them, in column order, that is not a multiple of
+the identity, with its identity component projected out.
 
 A Nontrivial verdict means a nontrivial orthogonality-preserving first
 measurement exists on that party; it does not by itself prove that the set
@@ -93,9 +94,9 @@ class MeasurementConstraintSystem:
 
     `sym` holds the S-block rows and `anti` the A-block rows, each row as
     {coordinate: nonzero coefficient}. Every S row must annihilate the
-    identity (its diagonal coefficients sum to zero): `rank` and `nullspace`
-    take the S block's rank to be at most d(d+1)/2 - 1. `assemble` checks
-    this as it builds each row.
+    identity (its diagonal coefficients sum to zero); `assemble` checks this
+    as it builds each row. Only the oracle's diagonal guard relies on it: a
+    row set that zeroes a diagonal coordinate of S raises InvariantError.
     """
 
     party: int
@@ -290,13 +291,13 @@ def _exact_rref(rows) -> tuple[dict[int, dict], int]:
     return {pc: {k: x * (den // leads[pc]) for k, x in tail.items()} for pc, tail in tails.items()}, den
 
 
-def _peel(rows, keep=frozenset()) -> tuple[set[int], list[dict]]:
+def _peel(rows) -> tuple[set[int], list[dict]]:
     """The columns that one-entry rows force to zero, and the other rows with
     those columns deleted (the core), repeated until no row has one entry.
 
-    The peel is exact (see the module docstring): the rows' rational RREF
-    is the core's plus one empty-tailed pivot per zeroed column. A zeroed
-    column in `keep` raises InvariantError.
+    The peel is exact (see the module docstring): the rows' rank is the
+    number of zeroed columns plus the core's rank, and their nullspace is
+    the core's with every zeroed coordinate 0.
     """
     zeroed: set[int] = set()
     core = list(rows)
@@ -304,8 +305,6 @@ def _peel(rows, keep=frozenset()) -> tuple[set[int], list[dict]]:
         new = {k for row in core if len(row) == 1 for k in row}
         if not new:
             return zeroed, core
-        if not new.isdisjoint(keep):
-            raise InvariantError(f"a constraint row forces coordinate {min(new & keep)} to zero")
         zeroed |= new
         core = [
             row if new.isdisjoint(row) else {k: x for k, x in row.items() if k not in new}
@@ -315,59 +314,54 @@ def _peel(rows, keep=frozenset()) -> tuple[set[int], list[dict]]:
         core = [row for row in core if row]
 
 
-def _eliminate(rows, keep=frozenset()) -> tuple[dict[int, dict], int]:
-    """The exact RREF of integer rows, as integer tails over one common
-    denominator: the rows are peeled, `_exact_rref` reduces the core, and
-    each zeroed column adds a pivot with an empty tail."""
-    zeroed, core = _peel(rows, keep)
-    pivots, den = _exact_rref(core)
-    pivots.update({c: {} for c in zeroed})
-    return pivots, den
-
-
-def _free_vectors(pivots: dict[int, dict], den: int, columns):
-    """The nullspace basis of an RREF whose tail entries are fractions over
-    `den`: for each free column of `columns`, ascending, the vector with a 1
-    there, as {coordinate: nonzero integer numerator over `den`}."""
+def _free_vectors(pivots: dict[int, dict], den: int, free):
+    """The nullspace basis of a block whose core has the RREF `pivots`, tail
+    entries as fractions over `den`: for each column of `free`, ascending,
+    the vector with a 1 there, as {coordinate: nonzero integer numerator
+    over `den`}. Zeroed columns are 0 in every vector."""
     by_column: dict[int, list] = {}
     for pc, tail in pivots.items():
         for k, x in tail.items():
             by_column.setdefault(k, []).append((pc, x))
-    for free in columns:
-        if free not in pivots:
-            vec = {free: den}
-            for pc, x in by_column.get(free, ()):
-                vec[pc] = -x
-            yield vec
+    for c in free:
+        vec = {c: den}
+        for pc, x in by_column.get(c, ()):
+            vec[pc] = -x
+        yield vec
 
 
 def _blocks(system: MeasurementConstraintSystem):
-    """For the S block, then the A block: its columns, its nullspace
-    dimension (its columns less its pivots) and its exact RREF from
-    `_eliminate`."""
+    """For the S block, then the A block: its free columns, ascending (its
+    columns neither zeroed by `_peel` nor pivots of the core), and its
+    core's exact RREF from `_exact_rref`. The block's nullity is the number
+    of free columns."""
     dim = system.dim
     nsym = dim * (dim + 1) // 2
     # the identity satisfies every S row, so no row may zero a diagonal coordinate
     diagonal = frozenset(sym_index(dim, a, a) for a in range(dim))
     for rows, columns in ((system.sym, range(nsym)), (system.anti, range(nsym, dim * dim))):
-        reduced = _eliminate(rows, diagonal)
-        yield columns, len(columns) - len(reduced[0]), reduced
+        zeroed, core = _peel(rows)
+        if not zeroed.isdisjoint(diagonal):
+            raise InvariantError(f"a constraint row forces coordinate {min(zeroed & diagonal)} to zero")
+        pivots, den = _exact_rref(core)
+        yield [c for c in columns if c not in zeroed and c not in pivots], pivots, den
 
 
 def rank(system: MeasurementConstraintSystem) -> int:
-    return system.num_unknowns - sum(nullity for _, nullity, _ in _blocks(system))
+    return system.num_unknowns - sum(len(free) for free, _, _ in _blocks(system))
 
 
 def nullspace(system: MeasurementConstraintSystem) -> list[tuple[Fraction, ...]]:
     """Exact-rational basis of the solution space, deterministic order: one
-    vector per free column, ascending, as the RREF over all d*d unknowns
-    gives it. An S block at full rank contributes exactly the identity."""
+    vector per free column (neither zeroed by the peel nor a pivot of its
+    block's core), ascending, as the RREF over all d*d unknowns gives it.
+    An S block at full rank contributes exactly the identity."""
     size = system.num_unknowns
     basis = []
     nullity = 0
-    for columns, block_nullity, (pivots, den) in _blocks(system):
-        nullity += block_nullity
-        for sparse in _free_vectors(pivots, den, columns):
+    for free, pivots, den in _blocks(system):
+        nullity += len(free)
+        for sparse in _free_vectors(pivots, den, free):
             vec = [_ZERO] * size
             for k, x in sparse.items():
                 vec[k] = Fraction(x, den)
@@ -377,13 +371,13 @@ def nullspace(system: MeasurementConstraintSystem) -> list[tuple[Fraction, ...]]
     return basis
 
 
-def _witness(pivots: dict[int, dict], den: int, columns, dim: int) -> HermitianMatrix | None:
-    """The first nullspace basis vector of an RREF, over its free columns in
-    ascending order, with a nonzero part off the identity: that part, as a
-    matrix. Tail entries are read as fractions over `den`, the projection
-    as integers over dim * den."""
+def _witness(pivots: dict[int, dict], den: int, free, dim: int) -> HermitianMatrix | None:
+    """The first of a block's nullspace basis vectors (`_free_vectors`), over
+    its free columns in ascending order, with a nonzero part off the
+    identity: that part, as a matrix. Tail entries are read as fractions
+    over `den`, the projection as integers over dim * den."""
     diagonal = [sym_index(dim, a, a) for a in range(dim)]
-    for vec in _free_vectors(pivots, den, columns):
+    for vec in _free_vectors(pivots, den, free):
         trace = sum(vec.get(k, 0) for k in diagonal)
         scaled = {k: dim * x for k, x in vec.items()}
         if trace:
@@ -428,10 +422,10 @@ def verdict(sset: StateSet, t: int) -> TrivialityVerdict:
     """
     system = _assemble(sset, t)
     nullity, witness = 0, None
-    for columns, block_nullity, reduced in _blocks(system):
-        nullity += block_nullity
+    for free, pivots, den in _blocks(system):
+        nullity += len(free)
         if witness is None:
-            witness = _witness(*reduced, columns, system.dim)
+            witness = _witness(pivots, den, free, system.dim)
     if nullity == 1:
         if witness is not None:
             raise InvariantError(f"party {t}: the one-dimensional nullspace is not the identity's span")

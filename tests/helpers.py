@@ -366,8 +366,14 @@ def reference_nullspace(sset: StateSet, t: int) -> tuple[list[int], list[list[Fr
     """(pivot columns, nullspace basis) of party t by dense elimination of
     every constraint row over all d*d unknowns: one basis vector per free
     column, in ascending order, with a 1 there."""
-    size = sset.shape.dims[t] ** 2
-    pivots, reduced = dense_rref(dense_constraint_rows(sset, t), size)
+    return dense_nullspace(dense_constraint_rows(sset, t), sset.shape.dims[t] ** 2)
+
+
+def dense_nullspace(rows, size: int) -> tuple[list[int], list[list[Fraction]]]:
+    """(pivot columns, nullspace basis) of dense rows over `size` columns by
+    `dense_rref`: one basis vector per free column, in ascending order, with
+    a 1 there."""
+    pivots, reduced = dense_rref(rows, size)
     basis = []
     for free in (k for k in range(size) if k not in pivots):
         vec = [Fraction(0)] * size

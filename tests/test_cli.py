@@ -449,7 +449,7 @@ class TestReplayedCertificateSkipsElimination:
     @pytest.fixture
     def spy(self, monkeypatch):
         calls = {"assembled": [], "eliminated": 0}
-        assemble, eliminate = nwe.verifier._assemble, nwe.verifier._eliminate
+        assemble, eliminate = nwe.verifier._assemble, nwe.verifier._exact_rref
 
         def assemble_spy(sset, t):
             calls["assembled"].append(t)
@@ -460,7 +460,7 @@ class TestReplayedCertificateSkipsElimination:
             return eliminate(*args)
 
         monkeypatch.setattr(nwe.verifier, "_assemble", assemble_spy)
-        monkeypatch.setattr(nwe.verifier, "_eliminate", eliminate_spy)
+        monkeypatch.setattr(nwe.verifier, "_exact_rref", eliminate_spy)
         return calls
 
     def verify(self, tmp_path, capsys, sset, engine):

@@ -24,7 +24,6 @@ from nwe.verifier import (
     InvariantError,
     MeasurementConstraintSystem,
     _coordinate_tables,
-    _eliminate,
     _exact_rref,
     _pair_rows,
     _peel,
@@ -41,6 +40,7 @@ from helpers import (
     computational_basis_set,
     coords_to_matrix,
     dense_constraint_rows,
+    dense_nullspace,
     dense_rref,
     invariant_error_under_python_O,
     matrix_to_coords,
@@ -645,13 +645,16 @@ class TestExactElimination:
     @given(integer_rows())
     def test_eliminate_is_sound_about_full_rank(self, case):
         # rows of full rank, among them a Vandermonde block that the peel
-        # leaves to the core, reduce to the identity: every column a pivot
-        # with an empty tail, over the denominator 1
+        # leaves to the core, reduce to the identity: every column zeroed
+        # or a pivot of the core with an empty tail, over the denominator 1
         ncols, rows = case
         vandermonde = [{k: (i + 1) ** k for k in range(ncols)} for i in range(ncols)]
         full = rows + vandermonde
         assert len(exact_rref(full, ncols)) == ncols
-        assert _eliminate(full) == ({c: {} for c in range(ncols)}, 1)
+        zeroed, core = _peel(full)
+        pivots, den = _exact_rref(core)
+        assert zeroed.isdisjoint(pivots) and zeroed | set(pivots) == set(range(ncols))
+        assert all(not tail for tail in pivots.values()) and den == 1
 
     def test_nontrivial_family_matches_dense_elimination(self, monkeypatch):
         sset = without_stopper(gen_general((3, 3, 4)))
@@ -812,11 +815,15 @@ class TestPeel:
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(peelable_rows(), integer_rows()))
     def test_eliminate_gives_the_exact_rref_and_rank(self, case):
+        # the zeroed columns' unit rows and the core's exact RREF make up
+        # the rows' RREF
         ncols, rows = case
-        pivots, den = _eliminate(rows)
-        assert {pc: {k: Fraction(x, den) for k, x in tail.items()} for pc, tail in pivots.items()} == exact_rref(
-            rows, ncols
-        )
+        zeroed, core = _peel(rows)
+        pivots, den = _exact_rref(core)
+        assert zeroed.isdisjoint(pivots)
+        got = {pc: {k: Fraction(x, den) for k, x in tail.items()} for pc, tail in pivots.items()}
+        got.update((c, {}) for c in zeroed)
+        assert got == exact_rref(rows, ncols)
 
     def test_cascade_runs_to_its_fixpoint(self):
         # only the first row has one entry; each later row gets one entry
@@ -853,6 +860,48 @@ class TestPeel:
         for reduce in (rank, nullspace):
             with pytest.raises(InvariantError, match="forces coordinate"):
                 reduce(forged)
+
+
+@st.composite
+def forged_systems(draw):
+    """Constraint systems built row by row, not from a set: each S row with
+    diagonal coefficients that sum to zero, the first of them with a nonzero
+    S[0,0], and arbitrary A rows, one to three entries each."""
+    dim = draw(st.integers(2, 4))
+    nsym = dim * (dim + 1) // 2
+    diagonal = [sym_index(dim, a, a) for a in range(dim)]
+    off = [k for k in range(nsym) if k not in diagonal]
+    coef = st.integers(-5, 5)
+    sym = []
+    for i in range(draw(st.integers(1, nsym + 2))):
+        row = {k: draw(coef) for k in draw(st.lists(st.sampled_from(off), max_size=2))}
+        head = [draw(coef.filter(bool) if i == 0 else coef) for _ in diagonal[:-1]]
+        row.update(zip(diagonal, head + [-sum(head)]))
+        sym.append({k: x for k, x in row.items() if x})
+    anti = [
+        {k: draw(coef.filter(bool)) for k in cols}
+        for cols in draw(st.lists(st.sets(st.integers(nsym, dim * dim - 1), min_size=1, max_size=3), max_size=dim))
+    ]
+    return MeasurementConstraintSystem(0, dim, tuple(row for row in sym if row), tuple(anti))
+
+
+class TestForgedSystems:
+    @settings(max_examples=200, deadline=None)
+    @given(forged_systems())
+    def test_rank_and_nullspace_equal_the_dense_ones(self, system):
+        pivots, basis = dense_nullspace(system.rows, system.num_unknowns)
+        assert rank(system) == len(pivots)
+        assert nullspace(system) == [tuple(vec) for vec in basis]
+
+    @settings(max_examples=50, deadline=None)
+    @given(forged_systems())
+    def test_a_core_tail_reaches_a_free_column(self, system):
+        # S[0,0] is never zeroed, so it is a pivot of the S core; the
+        # identity, in the nullspace, needs a tail at a free column to put
+        # its 1 there
+        free, pivots, _ = next(nwe.verifier._blocks(system))
+        assert 0 in pivots
+        assert any(k in free for tail in pivots.values() for k in tail)
 
 
 def test_zeroed_diagonal_raises_under_python_O():
