@@ -12,8 +12,8 @@ each citing the pair that forces it:
    else the factor would not vanish) forces m[a, b] = 0, in table order.
 2. UnitPropagation: a constraint with no diagonal term, all of whose terms
    but one are already known zero, forces that one to zero; repeated to a
-   fixpoint. A diagonal term is never known zero, so a constraint of
-   overlapping supports never fires.
+   fixpoint by `propagate`, which the oracle's peel shares. A diagonal term
+   is never known zero, so a constraint of overlapping supports never fires.
 3. Lemma2: once every off-diagonal entry of party t is known zero, a state
    whose party-t support is {a: +c, b: -c} and that shares a bucket pair
    with the all-ones stopper forces m[a,a] = m[b,b]. It is recorded as
@@ -26,7 +26,7 @@ The engine is deliberately incomplete: it is a proof search, and the exact
 nullspace verifier is the decision procedure, so Incomplete is a per-party
 verdict, not an error.
 
-`check_certificate` replays a certificate independently of the rules'
+`check_certificate` replays a certificate without `propagate` or the rules'
 search; `verify_all` skips the elimination of a party it replays to Trivial.
 """
 
@@ -101,11 +101,9 @@ class Certificate:
 
 def _conclusion(t: int, dim: int, known, equal) -> PartyConclusion:
     """Party t's conclusion from its off-diagonal entries m[a, b] known zero,
-    each as a * dim + b and as b * dim + a, and its diagonal equalities
-    m[a,a] = m[b,b], as (a, b)."""
-    missing = ()
-    if len(known) != dim * (dim - 1):
-        missing = tuple((a, b) for a in range(dim) for b in range(a + 1, dim) if a * dim + b not in known)
+    each as min(a, b) * dim + max(a, b) (the other orientation may be there
+    too), and its diagonal equalities m[a,a] = m[b,b], as (a, b)."""
+    missing = tuple((a, b) for a in range(dim) for b in range(a + 1, dim) if a * dim + b not in known)
     # label[a] is the least index known to share a's diagonal entry, and
     # members[c] lists the indices labelled c; a merge relabels one class
     label = list(range(dim))
@@ -124,6 +122,29 @@ def _conclusion(t: int, dim: int, known, equal) -> PartyConclusion:
     return PartyConclusion(t, not missing and len(classes) == 1, missing, tuple(map(tuple, classes.values())))
 
 
+def propagate(rows, known: set) -> list:
+    """Unit propagation: sweeping `rows` (each of distinct keys) in order, a
+    row all of whose keys but one are in `known` forces that key, which
+    joins `known` at once; sweeps repeat until one forces nothing. Returns
+    the forced (row index, key) pairs, in the order they were forced."""
+    forced = []
+    while True:
+        count = len(forced)
+        for r, row in enumerate(rows):
+            live = None
+            for key in row:  # a scan stops at the second key not known
+                if key not in known:
+                    if live is not None:
+                        break
+                    live = key
+            else:
+                if live is not None:
+                    known.add(live)
+                    forced.append((r, live))
+        if len(forced) == count:
+            return forced
+
+
 def derive_certificate(sset: StateSet) -> Certificate:
     """Run the three rules, party by party, in the module's order; two runs
     on the same set produce identical fact lists."""
@@ -138,47 +159,36 @@ def derive_certificate(sset: StateSet) -> Certificate:
         dim = sset.shape.dims[t]
         _, ids, supports = sset.vector_index[t]
         masks = [sum([1 << a for a, _ in s]) for s in supports]
-        known: set[int] = set()  # as in _conclusion
-        constraints = []  # of disjoint supports: (i, j, [(a * dim + b, a, b), ...])
+        known: set[int] = set()  # m[a, b] known zero, as min(a, b) * dim + max(a, b)
+        constraints = []  # the pairs of disjoint supports
+        rows = []  # their terms' keys
         linked = []  # the stopper's partners
         for i, j in table.buckets[t]:
             vi, vj = ids[i], ids[j]
             u, v = supports[vi], supports[vj]
             if len(u) == 1 == len(v):
                 a, b = u[0][0], v[0][0]
-                key = a * dim + b
+                key = a * dim + b if a < b else b * dim + a
                 if key not in known:
                     known.add(key)
-                    known.add(b * dim + a)
                     facts.append(ZeroEntryFact(t, a, b, (i, j), RULE_LEMMA1))
             elif masks[vi] & masks[vj]:
                 if stopper_idx == i or stopper_idx == j:
                     linked.append(i + j - stopper_idx)
             else:
-                constraints.append((i, j, [(a * dim + b, a, b) for a, _ in u for b, _ in v]))
+                constraints.append((i, j))
+                rows.append([a * dim + b if a < b else b * dim + a for a, _ in u for b, _ in v])
 
-        # UnitPropagation to fixpoint; a scan stops at the second live term
-        changed = True
-        while changed:
-            changed = False
-            for i, j, terms in constraints:
-                live = None
-                for term in terms:
-                    if term[0] not in known:
-                        if live:
-                            break
-                        live = term
-                else:
-                    if live:
-                        key, a, b = live
-                        known.add(key)
-                        known.add(b * dim + a)
-                        facts.append(ZeroEntryFact(t, a, b, (i, j), RULE_UNIT_PROPAGATION))
-                        changed = True
+        for r, key in propagate(rows, known):
+            i, j = constraints[r]
+            lo, hi = divmod(key, dim)
+            # the fact's row lies in the first support, as in its constraint
+            a, b = (lo, hi) if masks[ids[i]] >> lo & 1 else (hi, lo)
+            facts.append(ZeroEntryFact(t, a, b, (i, j), RULE_UNIT_PROPAGATION))
 
         # Lemma2, once every off-diagonal entry is known zero
         equal = []
-        if len(known) == dim * (dim - 1):
+        if len(known) == dim * (dim - 1) // 2:
             seen = set()
             for partner in linked:
                 support = supports[ids[partner]]

@@ -16,9 +16,9 @@ d(d+1)/2 - 1, and the measurement is forced trivial iff rank_S reaches that
 and rank_A = d(d-1)/2.
 
 Each block is first peeled on its integer rows, as in the paper's Lemma 1: a
-row with one nonzero entry forces that coordinate to zero, so the column is
-deleted from every other row, and this repeats until no row has one entry
-(at most three passes on the built-in families). A pair of basis kets
+row with one nonzero entry forces that coordinate to zero, and so does a row
+whose other coordinates are all forced, to a fixpoint (`propagate`, the rule
+engine's unit propagation); the core is then built once. A pair of basis kets
 |a>, |b> gives such a row in each block; `assemble` builds these ket rows
 directly, with no product loop, and they are the rows the peel consumes:
 most rows of a family, so that only the rest, the core, is eliminated. This
@@ -59,7 +59,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .inference import Certificate, check_certificate
+from .inference import Certificate, check_certificate, propagate
 from .states import InvariantError, NonOrthogonalSetError, StateSet
 
 STATUS_TRIVIAL = "Trivial"
@@ -292,26 +292,16 @@ def _exact_rref(rows) -> tuple[dict[int, dict], int]:
 
 
 def _peel(rows) -> tuple[set[int], list[dict]]:
-    """The columns that one-entry rows force to zero, and the other rows with
-    those columns deleted (the core), repeated until no row has one entry.
-
+    """The columns that one-entry rows force to zero, directly or through
+    `propagate`, and the other rows with those columns deleted (the core).
     The peel is exact (see the module docstring): the rows' rank is the
     number of zeroed columns plus the core's rank, and their nullspace is
-    the core's with every zeroed coordinate 0.
-    """
-    zeroed: set[int] = set()
-    core = list(rows)
-    while True:
-        new = {k for row in core if len(row) == 1 for k in row}
-        if not new:
-            return zeroed, core
-        zeroed |= new
-        core = [
-            row if new.isdisjoint(row) else {k: x for k, x in row.items() if k not in new}
-            for row in core
-            if len(row) > 1  # a one-entry row would end up empty
-        ]
-        core = [row for row in core if row]
+    the core's with every zeroed coordinate 0."""
+    zeroed = {k for row in rows if len(row) == 1 for k in row}
+    rest = [row for row in rows if len(row) > 1]  # a one-entry row would end up empty
+    propagate(rest, zeroed)
+    core = [row if zeroed.isdisjoint(row) else {k: x for k, x in row.items() if k not in zeroed} for row in rest]
+    return zeroed, [row for row in core if row]
 
 
 def _free_vectors(pivots: dict[int, dict], den: int, free):

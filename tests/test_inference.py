@@ -17,9 +17,9 @@ from nwe import (
     render_certificate,
     verify_all,
 )
-from nwe.inference import DiagonalEqualFact, PartyConclusion, ZeroEntryFact, _conclusion, check_certificate
+from nwe.inference import DiagonalEqualFact, PartyConclusion, ZeroEntryFact, _conclusion, check_certificate, propagate
 from nwe.states import LocalVector, ProductState, SystemShape, basis_ket, diff_ket, flat_ket
-from nwe.verifier import InvariantError, anti_index, sym_index
+from nwe.verifier import InvariantError, _peel, anti_index, sym_index
 
 from helpers import (
     _reference_conclusion,
@@ -641,3 +641,114 @@ class TestConclusion:
         known = {a * 5 + b for a in range(5) for b in range(5) if a != b}
         assert _conclusion(0, 5, known, equal) == PartyConclusion(0, True, (), ((0, 1, 2, 3, 4),))
         assert _conclusion(0, 5, known, equal[:2]) == PartyConclusion(0, False, (), ((0,), (1,), (2, 3, 4)))
+
+
+@st.composite
+def propagation_inputs(draw):
+    """Rows of distinct keys in any order, the keys known at the start, and
+    the index of a planted row of two keys that no other row holds: random
+    rows, a planted chain in which each row holds one new key and the key
+    of the row before, and the planted row, in shuffled order."""
+    nkeys = draw(st.integers(1, 8))
+    rows = draw(st.lists(st.lists(st.integers(0, nkeys - 1), unique=True, max_size=4), max_size=8))
+    chain = draw(st.permutations(range(nkeys)))[: draw(st.integers(0, nkeys))]
+    rows += [chain[max(i - 1, 0) : i + 1] for i in range(len(chain))]
+    rows.append([nkeys, nkeys + 1] + draw(st.lists(st.integers(0, nkeys - 1), unique=True, max_size=2)))
+    rows = [draw(st.permutations(row)) for row in draw(st.permutations(rows))]
+    planted = next(r for r, row in enumerate(rows) if nkeys in row)
+    return rows, draw(st.sets(st.integers(0, nkeys - 1))), planted
+
+
+def naive_fixpoint(rows, known):
+    """The keys known once no row has exactly one key not known, adding every
+    such row's key at once, pass after pass."""
+    known = set(known)
+    while True:
+        new = {live[0] for row in rows if len(live := [k for k in row if k not in known]) == 1}
+        if not new:
+            return known
+        known |= new
+
+
+class TestPropagate:
+    @settings(max_examples=300, deadline=None)
+    @given(propagation_inputs(), st.randoms(use_true_random=False))
+    def test_forces_the_fixpoint_in_any_row_order(self, case, rnd):
+        rows, start, _ = case
+        known = set(start)
+        forced = propagate(rows, known)
+        assert known == naive_fixpoint(rows, start)
+        # known ends as its start plus the forced keys, each forced once
+        assert known == start | {key for _, key in forced}
+        assert len(forced) == len(known - start)
+        shuffled = list(rows)
+        rnd.shuffle(shuffled)
+        other = set(start)
+        propagate(shuffled, other)
+        assert other == known
+
+    @settings(max_examples=300, deadline=None)
+    @given(propagation_inputs())
+    def test_a_row_fires_on_its_one_key_not_yet_known(self, case):
+        rows, start, planted = case
+        forced = propagate(rows, set(start))
+        known = set(start)
+        for r, key in forced:
+            assert [k for k in rows[r] if k not in known] == [key]
+            known.add(key)
+        # the planted row's two keys are in no other row, so it never fires
+        assert planted not in {r for r, _ in forced}
+
+    def test_sweeps_in_row_order(self):
+        # in the first sweep the third row fires on the key the second
+        # forced just before it; the first row waits for the next sweep
+        rows = [[0, 2], [1], [1, 2, 3]]
+        known = {3}
+        assert propagate(rows, known) == [(1, 1), (2, 2), (0, 0)]
+        assert known == {0, 1, 2, 3}
+
+
+def _plus_minus_set():
+    """|0>+|1> and |0>-|1> on party 0, |0> on party 1: one pair, of
+    overlapping supports on party 0, whose A row has one entry."""
+    shape = SystemShape((3, 2))
+    states = tuple(ProductState(shape, (LocalVector(u), basis_ket(2, 0))) for u in ((1, 1, 0), (1, -1, 0)))
+    return StateSet(shape, states, provenance="plus-minus")
+
+
+def _peel_sets():
+    """Built-in families and rotated ones (one party or every party rotated),
+    each with and without its stopper, and the plus-minus set."""
+    families = [gen_equal(3, 3), gen_equal(3, 8), gen_equal(4, 5), gen_general((3, 4, 5)), gen_general((4, 5, 6, 8))]
+    sets = families + [
+        rotated(s, random.Random(k), parties)
+        for k, s in enumerate(families)
+        for parties in ([k % s.shape.n], range(s.shape.n))
+    ]
+    return sets + [without_stopper(s) for s in sets] + [_plus_minus_set()]
+
+
+class TestLemmaZerosArePeelZeros:
+    @pytest.mark.parametrize("sset", _peel_sets(), ids=lambda s: s.provenance)
+    def test_certificate_zeros_against_the_peel(self, sset):
+        # the S row of a pair of disjoint supports holds exactly its terms'
+        # entries, and an S row of overlapping supports holds at least two
+        # diagonal coordinates, which are never zeroed: the S peel is the
+        # certificate's propagation. An A row of overlapping supports may
+        # zero more.
+        cert = derive_certificate(sset)
+        for t in range(sset.shape.n):
+            system = assemble(sset, t)
+            dim = system.dim
+            entries = {
+                (min(f.row, f.col), max(f.row, f.col)) for f in cert.facts_for_party(t) if isinstance(f, ZeroEntryFact)
+            }
+            assert {sym_index(dim, a, b) for a, b in entries} == _peel(system.sym)[0]
+            assert {anti_index(dim, a, b) for a, b in entries} <= _peel(system.anti)[0]
+
+    def test_an_overlapping_pair_zeroes_more_in_the_peel(self):
+        # party 0's A row of |0>+|1>, |0>-|1> is -2 A[0,1]: a peel zero that
+        # no certificate fact gives
+        sset = _plus_minus_set()
+        assert not derive_certificate(sset).facts
+        assert _peel(assemble(sset, 0).anti)[0] == {anti_index(3, 0, 1)}
