@@ -3,15 +3,18 @@
 
 Each rung runs three times, each time on a freshly built set. Each line
 gives the instance, its number of states, the median over the runs of the
-seconds spent building the pair table (`pair_table_s`, which includes the
-per-party index of distinct vectors), of the seconds `verify_all` then
-takes (`verify_all_s`, which reads the table already built and eliminates
-every party), of the seconds the rule engine takes to derive the
-certificate (`certificate_s`) and of the seconds `check_certificate` takes
-to replay it (`check_s`), and the per-party statuses. The rotated rungs map
-every party's vectors by a seeded random integer matrix with orthogonal
-columns (`rotated` in `tests/helpers.py`), so no local basis is the
-computational one. A run that does not finish within 60 s is printed as
+seconds `state_set_from_document` and the vector index take to load the
+set's canonical document (`load_s`; the document is written and parsed
+outside the timed span), of the seconds spent building the pair table of
+the built set (`pair_table_s`, which includes the per-party index of
+distinct vectors), of the seconds `verify_all` then takes (`verify_all_s`,
+which reads the table already built and eliminates every party), of the
+seconds the rule engine takes to derive the certificate (`certificate_s`)
+and of the seconds `check_certificate` takes to replay it (`check_s`), and
+the per-party statuses. The rotated rungs map every party's vectors by a
+seeded random integer matrix with orthogonal columns (`rotated` in
+`tests/helpers.py`), so no local basis is the computational one. A run
+that does not finish within 60 s is printed as
 {"instance": ..., "skipped": "budget"} and the ladder goes on.
 
     python scripts/ladder.py
@@ -23,7 +26,7 @@ stamp: the Python version, the number of CPUs the process may use, the
 git commit of the checkout and a digest of the source the rungs ran
 (`source_sha256`, as `perfbench/run.py` computes it), which names the code
 even when it was measured before its commit. With `--baseline PATH`, each
-printed line also gives `baseline_ratio`: each of the rung's four stage
+printed line also gives `baseline_ratio`: each of the rung's five stage
 times divided by the same stage of the same rung in PATH, an earlier
 `--json` file (null where PATH lacks the rung or the stage, or timed it at
 0); the `--json` file is unchanged.
@@ -46,6 +49,7 @@ from pathlib import Path
 
 from nwe import derive_certificate, gen_equal, gen_general, verify_all
 from nwe.inference import check_certificate
+from nwe.serialize import dumps_canonical, state_set_from_document, state_set_to_document
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -91,13 +95,16 @@ class OverBudget(Exception):
 
 
 # the timed stages of `run`, in order; `--baseline` compares each of them
-STAGES = ("pair_table_s", "verify_all_s", "certificate_s", "check_s")
+STAGES = ("load_s", "pair_table_s", "verify_all_s", "certificate_s", "check_s")
 
 
 def run(build) -> tuple[int, list[float], list[str]]:
     """(states, seconds per timed stage, statuses) of one run."""
     sset = build()
+    doc = json.loads(dumps_canonical(state_set_to_document(sset)))
     marks = [time.perf_counter()]
+    state_set_from_document(doc).vector_index
+    marks.append(time.perf_counter())
     sset.pair_table
     marks.append(time.perf_counter())
     verdicts = verify_all(sset)

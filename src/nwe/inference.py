@@ -101,9 +101,11 @@ class Certificate:
 
 def _conclusion(t: int, dim: int, known, equal) -> PartyConclusion:
     """Party t's conclusion from its off-diagonal entries m[a, b] known zero,
-    each as min(a, b) * dim + max(a, b) (the other orientation may be there
-    too), and its diagonal equalities m[a,a] = m[b,b], as (a, b)."""
-    missing = tuple((a, b) for a in range(dim) for b in range(a + 1, dim) if a * dim + b not in known)
+    each once, as min(a, b) * dim + max(a, b), and its diagonal equalities
+    m[a,a] = m[b,b], as (a, b)."""
+    missing = ()
+    if len(known) != dim * (dim - 1) // 2:
+        missing = tuple((a, b) for a in range(dim) for b in range(a + 1, dim) if a * dim + b not in known)
     # label[a] is the least index known to share a's diagonal entry, and
     # members[c] lists the indices labelled c; a merge relabels one class
     label = list(range(dim))
@@ -252,8 +254,7 @@ def check_certificate(sset: StateSet, cert: Certificate) -> None:
         dim = sset.shape.dims[t]
         _, ids, supports = sset.vector_index[t]
         bucket = set(table.buckets[t])
-        # m[a, b] known zero, as a * dim + b and b * dim + a
-        known: set[int] = set()
+        known: set[int] = set()  # m[a, b] known zero, as min(a, b) * dim + max(a, b)
         equal: list[tuple[int, int]] = []
         for fact in by_party.get(t, ()):
             i, j = fact.pair
@@ -262,19 +263,20 @@ def check_certificate(sset: StateSet, cert: Certificate) -> None:
             u, v = supports[ids[i]], supports[ids[j]]
             if isinstance(fact, ZeroEntryFact):
                 row, col = entry = fact.row, fact.col
+                key = row * dim + col if row < col else col * dim + row
                 if len(u) == 1 == len(v):
-                    forced = (u[0][0], v[0][0]) == entry and row * dim + col not in known
+                    forced = (u[0][0], v[0][0]) == entry and key not in known
                 else:
                     # a diagonal term is never known zero, so it would stay live
-                    forced = [(a, b) for a, _ in u for b, _ in v if a * dim + b not in known] == [entry]
+                    live = [(a, b) for a, _ in u for b, _ in v if (a * dim + b if a < b else b * dim + a) not in known]
+                    forced = live == [entry]
                 if not forced or row == col:
                     raise InvariantError(f"party {t}: {fact}: the pair does not force this entry to zero")
                 if fact.rule != (RULE_LEMMA1 if len(u) * len(v) == 1 else RULE_UNIT_PROPAGATION):
                     raise InvariantError(f"party {t}: {fact}: the rule does not match the constraint")
-                known.add(row * dim + col)
-                known.add(col * dim + row)
+                known.add(key)
             else:
-                if len(known) != dim * (dim - 1):
+                if len(known) != dim * (dim - 1) // 2:
                     raise InvariantError(f"party {t}: {fact}: an off-diagonal entry is not yet known zero")
                 v_at = dict(v)
                 diagonal = {a: c * v_at[a] for a, c in u if a in v_at}

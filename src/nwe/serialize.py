@@ -1,5 +1,9 @@
 """JSON interchange for state sets ("nwe/1") and canonical encoding.
 
+`state_set_from_document` reads a document in one pass straight into the
+set's per-party vector index, checking a list's types every time but its
+length and "not all zero" once per distinct tuple.
+
 Canonical form: UTF-8, keys sorted, two-space indent, LF newlines, single
 trailing newline. Writing the same set twice yields byte-identical files.
 `dumps_canonical` writes containers itself, and its text equals
@@ -11,11 +15,10 @@ encoder or int.__repr__.
 
 from __future__ import annotations
 
-import functools
 import json
 from json.encoder import encode_basestring as _encode_str
 
-from .states import LocalVector, ProductState, StateSet, SystemShape
+from .states import StateSet, SystemShape, _party_vectors
 
 FORMAT_VERSION = "nwe/1"
 
@@ -59,36 +62,35 @@ def state_set_from_document(doc) -> StateSet:
     provenance = doc.get("provenance", "user")
     if not isinstance(provenance, str):
         raise DocumentError("provenance must be a string")
-    states = []
-    # one LocalVector per distinct coefficient list, shared by every state that has it
-    local_vector = functools.cache(LocalVector)
+    # each party's table maps a distinct coefficient tuple to its vector id
+    n, tables, columns, labels = shape.n, [{} for _ in dims], [[] for _ in dims], []
     for idx, entry in enumerate(raw_states):
         if not isinstance(entry, dict):
             raise DocumentError(f"states[{idx}]: expected an object")
         raw_locals = entry.get("locals")
-        if not isinstance(raw_locals, list) or len(raw_locals) != shape.n:
-            raise DocumentError(f"states[{idx}]: locals must be an array of {shape.n} vectors")
-        locals_: list[LocalVector] = []
-        for k, coeffs in enumerate(raw_locals):
+        if not isinstance(raw_locals, list) or len(raw_locals) != n:
+            raise DocumentError(f"states[{idx}]: locals must be an array of {n} vectors")
+        for k in range(n):
+            coeffs = raw_locals[k]
+            # the exact type check must come first: (True, 0) == (1, 0) == (1.0, 0) as keys
             if not isinstance(coeffs, list) or not {int}.issuperset(map(type, coeffs)):
                 raise DocumentError(f"states[{idx}].locals[{k}]: expected an array of integers")
-            if len(coeffs) != shape.dims[k]:
-                raise DocumentError(
-                    f"states[{idx}].locals[{k}]: expected {shape.dims[k]} coefficients, got {len(coeffs)}"
-                )
-            try:
-                # the exact type check above must come first: (True, 0) == (1, 0) as keys
-                locals_.append(local_vector(tuple(coeffs)))
-            except ValueError as exc:
-                raise DocumentError(f"states[{idx}].locals[{k}]: {exc}") from exc
+            v = tables[k].get(key := tuple(coeffs))
+            if v is None:  # a tuple in the table passed these checks when first seen
+                if len(key) != dims[k]:
+                    raise DocumentError(f"states[{idx}].locals[{k}]: expected {dims[k]} coefficients, got {len(key)}")
+                if not any(key):
+                    raise DocumentError(
+                        f"states[{idx}].locals[{k}]: local vector must have at least one nonzero coefficient"
+                    )
+                v = tables[k][key] = len(tables[k])
+            columns[k].append(v)
         label = entry.get("label")
         if label is not None and not isinstance(label, str):
             raise DocumentError(f"states[{idx}].label: expected a string")
-        try:
-            states.append(ProductState(shape, tuple(locals_), label))
-        except ValueError as exc:
-            raise DocumentError(f"states[{idx}]: {exc}") from exc
-    sset = StateSet(shape, tuple(states), provenance=provenance)
+        labels.append(label)
+    index = tuple(map(_party_vectors, tables, columns))
+    sset = StateSet._from_index(shape, index, tuple(labels), provenance)
     # certificates cite states by label (an unlabelled state by "#index"),
     # so each label must name one state
     first: dict[str, int] = {}

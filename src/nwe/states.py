@@ -6,10 +6,10 @@ Because the inner product of two product states factorizes party by party,
 orthogonality is decided exactly with integer arithmetic alone.
 
 A party usually has far fewer distinct vectors than the set has states.
-`StateSet.vector_index`, built on first use, lists each party's distinct
-vectors once, with the vector id of every state and each vector's sparse
-support; the pair table, the oracle's rows and the certificate all read
-the supports from it. The pair table sums the inner products of distinct
+`StateSet.vector_index` lists each party's distinct vectors once, with the
+vector id of every state and each vector's sparse support. A set read from
+a document is stored as this index and its labels; the verify path reads
+nothing else. The pair table sums the inner products of distinct
 vectors coordinate by coordinate, so only the entries two vectors share
 are multiplied (vectors with disjoint supports are orthogonal), and sorts
 the state pairs with integer bitsets.
@@ -155,7 +155,13 @@ class ProductState:
 
 @dataclass(frozen=True)
 class StateSet:
-    """Ordered collection of product states over one shape."""
+    """Ordered collection of product states over one shape.
+
+    A set built from ProductStates builds `vector_index` on first use. A set
+    read from a document is stored as its `vector_index` and labels, and
+    builds `states` on first use, one LocalVector per distinct coefficient
+    tuple, shared across parties.
+    """
 
     shape: SystemShape
     states: tuple[ProductState, ...]
@@ -166,17 +172,40 @@ class StateSet:
         for idx, s in enumerate(self.states):
             if s.shape != self.shape:
                 raise DimensionError(f"state {idx} has shape {s.shape.dims}, set has {self.shape.dims}")
+        object.__setattr__(self, "_labels", tuple(s.label for s in self.states))
+
+    @classmethod
+    def _from_index(cls, shape: SystemShape, index, labels, provenance: str) -> StateSet:
+        """The set whose state i has vector index[t].ids[i] on party t and
+        label labels[i] (None for none), both checked by the caller."""
+        sset = object.__new__(cls)
+        sset.__dict__.update(shape=shape, provenance=provenance, vector_index=index, _labels=labels)
+        return sset
+
+    def __getattr__(self, name: str):
+        # only reached for an attribute not stored: a document's states
+        if name != "states":
+            raise AttributeError(f"'StateSet' object has no attribute {name!r}")
+        index = self.vector_index
+        shared = {c: LocalVector(c) for p in index for c in p.coeffs}
+        self.__dict__["states"] = tuple(
+            ProductState(self.shape, tuple(shared[p.coeffs[v]] for p, v in zip(index, vs)), label)
+            for vs, label in zip(zip(*(p.ids for p in index)), self._labels)
+        )
+        return self.states
 
     def __len__(self) -> int:
-        return len(self.states)
+        return len(self._labels)
 
     def labels(self) -> tuple[str, ...]:
-        return tuple(s.label if s.label is not None else f"#{i}" for i, s in enumerate(self.states))
+        return tuple(f"#{i}" if label is None else label for i, label in enumerate(self._labels))
 
     @cached_property
     def vector_index(self) -> tuple[PartyVectors, ...]:
         """Each party's distinct local vectors; computed on first use."""
-        return tuple(_party_vectors(s.locals[t].coeffs for s in self.states) for t in range(self.shape.n))
+        tables: list[dict] = [{} for _ in self.shape.dims]
+        ids = [[table.setdefault(s.locals[t].coeffs, len(table)) for s in self.states] for t, table in enumerate(tables)]
+        return tuple(map(_party_vectors, tables, ids))
 
     @cached_property
     def pair_table(self) -> PairTable:
@@ -198,12 +227,11 @@ class PartyVectors(NamedTuple):
     supports: tuple[tuple[tuple[int, int], ...], ...]
 
 
-def _party_vectors(column) -> PartyVectors:
-    """The index of one party, given each state's coefficient tuple in turn."""
-    ids: dict[tuple[int, ...], int] = {}
-    of_state = tuple(ids.setdefault(coeffs, len(ids)) for coeffs in column)
-    supports = tuple(tuple((a, c) for a, c in enumerate(coeffs) if c) for coeffs in ids)
-    return PartyVectors(tuple(ids), of_state, supports)
+def _party_vectors(table: dict[tuple[int, ...], int], ids) -> PartyVectors:
+    """One party's index, from its table of distinct coefficient tuples (in
+    order of first appearance, each mapped to its position) and the ids."""
+    supports = tuple(tuple((a, c) for a, c in enumerate(coeffs) if c) for coeffs in table)
+    return PartyVectors(tuple(table), tuple(ids), supports)
 
 
 @dataclass(frozen=True)
@@ -228,7 +256,7 @@ def _classify_pairs(sset: StateSet) -> PairTable:
     # earlier vectors nonzero there, so vectors with disjoint supports
     # (which are orthogonal) are never multiplied; a vector is never
     # orthogonal to itself.
-    count = len(sset.states)
+    count = len(sset)
     every = (1 << count) - 1
     zeros = []
     for dim, (coeffs, ids, supports) in zip(sset.shape.dims, sset.vector_index):
@@ -279,13 +307,8 @@ def stopper(shape: SystemShape) -> ProductState:
     return ProductState(shape, tuple(flat_ket(d) for d in shape.dims), label="S")
 
 
-def is_stopper(state: ProductState) -> bool:
-    return all(all(c == 1 for c in lv.coeffs) for lv in state.locals)
-
-
 def find_stopper(sset: StateSet) -> int | None:
     """Index of the all-ones state, or None. Unique in any orthogonal set."""
-    for idx, s in enumerate(sset.states):
-        if is_stopper(s):
-            return idx
-    return None
+    ones = [(1,) * d for d in sset.shape.dims]
+    wanted = tuple(p.coeffs.index(o) if o in p.coeffs else None for p, o in zip(sset.vector_index, ones))
+    return next((i for i, vs in enumerate(zip(*(p.ids for p in sset.vector_index))) if vs == wanted), None)

@@ -1,4 +1,5 @@
-"""Independent brute-force oracles, small fixture sets and seeded basis rotations.
+"""Independent brute-force oracles, small fixture sets, seeded basis rotations
+and the state-by-state document loader the library's loader is checked against.
 
 Everything here recomputes from first principles (full tensor expansion,
 exact complex-rational arithmetic, a term list per constraint) without going
@@ -8,6 +9,7 @@ route in dual checks.
 
 from __future__ import annotations
 
+import functools
 import importlib.util
 import math
 import os
@@ -18,7 +20,7 @@ import textwrap
 from fractions import Fraction
 from pathlib import Path
 
-from nwe import StateSet
+from nwe import DocumentError, StateSet
 from nwe.inference import (
     RULE_LEMMA1,
     RULE_LEMMA2,
@@ -39,6 +41,7 @@ from nwe.states import (
     basis_ket,
     find_stopper,
 )
+from nwe.serialize import FORMAT_VERSION
 from nwe.verifier import HermitianMatrix, anti_index, sym_index
 
 
@@ -247,6 +250,72 @@ def reference_certificate(sset: StateSet) -> Certificate:
                 equal.append((pos, neg))
         conclusions.append(_reference_conclusion(t, dim, known, equal))
     return Certificate(sset.shape, sset.labels(), tuple(facts), tuple(conclusions))
+
+
+
+def reference_state_set_from_document(doc) -> StateSet:
+    """The loader as it was before documents were read straight into the
+    vector index: one LocalVector per distinct list and one ProductState per
+    state, then the set built from them, whose index is built on first use.
+    Its sets and its DocumentError messages are what the library's loader
+    must give."""
+    if not isinstance(doc, dict):
+        raise DocumentError(f"document must be a JSON object, got {type(doc).__name__}")
+    version = doc.get("version")
+    if version != FORMAT_VERSION:
+        raise DocumentError(f"unsupported document version {version!r} (expected {FORMAT_VERSION!r})")
+    dims = doc.get("dims")
+    # JSON true and false decode to bool, a subclass of int: exact type checks reject them
+    if not isinstance(dims, list) or not all(type(d) is int for d in dims):
+        raise DocumentError("dims must be an array of integers")
+    try:
+        shape = SystemShape(tuple(dims))
+    except ValueError as exc:
+        raise DocumentError(f"bad dims: {exc}") from exc
+    raw_states = doc.get("states")
+    if not isinstance(raw_states, list):
+        raise DocumentError("states must be an array")
+    provenance = doc.get("provenance", "user")
+    if not isinstance(provenance, str):
+        raise DocumentError("provenance must be a string")
+    states = []
+    # one LocalVector per distinct coefficient list, shared by every state that has it
+    local_vector = functools.cache(LocalVector)
+    for idx, entry in enumerate(raw_states):
+        if not isinstance(entry, dict):
+            raise DocumentError(f"states[{idx}]: expected an object")
+        raw_locals = entry.get("locals")
+        if not isinstance(raw_locals, list) or len(raw_locals) != shape.n:
+            raise DocumentError(f"states[{idx}]: locals must be an array of {shape.n} vectors")
+        locals_: list[LocalVector] = []
+        for k, coeffs in enumerate(raw_locals):
+            if not isinstance(coeffs, list) or not {int}.issuperset(map(type, coeffs)):
+                raise DocumentError(f"states[{idx}].locals[{k}]: expected an array of integers")
+            if len(coeffs) != shape.dims[k]:
+                raise DocumentError(
+                    f"states[{idx}].locals[{k}]: expected {shape.dims[k]} coefficients, got {len(coeffs)}"
+                )
+            try:
+                # the exact type check above must come first: (True, 0) == (1, 0) as keys
+                locals_.append(local_vector(tuple(coeffs)))
+            except ValueError as exc:
+                raise DocumentError(f"states[{idx}].locals[{k}]: {exc}") from exc
+        label = entry.get("label")
+        if label is not None and not isinstance(label, str):
+            raise DocumentError(f"states[{idx}].label: expected a string")
+        try:
+            states.append(ProductState(shape, tuple(locals_), label))
+        except ValueError as exc:
+            raise DocumentError(f"states[{idx}]: {exc}") from exc
+    sset = StateSet(shape, tuple(states), provenance=provenance)
+    # certificates cite states by label (an unlabelled state by "#index"),
+    # so each label must name one state
+    first: dict[str, int] = {}
+    for idx, label in enumerate(sset.labels()):
+        if label in first:
+            raise DocumentError(f"duplicate state label {label!r}: states[{first[label]}] and states[{idx}]")
+        first[label] = idx
+    return sset
 
 
 def unshared_index(sset: StateSet) -> StateSet:

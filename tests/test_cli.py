@@ -8,8 +8,9 @@ import pytest
 import nwe.cli
 import nwe.verifier
 from nwe import derive_certificate, gen_equal, gen_general, save_state_set, verify_all
-from nwe.cli import build_parser, main
-from nwe.serialize import dumps_canonical, state_set_to_document
+from nwe.cli import _build_report, build_parser, main
+from nwe.serialize import dumps_canonical, state_set_from_document, state_set_to_document
+from nwe.states import check_pairwise_orthogonality
 
 from helpers import big_basis_set, computational_basis_set, rotated, without_stopper
 
@@ -518,3 +519,21 @@ class TestReplayedCertificateSkipsElimination:
         assert captured.out == ""
         assert captured.err.startswith("error: no verdict: party 0: ")
         assert captured.err.count("\n") == 1
+
+
+class TestVerifyReadsOnlyTheIndex:
+    """A set read from a document is verified from its vector index and its
+    labels: the report never builds its ProductState view."""
+
+    @pytest.mark.parametrize("engines", [["lemma", "oracle"], ["oracle"], ["lemma"]], ids=["both", "oracle", "lemma"])
+    @pytest.mark.parametrize(
+        "sset",
+        [gen_general((3, 4, 5)), without_stopper(gen_equal(3, 4)), rotated(gen_equal(3, 4), random.Random(4), [0])],
+        ids=lambda s: s.provenance,
+    )
+    def test_states_view_is_never_built(self, sset, engines):
+        loaded = state_set_from_document(json.loads(dumps_canonical(state_set_to_document(sset))))
+        assert check_pairwise_orthogonality(loaded) == []
+        report = _build_report(loaded, engines)
+        assert "states" not in loaded.__dict__
+        assert report == _build_report(sset, engines)

@@ -9,9 +9,17 @@ from helpers import load_script
 
 def test_baseline_ratio():
     ladder = load_script("ladder")
-    line = {"instance": "x", "pair_table_s": 0.003, "verify_all_s": 0.5, "certificate_s": 0.004, "check_s": 0.001}
-    earlier = {"pair_table_s": 0.006, "verify_all_s": 0.25, "certificate_s": 0.008, "check_s": 0.002}
+    line = {
+        "instance": "x",
+        "load_s": 0.002,
+        "pair_table_s": 0.003,
+        "verify_all_s": 0.5,
+        "certificate_s": 0.004,
+        "check_s": 0.001,
+    }
+    earlier = {"load_s": 0.001, "pair_table_s": 0.006, "verify_all_s": 0.25, "certificate_s": 0.008, "check_s": 0.002}
     assert ladder.baseline_ratio(line, earlier) == {
+        "load_s": 2.0,
         "pair_table_s": 0.5,
         "verify_all_s": 2.0,
         "certificate_s": 0.5,

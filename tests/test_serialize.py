@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -6,6 +7,8 @@ from hypothesis import strategies as st
 
 from nwe import DocumentError, gen_equal, gen_general, load_state_set, save_state_set
 from nwe.serialize import dumps_canonical, state_set_from_document, state_set_to_document
+
+from helpers import reference_state_set_from_document, rotated, scrambled, without_stopper
 
 
 class TestRoundTrip:
@@ -138,6 +141,149 @@ class TestSharedVectors:
         )
         with pytest.raises(DocumentError, match=r"states\[1\].locals\[0\]: expected an array of integers"):
             state_set_from_document(doc)
+
+
+def views(sset):
+    return sset.vector_index, sset.labels(), len(sset), sset.provenance, sset.states
+
+
+def loaded(load, doc):
+    """("error", message) if `load` rejects doc, else ("ok", the set's views)."""
+    try:
+        sset = load(doc)
+    except DocumentError as exc:
+        return "error", str(exc)
+    return "ok", views(sset)
+
+
+@st.composite
+def hostile_documents(draw):
+    """Documents over 2-3 parties of dimension 2-3 whose states draw each
+    party's list from a small pool, so that lists repeat. A pool may hold
+    lists equal as Python values to an integer list but of another type
+    (booleans, floats), lists of the wrong length, all-zero lists and
+    non-lists; a state may be malformed or carry a bad or repeated label."""
+    dims = draw(st.lists(st.integers(2, 3), min_size=2, max_size=3))
+    coefficient = st.sampled_from([-1, 0, 0, 1, 2])
+    odd_value = st.sampled_from([True, False, 1.0, 0.0, "1", None])
+    pools = []
+    for d in dims:
+        good = st.lists(coefficient, min_size=d, max_size=d)
+        odd = st.one_of(
+            good.flatmap(lambda c: st.integers(0, len(c) - 1).flatmap(
+                lambda k, c=c: odd_value.map(lambda x, k=k, c=c: c[:k] + [x] + c[k + 1 :])
+            )),
+            st.lists(coefficient, min_size=d - 1, max_size=d + 1),
+            st.just([0] * d),
+            st.sampled_from([None, 1, "x", {}]),
+        )
+        pools.append(draw(st.lists(good | odd if draw(st.booleans()) else good, min_size=1, max_size=4)))
+    label = st.one_of(st.none(), st.sampled_from(["a", "b", "#0", "#1"]), st.just(7))
+    states = []
+    for _ in range(draw(st.integers(0, 6))):
+        entry = {"locals": [draw(st.sampled_from(pool)) for pool in pools]}
+        if (name := draw(label)) is not None:
+            entry["label"] = name
+        states.append(draw(st.sampled_from([entry] * 8 + [[], {"locals": entry["locals"][1:]}, {}])))
+    doc = {"version": "nwe/1", "dims": dims, "states": states}
+    if draw(st.booleans()):
+        doc["provenance"] = "drawn"
+    # as a file gives it: every list a new object
+    return json.loads(json.dumps(doc))
+
+
+def family_documents():
+    families = [gen_equal(3, 3), gen_equal(4, 3), gen_general((3, 4, 5)), gen_general((3, 3, 4))]
+    sets = (
+        families
+        + [without_stopper(s) for s in families]
+        + [scrambled(s, random.Random(k), reduce=True) for k, s in enumerate(families)]
+        + [rotated(s, random.Random(k), range(s.shape.n)) for k, s in enumerate(families)]
+    )
+    docs = [state_set_to_document(s) for s in sets]
+    unlabelled = state_set_to_document(gen_equal(3, 4))
+    for entry in unlabelled["states"][::2]:
+        del entry["label"]
+    return docs + [unlabelled]
+
+
+class TestAgainstReferenceLoader:
+    """The loader reads a document straight into the per-party vector index;
+    the reference builds every LocalVector and ProductState first. Their
+    sets, views and errors must agree."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(hostile_documents())
+    def test_drawn_documents(self, doc):
+        assert loaded(state_set_from_document, doc) == loaded(reference_state_set_from_document, doc)
+
+    @pytest.mark.parametrize("doc", family_documents(), ids=lambda d: d.get("provenance", "unlabelled"))
+    def test_family_documents(self, doc):
+        sset = state_set_from_document(doc)
+        assert "states" not in sset.__dict__
+        reference = reference_state_set_from_document(doc)
+        assert views(sset) == views(reference)
+        assert sset == reference
+        assert state_set_to_document(sset) == doc
+
+
+def two_party(*states):
+    """A document over dims (3, 2) with the given states' locals."""
+    return {"version": "nwe/1", "dims": [3, 2], "states": [{"locals": locals_} for locals_ in states]}
+
+
+class TestPrecedenceOnInternedLists:
+    """A list equal to one already interned is still checked in full, and
+    each error is the one the state-by-state loader gave first."""
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            pytest.param(
+                two_party([[1, 0, 0], [1, 0]], [[1.0, 0, 0], [0, 1]]),
+                "states[1].locals[0]: expected an array of integers",
+                id="float-after-int",
+            ),
+            pytest.param(
+                two_party([[0, 1, 0], [0, 1]], [[0, 1, 0], [False, 1]]),
+                "states[1].locals[1]: expected an array of integers",
+                id="false-after-0",
+            ),
+            pytest.param(
+                two_party([[1, 0, 0], [1, 0]], [[1, 0, 0, 0], [0, 1]]),
+                "states[1].locals[0]: expected 3 coefficients, got 4",
+                id="prefix-interned",
+            ),
+            pytest.param(
+                # (1, 0) is interned on party 1, not on party 0
+                two_party([[0, 0, 1], [1, 0]], [[1, 0], [0, 1]]),
+                "states[1].locals[0]: expected 3 coefficients, got 2",
+                id="interned-on-another-party",
+            ),
+            pytest.param(
+                # (1, 0, 0) is interned on party 0, and too long for party 1
+                two_party([[1, 0, 0], [1, 0]], [[1, 0, 0], [1, 0, 0]]),
+                "states[1].locals[1]: expected 2 coefficients, got 3",
+                id="too-long-for-its-party",
+            ),
+            pytest.param(
+                two_party([[1, 0, 0], [1, 0]], [[0, 1, 0], [1, 0]], [[0, 0, 1], [0, 0]]),
+                "states[2].locals[1]: local vector must have at least one nonzero coefficient",
+                id="zero-first-seen-later",
+            ),
+            pytest.param(
+                two_party([[1, 0, 0], [1, 0]], [[True, 0, 0], [1, 0, 0]]),
+                "states[1].locals[0]: expected an array of integers",
+                id="type-error-before-length-error",
+            ),
+        ],
+    )
+    def test_exact_message(self, doc, message):
+        doc = json.loads(json.dumps(doc))
+        with pytest.raises(DocumentError) as caught:
+            state_set_from_document(doc)
+        assert str(caught.value) == message
+        assert loaded(reference_state_set_from_document, doc) == ("error", message)
 
 
 class SubDict(dict):

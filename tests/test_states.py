@@ -8,7 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nwe import DimensionError, StateSet, assemble, derive_certificate, gen_equal, gen_general
-from nwe.states import LocalVector, ProductState, SystemShape, basis_ket, check_pairwise_orthogonality, dim_cap, stopper
+from nwe.serialize import state_set_from_document, state_set_to_document
+from nwe.states import (
+    LocalVector,
+    ProductState,
+    SystemShape,
+    basis_ket,
+    check_pairwise_orthogonality,
+    dim_cap,
+    find_stopper,
+    stopper,
+)
 
 from helpers import (
     are_orthogonal,
@@ -19,6 +29,7 @@ from helpers import (
     reference_pair_table,
     rotated,
     scaled_vector,
+    scrambled,
     unshared_index,
     without_stopper,
 )
@@ -143,6 +154,44 @@ class TestStopper:
         zero = product_state(shape, (1, 0), (1, 0))
         assert inner_factors(zero, s) == (1, 1)
         assert not are_orthogonal(zero, s)
+
+
+def scanned_stopper(sset):
+    """The first state all of whose coefficients are 1, found state by state."""
+    return next((i for i, s in enumerate(sset.states) if all(c == 1 for lv in s.locals for c in lv.coeffs)), None)
+
+
+def stopper_sets():
+    shape = SystemShape((2, 3))
+    ones = stopper(shape)
+    half = product_state(shape, (1, 1), (1, 0, 0))
+    other_half = product_state(shape, (1, 0), (1, 1, 1))
+    families = [gen_equal(3, 3), gen_general((3, 4, 5)), gen_equal(4, 3)]
+    return (
+        families
+        + [without_stopper(s) for s in families]
+        + [scrambled(s, random.Random(k)) for k, s in enumerate(families)]
+        + [rotated(gen_equal(3, 4), random.Random(1), [1])]
+        + [
+            # every party has the all-ones vector, on no one state
+            StateSet(shape, (half, other_half)),
+            StateSet(shape, (half, ones, other_half, ProductState(shape, ones.locals, label="S2"))),
+            StateSet(shape, ()),
+        ]
+    )
+
+
+class TestFindStopper:
+    """find_stopper reads the vector index: it looks up each party's
+    all-ones vector and the state that has all of them."""
+
+    @pytest.mark.parametrize("sset", stopper_sets(), ids=lambda s: f"{s.provenance}{s.shape.dims}-{len(s)}")
+    def test_agrees_with_the_state_scan(self, sset):
+        expected = scanned_stopper(sset)
+        assert find_stopper(sset) == expected
+        loaded = state_set_from_document(state_set_to_document(sset))
+        assert find_stopper(loaded) == expected
+        assert "states" not in loaded.__dict__
 
 
 class TestInvariantsValidation:
