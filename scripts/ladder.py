@@ -31,11 +31,25 @@ times divided by the same stage of the same rung in PATH, an earlier
 `--json` file (null where PATH lacks the rung or the stage, or timed it at
 0); the `--json` file is unchanged.
 
+With `--against REV`, the script instead compares the working tree with
+`src/nwe` at the git revision REV, which it extracts with `git archive`
+into a temporary directory and imports under a second package name. Each
+rung runs five times in each tree, alternating which tree runs first; each
+run loads the rung's canonical document with its tree's loader and times
+the five stages on that set (so `pair_table_s` excludes the vector index
+wherever the loader builds it). Each printed line gives, per stage, the
+median of the working tree's time over REV's (`ratio`) and the number of
+runs the working tree was faster (`won`), and both trees' statuses. The
+script exits with 1 if any rung's statuses differ between the trees.
+
+    python scripts/ladder.py --against HEAD
+
 The budget is enforced with SIGALRM, so the script needs a POSIX system.
 """
 
 import argparse
 import hashlib
+import importlib
 import json
 import os
 import platform
@@ -44,12 +58,13 @@ import signal
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
-from nwe import derive_certificate, gen_equal, gen_general, verify_all
-from nwe.inference import check_certificate
-from nwe.serialize import dumps_canonical, state_set_from_document, state_set_to_document
+from nwe import gen_equal, gen_general
+from nwe.serialize import dumps_canonical, state_set_to_document
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -59,7 +74,10 @@ from helpers import rotated, without_stopper  # noqa: E402
 
 BUDGET_S = 60.0
 RUNS = 3
+AGAINST_RUNS = 5
 ROTATION_SEED = 2022
+# `src/nwe` at the `--against` revision is imported as this package
+AGAINST_PACKAGE = "nwe_against"
 
 
 def rotated_equal(dim: int):
@@ -98,34 +116,62 @@ class OverBudget(Exception):
 STAGES = ("load_s", "pair_table_s", "verify_all_s", "certificate_s", "check_s")
 
 
-def run(build) -> tuple[int, list[float], list[str]]:
-    """(states, seconds per timed stage, statuses) of one run."""
-    sset = build()
-    doc = json.loads(dumps_canonical(state_set_to_document(sset)))
+def tree(package: str) -> SimpleNamespace:
+    """The functions a run calls, from the package `package`."""
+    serialize = importlib.import_module(f"{package}.serialize")
+    inference = importlib.import_module(f"{package}.inference")
+    verifier = importlib.import_module(f"{package}.verifier")
+    return SimpleNamespace(
+        state_set_from_document=serialize.state_set_from_document,
+        verify_all=verifier.verify_all,
+        derive_certificate=inference.derive_certificate,
+        check_certificate=inference.check_certificate,
+    )
+
+
+def document(sset) -> dict:
+    return json.loads(dumps_canonical(state_set_to_document(sset)))
+
+
+def run(sset, doc: dict, api) -> tuple[int, list[float], list[str]]:
+    """(states, seconds per timed stage, statuses) of one run of `api`'s
+    functions on the set `sset`, whose canonical document is `doc`."""
     marks = [time.perf_counter()]
-    state_set_from_document(doc).vector_index
+    api.state_set_from_document(doc).vector_index
     marks.append(time.perf_counter())
     sset.pair_table
     marks.append(time.perf_counter())
-    verdicts = verify_all(sset)
+    verdicts = api.verify_all(sset)
     marks.append(time.perf_counter())
-    cert = derive_certificate(sset)
+    cert = api.derive_certificate(sset)
     marks.append(time.perf_counter())
-    check_certificate(sset, cert)
+    api.check_certificate(sset, cert)
     marks.append(time.perf_counter())
     return len(sset), [b - a for a, b in zip(marks, marks[1:])], [v.status for v in verdicts]
 
 
-def rung(instance: str, build) -> dict:
-    runs = []
-    for _ in range(RUNS):
+def budgeted(runs: int, one_run) -> list | None:
+    """`runs` results of `one_run()`, or None when one exceeds BUDGET_S."""
+    results = []
+    for k in range(runs):
         signal.setitimer(signal.ITIMER_REAL, BUDGET_S)
         try:
-            runs.append(run(build))
+            results.append(one_run(k))
         except OverBudget:
-            return {"instance": instance, "skipped": "budget"}
+            return None
         finally:
             signal.setitimer(signal.ITIMER_REAL, 0)
+    return results
+
+
+def rung(instance: str, build) -> dict:
+    def one_run(_):
+        sset = build()
+        return run(sset, document(sset), tree("nwe"))
+
+    runs = budgeted(RUNS, one_run)
+    if runs is None:
+        return {"instance": instance, "skipped": "budget"}
     line = {"instance": instance, "states": runs[0][0]}
     for k, stage in enumerate(STAGES):
         line[stage] = round(statistics.median(r[1][k] for r in runs), 4)
@@ -167,6 +213,66 @@ def baseline_ratio(line: dict, earlier: dict) -> dict:
     }
 
 
+def against_rung(instance: str, build, trees: dict) -> dict:
+    """The rung run AGAINST_RUNS times in each of the two trees, {"working":
+    ..., "against": ...}, alternating which runs first, on sets loaded from
+    one canonical document."""
+    doc = document(build())
+    names = list(trees)
+
+    def one_run(k):
+        results = {}
+        for name in names if k % 2 == 0 else names[::-1]:
+            api = trees[name]
+            results[name] = run(api.state_set_from_document(doc), doc, api)
+        return results
+
+    runs = budgeted(AGAINST_RUNS, one_run)
+    if runs is None:
+        return {"instance": instance, "skipped": "budget"}
+    ratio, won = {}, {}
+    for k, stage in enumerate(STAGES):
+        pairs = [(r["working"][1][k], r["against"][1][k]) for r in runs]
+        ratio[stage] = round(statistics.median(w / a for w, a in pairs), 2) if all(a for _, a in pairs) else None
+        won[stage] = sum(w < a for w, a in pairs)
+    statuses = {name: runs[0][name][2] for name in names}
+    return {
+        "instance": instance,
+        "states": runs[0]["working"][0],
+        "runs": AGAINST_RUNS,
+        "ratio": ratio,
+        "won": won,
+        "statuses": statuses["working"],
+        "against_statuses": statuses["against"],
+    }
+
+
+def against(rev: str) -> int:
+    """Compare the working tree with `src/nwe` at `rev`, rung by rung."""
+    try:
+        archive = subprocess.run(["git", "archive", rev, "src/nwe"], cwd=ROOT, capture_output=True, check=True).stdout
+    except (OSError, subprocess.CalledProcessError) as exc:
+        detail = exc.stderr.decode().strip() if isinstance(exc, subprocess.CalledProcessError) else exc
+        print(f"error: cannot extract src/nwe at {rev}: {detail}", file=sys.stderr)
+        return 2
+    with tempfile.TemporaryDirectory() as tmp:
+        subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
+        Path(tmp, "src", "nwe").rename(Path(tmp, AGAINST_PACKAGE))
+        sys.path.insert(0, tmp)
+        try:
+            trees = {"working": tree("nwe"), "against": tree(AGAINST_PACKAGE)}
+            differ = False
+            for instance, build in RUNGS:
+                line = against_rung(instance, build, trees)
+                differ |= line.get("statuses") != line.get("against_statuses")
+                print(json.dumps(line), flush=True)
+        finally:
+            sys.path.remove(tmp)
+            for name in [m for m in sys.modules if m.split(".")[0] == AGAINST_PACKAGE]:
+                del sys.modules[name]
+    return 1 if differ else 0
+
+
 def _over_budget(signum, frame):
     raise OverBudget
 
@@ -175,12 +281,17 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--json", metavar="PATH", help="also write every rung and a stamp to PATH")
     parser.add_argument("--baseline", metavar="PATH", help="print each rung's times as ratios to PATH's")
+    parser.add_argument("--against", metavar="REV", help="compare the working tree with src/nwe at git revision REV")
     args = parser.parse_args(argv)
+    signal.signal(signal.SIGALRM, _over_budget)
+    if args.against:
+        if args.json or args.baseline:
+            parser.error("--against takes neither --json nor --baseline")
+        return against(args.against)
     baseline = None
     if args.baseline:
         with open(args.baseline, encoding="utf-8") as fh:
             baseline = {r["instance"]: r for r in json.load(fh)["rungs"]}
-    signal.signal(signal.SIGALRM, _over_budget)
     lines = []
     for instance, build in RUNGS:
         line = rung(instance, build)

@@ -16,7 +16,7 @@ import json
 import sys
 
 from .constructions import ConstructionError, SizeReport, gen_equal, gen_general, prior_sizes
-from .inference import derive_certificate, render_fact
+from .inference import check_certificate, derive_certificate, render_fact
 from .serialize import (
     DocumentError,
     dumps_canonical,
@@ -99,9 +99,11 @@ def _build_report(sset: StateSet, engines: list[str]) -> tuple[dict, int]:
         report["sizes"] = None
 
     cert = derive_certificate(sset) if "lemma" in engines else None
-    # under both engines, verify_all replays the certificate and eliminates
-    # only the parties it does not prove Trivial
+    # a derived certificate is replayed once: under both engines by
+    # verify_all, which eliminates only the parties it does not prove Trivial
     verdicts = verify_all(sset, cert) if "oracle" in engines else None
+    if verdicts is None and cert is not None:
+        check_certificate(sset, cert)
 
     for t in range(sset.shape.n):
         if cert is not None:

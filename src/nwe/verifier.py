@@ -8,27 +8,26 @@ degrees of freedom are laid out as d(d+1)/2 symmetric coordinates S[a,b]
 The set's pair table (`StateSet.pair_table`) sorts every pair once; the
 pairs whose sole zero factor is party t are the ones that constrain E. Each
 gives u^T S v = 0 on the S block and u^T A v = 0 on the A block (u and v
-real). `assemble` is the only builder of these rows: it returns them sparse,
-one tuple per block. The blocks share no coordinate, so they are eliminated
-apart, the S block first, by one loop that `verdict`, `rank` and `nullspace`
-all read. The identity satisfies every row, so rank_S is at most
-d(d+1)/2 - 1, and the measurement is forced trivial iff rank_S reaches that
-and rank_A = d(d-1)/2.
+real). `assemble` is the only builder of these rows: it records a row of one
+entry c (the paper's Lemma 1) as the zeroed coordinate c, and returns the
+others sparse, one tuple per block. The blocks share no coordinate, so they
+are eliminated apart, the S block first, by one loop that `verdict`, `rank`
+and `nullspace` all read. The identity satisfies every row, so rank_S is at
+most d(d+1)/2 - 1, and the measurement is forced trivial iff rank_S reaches
+that and rank_A = d(d-1)/2.
 
-Each block is first peeled on its integer rows, as in the paper's Lemma 1: a
-row with one nonzero entry forces that coordinate to zero, and so does a row
-whose other coordinates are all forced, to a fixpoint (`propagate`, the rule
-engine's unit propagation); the core is then built once. A pair of basis kets
-|a>, |b> gives such a row in each block; `assemble` builds these ket rows
-directly, with no product loop, and they are the rows the peel consumes:
-most rows of a family, so that only the rest, the core, is eliminated. This
-is exact: each zeroed coordinate's unit vector e_c lies in the row space, so
-the block's unique reduced row echelon form (RREF) over the rationals has
-e_c as the row of pivot c, and every row the peel consumed lies in the span
-of the e_c. The block's RREF is therefore the core's plus the unit row e_c
-per zeroed column, and its rank is the number of zeroed columns plus the
-number of the core's pivots. A diagonal coordinate of S is never zeroed,
-since the identity satisfies every row; if one is, InvariantError is raised.
+Each block is first peeled: from the zeroed coordinates on, a row with all
+coordinates but one zeroed zeroes that one, to a fixpoint (`propagate`, the
+rule engine's unit propagation), and the core is then built once. A pair of
+basis kets |a>, |b> zeroes S[a,b] and A[a,b] with no row: most constraints
+of a family. This is exact: each zeroed coordinate's unit vector e_c lies in
+the row space, so the block's unique reduced row echelon form (RREF) over
+the rationals has e_c as the row of pivot c, and every row the peel consumed
+lies in the span of the e_c. The block's RREF is therefore the core's plus
+the unit row e_c per zeroed column, and its rank is the number of zeroed
+columns plus the number of the core's pivots. A diagonal coordinate of S is
+never zeroed, since the identity satisfies every row; if one is,
+InvariantError is raised.
 
 The core is eliminated over the integers by a fraction-free Gauss-Jordan.
 Its result is the core's RREF, each pivot row kept as the primitive integer
@@ -64,7 +63,6 @@ from .states import InvariantError, NonOrthogonalSetError, StateSet
 
 STATUS_TRIVIAL = "Trivial"
 STATUS_NONTRIVIAL = "Nontrivial"
-_ZERO = Fraction(0)
 
 
 def sym_index(dim: int, a: int, b: int) -> int:
@@ -90,9 +88,10 @@ def identity_coords(dim: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class MeasurementConstraintSystem:
-    """Sparse integer constraint rows over the d*d real unknowns of one party.
+    """Sparse integer constraints on the d*d real unknowns of one party.
 
-    `sym` holds the S-block rows and `anti` the A-block rows, each row as
+    `zeroed` holds the coordinates forced to zero by a row of one entry, and
+    `sym` and `anti` the other S-block and A-block rows, each row as
     {coordinate: nonzero coefficient}. Every S row must annihilate the
     identity (its diagonal coefficients sum to zero); `assemble` checks this
     as it builds each row. Only the oracle's diagonal guard relies on it: a
@@ -103,6 +102,7 @@ class MeasurementConstraintSystem:
     dim: int
     sym: tuple[dict[int, int], ...]
     anti: tuple[dict[int, int], ...]
+    zeroed: frozenset[int] = frozenset()
 
     @property
     def num_unknowns(self) -> int:
@@ -110,46 +110,48 @@ class MeasurementConstraintSystem:
 
     @property
     def rows(self) -> tuple[tuple[int, ...], ...]:
-        """Dense view of the rows, S rows first, then A rows."""
-        return tuple(tuple(row.get(k, 0) for k in range(self.num_unknowns)) for row in self.sym + self.anti)
+        """Dense view: per block, S first, the unit rows of the zeroed
+        coordinates, ascending, then the other rows."""
+        units = [{c: 1} for c in sorted(self.zeroed)]
+        split = sum(c < self.dim * (self.dim + 1) // 2 for c in self.zeroed)
+        rows = units[:split] + list(self.sym) + units[split:] + list(self.anti)
+        return tuple(tuple(row.get(k, 0) for k in range(self.num_unknowns)) for row in rows)
 
 
 @dataclass(frozen=True)
 class HermitianMatrix:
-    """Exact-rational Hermitian matrix, stored as real and imaginary parts."""
+    """Exact-rational Hermitian matrix (S + iA) / den, den > 0, stored as its
+    sorted nonzero integers ((a, b), S[a,b]), a <= b, in `sym` and ((a, b),
+    A[a,b]), a < b, in `anti`; `real` and `imag` are dense views."""
 
-    real: tuple[tuple[Fraction, ...], ...]
-    imag: tuple[tuple[Fraction, ...], ...]
+    dim: int
+    den: int
+    sym: tuple[tuple[tuple[int, int], int], ...]
+    anti: tuple[tuple[tuple[int, int], int], ...]
 
-    @property
-    def dim(self) -> int:
-        return len(self.real)
+    real = property(lambda self: self._dense(self.sym, 1))
+    imag = property(lambda self: self._dense(self.anti, -1))
+
+    def _dense(self, entries, sign: int):
+        out = [[Fraction(0)] * self.dim for _ in range(self.dim)]
+        for (a, b), x in entries:
+            out[a][b] = Fraction(x, self.den)
+            out[b][a] = sign * out[a][b]
+        return tuple(map(tuple, out))
 
     def is_identity_multiple(self) -> bool:
-        lead = self.real[0][0]
-        for a, (re_row, im_row) in enumerate(zip(self.real, self.imag)):
-            if re_row[a] != lead:
-                return False
-            # _ZERO fills a sparse witness and takes no Fraction call
-            if any(x is not _ZERO and x for x in im_row):
-                return False
-            if any(x is not _ZERO and x and b != a for b, x in enumerate(re_row)):
-                return False
-        return True
+        diagonal = len(self.sym) in (0, self.dim) and all(a == b for (a, b), _ in self.sym)
+        return diagonal and not self.anti and len({x for _, x in self.sym}) <= 1
 
     def entry_strings(self) -> list[list[str]]:
         """Entries as exact fraction strings, e.g. "1/2" or "0+1/3i"."""
-        out = []
-        for a in range(self.dim):
-            row = []
-            for re, im in zip(self.real[a], self.imag[a]):
-                # _ZERO fills a sparse witness and takes no Fraction call
-                if im is not _ZERO and im:
-                    sign = "+" if im > 0 else "-"
-                    row.append(f"{re}{sign}{abs(im)}i")
-                else:
-                    row.append("0" if re is _ZERO else str(re))
-            out.append(row)
+        out = [["0"] * self.dim for _ in range(self.dim)]
+        for (a, b), x in self.sym:
+            out[a][b] = out[b][a] = str(Fraction(x, self.den))
+        for (a, b), x in self.anti:
+            im = f"{Fraction(abs(x), self.den)}i"
+            out[a][b] += "+" + im if x > 0 else "-" + im
+            out[b][a] += "-" + im if x > 0 else "+" + im
         return out
 
 
@@ -179,11 +181,6 @@ def _pair_rows(u, v, dim: int) -> tuple[dict, dict]:
     """The S-block and A-block rows of u^T E v = 0, as {coordinate: coefficient};
     u and v are given as the (index, coefficient) pairs of their nonzero entries."""
     sym, anti = _coordinate_tables(dim)
-    if len(u) == 1 == len(v) and u[0][0] != v[0][0]:
-        # two kets |a>, |b>, a != b: one entry per block (a == b fails the trace check below)
-        (a, ua), (b, vb) = u[0], v[0]
-        w = ua * vb
-        return {sym[a][b]: w}, {anti[a][b]: w if a < b else -w}
     srow: dict[int, int] = {}
     arow: dict[int, int] = {}
     trace = 0
@@ -209,7 +206,8 @@ def assemble(sset: StateSet, t: int) -> MeasurementConstraintSystem:
     """Constraint system for party t of a pairwise orthogonal set.
 
     Each pair in party t's bucket, in table order, contributes its S-block
-    row and its A-block row; a row with no nonzero coefficient is left out.
+    row and its A-block row, unless empty: a row of one entry as its zeroed
+    coordinate. A pair of kets |a>, |b>, a != b, zeroes S[a,b] and A[a,b].
     """
     if not 0 <= t < sset.shape.n:
         raise IndexError(f"party {t} out of range for {sset.shape.n} parties")
@@ -217,15 +215,23 @@ def assemble(sset: StateSet, t: int) -> MeasurementConstraintSystem:
     if table.violations:
         raise NonOrthogonalSetError(list(table.violations))
     dim = sset.shape.dims[t]
+    sym_at, anti_at = _coordinate_tables(dim)
     _, ids, supports = sset.vector_index[t]
-    sym, anti = [], []
+    sym, anti, zeroed = [], [], set()
     for i, j in table.buckets[t]:
-        srow, arow = _pair_rows(supports[ids[i]], supports[ids[j]], dim)
-        if srow:
-            sym.append(srow)
-        if arow:
-            anti.append(arow)
-    return MeasurementConstraintSystem(t, dim, tuple(sym), tuple(anti))
+        u, v = supports[ids[i]], supports[ids[j]]
+        if len(u) == 1 == len(v) and u[0][0] != v[0][0]:
+            # a == b fails _pair_rows' trace check
+            a, b = u[0][0], v[0][0]
+            zeroed.add(sym_at[a][b])
+            zeroed.add(anti_at[a][b])
+            continue
+        for row, rows in zip(_pair_rows(u, v, dim), (sym, anti)):
+            if len(row) == 1:
+                zeroed.update(row)
+            elif row:
+                rows.append(row)
+    return MeasurementConstraintSystem(t, dim, tuple(sym), tuple(anti), frozenset(zeroed))
 
 
 # `verdict` reads the builder under this name, so that replacing or deleting
@@ -291,16 +297,15 @@ def _exact_rref(rows) -> tuple[dict[int, dict], int]:
     return {pc: {k: x * (den // leads[pc]) for k, x in tail.items()} for pc, tail in tails.items()}, den
 
 
-def _peel(rows) -> tuple[set[int], list[dict]]:
-    """The columns that one-entry rows force to zero, directly or through
-    `propagate`, and the other rows with those columns deleted (the core).
-    The peel is exact (see the module docstring): the rows' rank is the
-    number of zeroed columns plus the core's rank, and their nullspace is
-    the core's with every zeroed coordinate 0."""
-    zeroed = {k for row in rows if len(row) == 1 for k in row}
-    rest = [row for row in rows if len(row) > 1]  # a one-entry row would end up empty
-    propagate(rest, zeroed)
-    core = [row if zeroed.isdisjoint(row) else {k: x for k, x in row.items() if k not in zeroed} for row in rest]
+def _peel(rows, zeroed) -> tuple[set[int], list[dict]]:
+    """The columns `zeroed` or forced to zero by `rows` through `propagate`,
+    and the nonempty rows with those columns deleted (the core). Exact (see
+    the module docstring): with the zeroed columns' unit rows, `rows` have
+    their number plus the core's rank, and the core's nullspace with every
+    zeroed coordinate 0."""
+    zeroed = set(zeroed)
+    propagate(rows, zeroed)
+    core = [row if zeroed.isdisjoint(row) else {k: x for k, x in row.items() if k not in zeroed} for row in rows]
     return zeroed, [row for row in core if row]
 
 
@@ -328,13 +333,13 @@ def _blocks(system: MeasurementConstraintSystem):
     dim = system.dim
     nsym = dim * (dim + 1) // 2
     # the identity satisfies every S row, so no row may zero a diagonal coordinate
-    diagonal = frozenset(sym_index(dim, a, a) for a in range(dim))
+    diagonal = _row_starts(dim)[:dim]
     for rows, columns in ((system.sym, range(nsym)), (system.anti, range(nsym, dim * dim))):
-        zeroed, core = _peel(rows)
+        zeroed, core = _peel(rows, system.zeroed)
         if not zeroed.isdisjoint(diagonal):
-            raise InvariantError(f"a constraint row forces coordinate {min(zeroed & diagonal)} to zero")
+            raise InvariantError(f"a constraint row forces coordinate {min(zeroed.intersection(diagonal))} to zero")
         pivots, den = _exact_rref(core)
-        yield [c for c in columns if c not in zeroed and c not in pivots], pivots, den
+        yield sorted(set(columns).difference(zeroed, pivots)), pivots, den
 
 
 def rank(system: MeasurementConstraintSystem) -> int:
@@ -352,30 +357,13 @@ def nullspace(system: MeasurementConstraintSystem) -> list[tuple[Fraction, ...]]
     for free, pivots, den in _blocks(system):
         nullity += len(free)
         for sparse in _free_vectors(pivots, den, free):
-            vec = [_ZERO] * size
+            vec = [Fraction(0)] * size
             for k, x in sparse.items():
                 vec[k] = Fraction(x, den)
             basis.append(tuple(vec))
     if len(basis) != nullity:
         raise InvariantError(f"{len(basis)} basis vectors for {size} unknowns and rank {size - nullity}")
     return basis
-
-
-def _witness(pivots: dict[int, dict], den: int, free, dim: int) -> HermitianMatrix | None:
-    """The first of a block's nullspace basis vectors (`_free_vectors`), over
-    its free columns in ascending order, with a nonzero part off the
-    identity: that part, as a matrix. Tail entries are read as fractions
-    over `den`, the projection as integers over dim * den."""
-    diagonal = [sym_index(dim, a, a) for a in range(dim)]
-    for vec in _free_vectors(pivots, den, free):
-        trace = sum(vec.get(k, 0) for k in diagonal)
-        scaled = {k: dim * x for k, x in vec.items()}
-        if trace:
-            for k in diagonal:
-                scaled[k] = scaled.get(k, 0) - trace
-        if any(scaled.values()):
-            return _sparse_matrix({k: Fraction(x, dim * den) for k, x in scaled.items() if x}, dim)
-    return None
 
 
 @functools.cache
@@ -385,22 +373,31 @@ def _row_starts(dim: int) -> tuple[int, ...]:
     return tuple(sym_index(dim, a, a) for a in range(dim)) + tuple(anti_index(dim, a, a + 1) for a in range(dim - 1))
 
 
-def _sparse_matrix(coords: dict[int, Fraction], dim: int) -> HermitianMatrix:
-    """The Hermitian matrix of a sparse coordinate vector; absent entries are 0."""
-    real = [[_ZERO] * dim for _ in range(dim)]
-    imag = [[_ZERO] * dim for _ in range(dim)]
+def _witness(pivots: dict[int, dict], den: int, free, dim: int) -> HermitianMatrix | None:
+    """The first of a block's nullspace basis vectors (`_free_vectors`), over
+    its free columns in ascending order, with a nonzero part off the
+    identity: that part, as a matrix. Tail entries are read as fractions
+    over `den`, the projection as integers over dim * den."""
     starts = _row_starts(dim)
-    for k, x in coords.items():
-        r = bisect_right(starts, k) - 1
-        if r < dim:
-            b = r + k - starts[r]
-            real[r][b] = real[b][r] = x
-        else:
-            a = r - dim
-            b = a + 1 + k - starts[r]
-            imag[a][b] = x
-            imag[b][a] = -x
-    return HermitianMatrix(tuple(map(tuple, real)), tuple(map(tuple, imag)))
+    for vec in _free_vectors(pivots, den, free):
+        sym, anti, trace = {}, {}, 0
+        for k, x in vec.items():
+            r = bisect_right(starts, k) - 1
+            if r < dim:
+                b = r + k - starts[r]
+                sym[r, b] = dim * x
+                if b == r:
+                    trace += x
+            else:
+                a = r - dim
+                anti[a, a + 1 + k - starts[r]] = dim * x
+        for a in range(dim) if trace else ():
+            y = sym.pop((a, a), 0) - trace
+            if y:
+                sym[a, a] = y
+        if sym or anti:
+            return HermitianMatrix(dim, dim * den, tuple(sorted(sym.items())), tuple(sorted(anti.items())))
+    return None
 
 
 def verdict(sset: StateSet, t: int) -> TrivialityVerdict:

@@ -48,16 +48,41 @@ from nwe.verifier import HermitianMatrix, anti_index, sym_index
 def coords_to_matrix(vec, dim: int) -> HermitianMatrix:
     """The Hermitian matrix a coordinate vector encodes: S[a,b] = vec[sym_index]
     in the real part, A[a,b] = vec[anti_index] above the imaginary diagonal
-    and -A[a,b] below it."""
-    real = [[Fraction(0)] * dim for _ in range(dim)]
-    imag = [[Fraction(0)] * dim for _ in range(dim)]
+    and -A[a,b] below it; stored over the least common denominator of the
+    entries, with only the nonzero ones, in row order."""
+    vec = [Fraction(x) for x in vec]
+    den = math.lcm(*(x.denominator for x in vec))
+    sym, anti = {}, {}
     for a in range(dim):
         for b in range(a, dim):
-            real[a][b] = real[b][a] = Fraction(vec[sym_index(dim, a, b)])
+            if vec[sym_index(dim, a, b)]:
+                sym[a, b] = int(vec[sym_index(dim, a, b)] * den)
         for b in range(a + 1, dim):
-            imag[a][b] = Fraction(vec[anti_index(dim, a, b)])
-            imag[b][a] = -imag[a][b]
-    return HermitianMatrix(tuple(map(tuple, real)), tuple(map(tuple, imag)))
+            if vec[anti_index(dim, a, b)]:
+                anti[a, b] = int(vec[anti_index(dim, a, b)] * den)
+    return HermitianMatrix(dim, den, tuple(sym.items()), tuple(anti.items()))
+
+
+def dense_entry_strings(vec, dim: int) -> list[list[str]]:
+    """The entry strings of the matrix a coordinate vector encodes, from its
+    dense real part re and imaginary part im at each [a][b]: str(re), or
+    f"{re}+{im}i" / f"{re}-{-im}i" where im is not 0."""
+    out = []
+    for a in range(dim):
+        row = []
+        for b in range(dim):
+            lo, hi = min(a, b), max(a, b)
+            re = Fraction(vec[sym_index(dim, lo, hi)])
+            im = Fraction(0) if a == b else Fraction(vec[anti_index(dim, lo, hi)]) * (1 if a < b else -1)
+            row.append(str(re) if not im else f"{re}+{im}i" if im > 0 else f"{re}-{-im}i")
+        out.append(row)
+    return out
+
+
+def dense_is_identity_multiple(vec, dim: int) -> bool:
+    """Whether a coordinate vector is a multiple of the identity's, entry by entry."""
+    diagonal = {sym_index(dim, a, a) for a in range(dim)}
+    return len({vec[k] for k in diagonal}) == 1 and not any(x for k, x in enumerate(vec) if k not in diagonal)
 
 
 def matrix_to_coords(mat: HermitianMatrix) -> tuple[Fraction, ...]:
@@ -471,7 +496,7 @@ def reference_verdicts(sset: StateSet) -> list[tuple[str, int, list[list[str]] |
             coef = sum(x * e for x, e in zip(vec, ident)) / dim
             residual = [x - coef * e for x, e in zip(vec, ident)]
             if any(residual):
-                witness = coords_to_matrix(residual, dim).entry_strings()
+                witness = dense_entry_strings(residual, dim)
                 break
         out.append(("Nontrivial", len(basis), witness))
     return out

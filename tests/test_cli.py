@@ -9,6 +9,7 @@ import nwe.cli
 import nwe.verifier
 from nwe import derive_certificate, gen_equal, gen_general, save_state_set, verify_all
 from nwe.cli import _build_report, build_parser, main
+from nwe.inference import check_certificate
 from nwe.serialize import dumps_canonical, state_set_from_document, state_set_to_document
 from nwe.states import check_pairwise_orthogonality
 
@@ -507,18 +508,38 @@ class TestReplayedCertificateSkipsElimination:
         monkeypatch.setattr(nwe.cli, "verify_all", lambda sset, cert=None: verify_all(sset))
         assert self.verify(tmp_path, capsys, sset, "both") == replayed
 
-    def test_forged_trivial_certificate_exit_3(self, tmp_path, capsys, monkeypatch):
+    def forged_trivial_certificate(self, tmp_path, capsys, monkeypatch, engine):
         # the first fact is dropped, yet every party still claims Trivial
         def forged(sset):
             cert = derive_certificate(sset)
             return dataclasses.replace(cert, facts=cert.facts[1:])
 
         monkeypatch.setattr(nwe.cli, "derive_certificate", forged)
-        code, captured = self.verify(tmp_path, capsys, gen_equal(3, 3), "both")
+        code, captured = self.verify(tmp_path, capsys, gen_equal(3, 3), engine)
         assert code == 3
         assert captured.out == ""
         assert captured.err.startswith("error: no verdict: party 0: ")
         assert captured.err.count("\n") == 1
+
+    def test_forged_trivial_certificate_exit_3(self, tmp_path, capsys, monkeypatch):
+        self.forged_trivial_certificate(tmp_path, capsys, monkeypatch, "both")
+
+    def test_forged_trivial_certificate_exit_3_lemma_engine(self, tmp_path, capsys, monkeypatch):
+        # the lemma engine alone replays its certificate too
+        self.forged_trivial_certificate(tmp_path, capsys, monkeypatch, "lemma")
+
+    @pytest.mark.parametrize("engine, replays", [("both", 1), ("lemma", 1), ("oracle", 0)])
+    def test_a_derived_certificate_is_replayed_once(self, tmp_path, capsys, monkeypatch, engine, replays):
+        calls = []
+
+        def counted(sset, cert):
+            calls.append(cert)
+            check_certificate(sset, cert)
+
+        monkeypatch.setattr(nwe.cli, "check_certificate", counted)
+        monkeypatch.setattr(nwe.verifier, "check_certificate", counted)
+        code, _ = self.verify(tmp_path, capsys, gen_equal(3, 3), engine)
+        assert code == 0 and len(calls) == replays
 
 
 class TestVerifyReadsOnlyTheIndex:

@@ -748,20 +748,24 @@ class TestLemmaZerosArePeelZeros:
         # entries, and an S row of overlapping supports holds at least two
         # diagonal coordinates, which are never zeroed: the S peel is the
         # certificate's propagation. An A row of overlapping supports may
-        # zero more.
+        # zero more. A block's whole zeroed set is its peel's, from the
+        # system's zeroed coordinates.
         cert = derive_certificate(sset)
         for t in range(sset.shape.n):
             system = assemble(sset, t)
             dim = system.dim
+            sym_columns = set(range(dim * (dim + 1) // 2))
             entries = {
                 (min(f.row, f.col), max(f.row, f.col)) for f in cert.facts_for_party(t) if isinstance(f, ZeroEntryFact)
             }
-            assert {sym_index(dim, a, b) for a, b in entries} == _peel(system.sym)[0]
-            assert {anti_index(dim, a, b) for a, b in entries} <= _peel(system.anti)[0]
+            assert {sym_index(dim, a, b) for a, b in entries} == _peel(system.sym, system.zeroed)[0] & sym_columns
+            assert {anti_index(dim, a, b) for a, b in entries} <= _peel(system.anti, system.zeroed)[0] - sym_columns
 
     def test_an_overlapping_pair_zeroes_more_in_the_peel(self):
         # party 0's A row of |0>+|1>, |0>-|1> is -2 A[0,1]: a peel zero that
         # no certificate fact gives
         sset = _plus_minus_set()
         assert not derive_certificate(sset).facts
-        assert _peel(assemble(sset, 0).anti)[0] == {anti_index(3, 0, 1)}
+        system = assemble(sset, 0)
+        assert system.zeroed == {anti_index(3, 0, 1)} and system.anti == ()
+        assert _peel(system.anti, system.zeroed)[0] == {anti_index(3, 0, 1)}

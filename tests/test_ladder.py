@@ -1,10 +1,16 @@
 import hashlib
+import sys
 import json
 from pathlib import Path
 
+import pytest
+
+import nwe.verifier
 from nwe import gen_equal
 
-from helpers import load_script
+from helpers import load_script, without_stopper
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_baseline_ratio():
@@ -58,3 +64,25 @@ def test_stamp_carries_the_source_digest(tmp_path, monkeypatch):
     for path in sorted((Path(__file__).resolve().parents[1] / "src" / "nwe").glob("*.py")):
         digest.update(path.name.encode() + b"\0" + path.read_bytes())
     assert json.loads(out.read_text())["stamp"]["source_sha256"] == digest.hexdigest()[:16]
+
+
+@pytest.mark.skipif(not (ROOT / ".git").exists(), reason="--against extracts a revision with git archive")
+def test_against_head_on_two_small_rungs(capsys, monkeypatch):
+    ladder = load_script("ladder")
+    rungs = (("equal(3,3)", lambda: gen_equal(3, 3)), ("equal(3,4)-no-stopper", lambda: without_stopper(gen_equal(3, 4))))
+    monkeypatch.setattr(ladder, "RUNGS", rungs)
+    assert ladder.main(["--against", "HEAD"]) == 0
+    lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [line["instance"] for line in lines] == ["equal(3,3)", "equal(3,4)-no-stopper"]
+    for line in lines:
+        assert line["runs"] == ladder.AGAINST_RUNS == 5
+        assert list(line["ratio"]) == list(line["won"]) == list(ladder.STAGES)
+        assert all(0 <= won <= 5 for won in line["won"].values())
+        assert line["statuses"] == line["against_statuses"]
+    assert [line["statuses"] for line in lines] == [["Trivial"] * 3, ["Nontrivial"] * 3]
+    # the revision's package is imported under its own name and dropped again
+    assert not [m for m in sys.modules if m.startswith(ladder.AGAINST_PACKAGE)]
+    # statuses that differ between the trees make the comparison fail
+    monkeypatch.setattr(nwe.verifier, "verify_all", lambda sset: [])
+    assert ladder.main(["--against", "HEAD"]) == 1
+    assert ladder.main(["--against", "no-such-revision"]) == 2

@@ -2,9 +2,10 @@ import dataclasses
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import nwe.verifier
@@ -40,6 +41,8 @@ from helpers import (
     computational_basis_set,
     coords_to_matrix,
     dense_constraint_rows,
+    dense_entry_strings,
+    dense_is_identity_multiple,
     dense_nullspace,
     dense_rref,
     invariant_error_under_python_O,
@@ -104,6 +107,9 @@ class TestAssemble:
         arow = [0] * 4
         arow[anti_index(2, 0, 1)] = 1
         assert set(system.rows) == {tuple(srow), tuple(arow)}
+        # both rows have one entry, so the pair zeroes two coordinates and keeps no row
+        assert system.zeroed == {sym_index(2, 0, 1), anti_index(2, 0, 1)}
+        assert system.sym == system.anti == ()
         assert len(nullspace(system)) == 2
 
     def test_empty_and_singleton_sets(self):
@@ -119,6 +125,7 @@ class TestAssemble:
         srow = [0] * 9
         srow[sym_index(3, 1, 2)] = 1
         assert tuple(srow) in system.rows
+        assert {sym_index(3, 1, 2), anti_index(3, 1, 2)} <= system.zeroed
 
     def test_rejects_non_orthogonal_sets(self):
         shape = SystemShape((2, 2))
@@ -153,15 +160,26 @@ class TestAssemble:
     )
     @pytest.mark.parametrize("seed", range(3))
     def test_rows_equal_the_dense_rows(self, build, seed):
-        # the ket rows are built directly, every other row by the product
-        # loop; both must be the rows the dense expansion of each pair gives
+        # the ket pairs are zeroed directly, every other row is built by the
+        # product loop: each row the dense expansion of a pair gives is a
+        # kept row, in order, or a one-entry row whose coordinate is zeroed,
+        # and each zeroed coordinate comes from such a row
         sset = build(random.Random(seed))
         for t in range(sset.shape.n):
             system = assemble(sset, t)
-            nsym = system.dim * (system.dim + 1) // 2
+            nsym, size = system.dim * (system.dim + 1) // 2, system.num_unknowns
             dense = [tuple(row) for row in dense_constraint_rows(sset, t)]
-            assert system.rows == tuple([r for r in dense if any(r[:nsym])] + [r for r in dense if any(r[nsym:])])
-            assert all(all(row.values()) for row in system.sym + system.anti)
+            units = {k for r in dense if sum(map(bool, r)) == 1 for k, x in enumerate(r) if x}
+            kept = [r for r in dense if sum(map(bool, r)) > 1]
+            kept_sym, kept_anti = [r for r in kept if any(r[:nsym])], [r for r in kept if any(r[nsym:])]
+            assert system.zeroed == units
+            assert [tuple(row.get(k, 0) for k in range(size)) for row in system.sym] == kept_sym
+            assert [tuple(row.get(k, 0) for k in range(size)) for row in system.anti] == kept_anti
+            assert all(len(row) > 1 and all(row.values()) for row in system.sym + system.anti)
+            # the dense view gives each block's unit rows, ascending, then its kept rows
+            unit_rows = [tuple(int(k == c) for k in range(size)) for c in sorted(units)]
+            unit_sym, unit_anti = [r for r in unit_rows if any(r[:nsym])], [r for r in unit_rows if any(r[nsym:])]
+            assert system.rows == tuple(unit_sym + kept_sym + unit_anti + kept_anti)
 
     def test_identity_satisfies_every_row(self):
         for sset in (gen_equal(3, 4), gen_general((3, 4, 5)), computational_basis_set((2, 3))):
@@ -555,25 +573,28 @@ class TestWitnessStrings:
         assert all(status == "Nontrivial" for status, _, _ in got)
 
     def test_identity_multiple_reads_only_nonzero_entries(self):
-        zero, two = Fraction(0), Fraction(2)
-        scalar = nwe.verifier.HermitianMatrix(((two, zero), (zero, two)), ((zero, zero), (zero, zero)))
-        assert scalar.is_identity_multiple()
-        # entries given as plain ints, not the shared zero, are compared too
-        assert nwe.verifier.HermitianMatrix(((0, 0), (0, 0)), ((0, 0), (0, 0))).is_identity_multiple()
-        for real, imag in [
-            (((two, zero), (zero, Fraction(3))), ((zero, zero), (zero, zero))),
-            (((two, Fraction(1)), (Fraction(1), two)), ((zero, zero), (zero, zero))),
-            (((two, zero), (zero, two)), ((zero, Fraction(1)), (Fraction(-1), zero))),
-            (((zero, zero), (zero, two)), ((zero, zero), (zero, zero))),
+        # the matrix stores its nonzero upper-triangle entries only
+        def matrix(dim, sym, anti):
+            return nwe.verifier.HermitianMatrix(dim, 1, tuple(sym.items()), tuple(anti.items()))
+
+        assert matrix(2, {(0, 0): 2, (1, 1): 2}, {}).is_identity_multiple()
+        assert matrix(2, {}, {}).is_identity_multiple()
+        for dim, sym, anti in [
+            (2, {(0, 0): 2, (1, 1): 3}, {}),
+            (2, {(0, 0): 2, (0, 1): 1, (1, 1): 2}, {}),
+            (2, {(0, 0): 2, (1, 1): 2}, {(0, 1): 1}),
+            (2, {(1, 1): 2}, {}),
+            (3, {(0, 0): 2, (1, 1): 2}, {}),
+            (2, {}, {(0, 1): -1}),
         ]:
-            assert not nwe.verifier.HermitianMatrix(real, imag).is_identity_multiple()
+            assert not matrix(dim, sym, anti).is_identity_multiple()
 
     def test_entry_strings(self):
-        half, third = Fraction(1, 2), Fraction(1, 3)
-        matrix = nwe.verifier.HermitianMatrix(
-            ((Fraction(0), -half), (-half, Fraction(3))), ((Fraction(0), third), (-third, Fraction(0)))
-        )
+        # S[0,1] = -3/6, S[1,1] = 18/6 and A[0,1] = 2/6
+        matrix = nwe.verifier.HermitianMatrix(2, 6, (((0, 1), -3), ((1, 1), 18)), (((0, 1), 2),))
         assert matrix.entry_strings() == [["0", "-1/2+1/3i"], ["-1/2-1/3i", "3"]]
+        assert matrix.real == ((0, Fraction(-1, 2)), (Fraction(-1, 2), 3))
+        assert matrix.imag == ((0, Fraction(1, 3)), (Fraction(-1, 3), 0))
 
     @pytest.mark.parametrize("factor", [3, -4, 6])
     def test_scaled_witnesses_match_dense_elimination(self, factor):
@@ -651,7 +672,7 @@ class TestExactElimination:
         vandermonde = [{k: (i + 1) ** k for k in range(ncols)} for i in range(ncols)]
         full = rows + vandermonde
         assert len(exact_rref(full, ncols)) == ncols
-        zeroed, core = _peel(full)
+        zeroed, core = _peel(full, ())
         pivots, den = _exact_rref(core)
         assert zeroed.isdisjoint(pivots) and zeroed | set(pivots) == set(range(ncols))
         assert all(not tail for tail in pivots.values()) and den == 1
@@ -772,7 +793,7 @@ def exact_rref(rows, ncols: int) -> dict[int, dict]:
 def peeled_rref(rows, ncols: int):
     """The RREF the way the oracle builds it: the core's, over the rationals
     by `dense_rref`, plus an empty-tailed pivot for each zeroed column."""
-    zeroed, core = _peel(rows)
+    zeroed, core = _peel(rows, ())
     pivots = exact_rref(core, ncols)
     assert zeroed.isdisjoint(pivots)
     pivots.update((c, {}) for c in zeroed)
@@ -792,19 +813,37 @@ def unfiltered_peel(rows):
         core = [row for row in core if row]
 
 
+def block_columns(system):
+    """(rows, columns) of the S block, then the A block."""
+    nsym = system.dim * (system.dim + 1) // 2
+    return ((system.sym, range(nsym)), (system.anti, range(nsym, system.num_unknowns)))
+
+
 class TestPeel:
     @settings(max_examples=300, deadline=None)
     @given(peelable_rows())
     def test_same_zeroed_columns_and_core_as_the_unfiltered_peel(self, case):
         _, rows = case
-        assert _peel(rows) == unfiltered_peel(rows)
+        assert _peel(rows, ()) == unfiltered_peel(rows)
+
+    @settings(max_examples=300, deadline=None)
+    @given(peelable_rows())
+    def test_zeroed_columns_peel_as_their_unit_rows(self, case):
+        # handing the one-entry rows over as zeroed columns, as `assemble`
+        # does, peels as the rows themselves
+        _, rows = case
+        zeroed = {k for row in rows if len(row) == 1 for k in row}
+        assert _peel([row for row in rows if len(row) > 1], zeroed) == _peel(rows, ())
 
     @pytest.mark.parametrize("sset", [gen_general((3, 4, 5)), gen_equal(3, 8), without_stopper(gen_equal(4, 5))])
     def test_family_blocks_peel_as_the_unfiltered_peel(self, sset):
+        # each block peels as its zeroed columns' unit rows and its rows
         for t in range(sset.shape.n):
             system = assemble(sset, t)
-            for rows in (system.sym, system.anti):
-                assert _peel(rows) == unfiltered_peel(rows)
+            for rows, columns in block_columns(system):
+                units = [{c: 1} for c in sorted(system.zeroed) if c in columns]
+                zeroed, core = _peel(rows, system.zeroed)
+                assert (zeroed & set(columns), core) == unfiltered_peel(units + list(rows))
 
     @settings(max_examples=300, deadline=None)
     @given(peelable_rows())
@@ -818,7 +857,7 @@ class TestPeel:
         # the zeroed columns' unit rows and the core's exact RREF make up
         # the rows' RREF
         ncols, rows = case
-        zeroed, core = _peel(rows)
+        zeroed, core = _peel(rows, ())
         pivots, den = _exact_rref(core)
         assert zeroed.isdisjoint(pivots)
         got = {pc: {k: Fraction(x, den) for k, x in tail.items()} for pc, tail in pivots.items()}
@@ -829,18 +868,19 @@ class TestPeel:
         # only the first row has one entry; each later row gets one entry
         # once the column before it is zeroed
         rows = [{1: 1, 2: -1}, {0: 1, 1: 4}, {0: 2}, {2: 3, 3: 1, 4: 1}]
-        zeroed, core = _peel(rows)
+        zeroed, core = _peel(rows, ())
         assert zeroed == {0, 1, 2}
         assert core == [{3: 1, 4: 1}]
+        # the same with the one-entry row handed over as a zeroed column
+        assert _peel([rows[0], rows[1], rows[3]], {0}) == (zeroed, core)
 
     def test_a_family_cascades(self):
         # on party 1 of general(3,4,5) some rows become one-entry rows only
-        # after a first pass
+        # once the zeroed columns are deleted, in each block
         system = assemble(gen_general((3, 4, 5)), 1)
-        for rows in (system.sym, system.anti):
-            first = {k for row in rows if len(row) == 1 for k in row}
-            zeroed, _ = _peel(rows)
-            assert zeroed > first
+        for rows, columns in block_columns(system):
+            zeroed, _ = _peel(rows, system.zeroed)
+            assert zeroed > system.zeroed and zeroed - system.zeroed <= set(columns)
 
     @pytest.mark.parametrize(
         "rows",
@@ -866,7 +906,8 @@ class TestPeel:
 def forged_systems(draw):
     """Constraint systems built row by row, not from a set: each S row with
     diagonal coefficients that sum to zero, the first of them with a nonzero
-    S[0,0], and arbitrary A rows, one to three entries each."""
+    S[0,0], and arbitrary A rows, one to three entries each; the one-entry
+    rows are kept as rows or handed over as zeroed coordinates."""
     dim = draw(st.integers(2, 4))
     nsym = dim * (dim + 1) // 2
     diagonal = [sym_index(dim, a, a) for a in range(dim)]
@@ -882,7 +923,12 @@ def forged_systems(draw):
         {k: draw(coef.filter(bool)) for k in cols}
         for cols in draw(st.lists(st.sets(st.integers(nsym, dim * dim - 1), min_size=1, max_size=3), max_size=dim))
     ]
-    return MeasurementConstraintSystem(0, dim, tuple(row for row in sym if row), tuple(anti))
+    sym = [row for row in sym if row]
+    if draw(st.booleans()):
+        zeroed = frozenset(k for row in sym + anti if len(row) == 1 for k in row)
+        sym, anti = [row for row in sym if len(row) > 1], [row for row in anti if len(row) > 1]
+        return MeasurementConstraintSystem(0, dim, tuple(sym), tuple(anti), zeroed)
+    return MeasurementConstraintSystem(0, dim, tuple(sym), tuple(anti))
 
 
 class TestForgedSystems:
@@ -902,6 +948,36 @@ class TestForgedSystems:
         free, pivots, _ = next(nwe.verifier._blocks(system))
         assert 0 in pivots
         assert any(k in free for tail in pivots.values() for k in tail)
+
+
+# dim 2: S[0,0], S[0,1], S[1,1] are coordinates 0, 1, 2 and A[0,1] is 3
+@example(MeasurementConstraintSystem(0, 2, ({0: 1, 2: -1},), (), frozenset({1})))  # imaginary witness
+@example(MeasurementConstraintSystem(0, 2, (), (), frozenset({1, 3})))  # diagonal-only witness
+@example(MeasurementConstraintSystem(0, 2, ({0: 1, 2: -1},), ({3: 2},), frozenset({1})))  # Trivial
+@settings(max_examples=200, deadline=None)
+@given(forged_systems())
+def test_sparse_witness_equals_the_dense_one(system):
+    # `verdict`'s witness against the first nullspace vector of dense
+    # elimination off the identity, projected; every basis vector and its
+    # projection (the identity's is the zero matrix), as a sparse matrix,
+    # against its dense entries
+    dim = system.dim
+    _, basis = dense_nullspace(system.rows, system.num_unknowns)
+    diagonal = {sym_index(dim, a, a) for a in range(dim)}
+    projected = []
+    for vec in basis:
+        mean = sum(vec[k] for k in diagonal) / dim
+        projected.append([x - mean if k in diagonal else x for k, x in enumerate(vec)])
+    expected = next((dense_entry_strings(vec, dim) for vec in projected if any(vec)), None)
+    with mock.patch.object(nwe.verifier, "_assemble", lambda sset, t: system):
+        got = verdict(gen_equal(3, 3), 0)
+    assert got.nullspace_dim == len(basis)
+    assert (None if got.witness is None else got.witness.entry_strings()) == expected
+    assert got.witness is None or not got.witness.is_identity_multiple()
+    for vec in basis + projected:
+        matrix = coords_to_matrix(vec, dim)
+        assert matrix.entry_strings() == dense_entry_strings(vec, dim)
+        assert matrix.is_identity_multiple() == dense_is_identity_multiple(vec, dim)
 
 
 def test_zeroed_diagonal_raises_under_python_O():
