@@ -1,20 +1,21 @@
 #!/usr/bin/env python3
 """Time the oracle on each rung of the instance ladder, one JSON line per rung.
 
-Each rung runs three times, each time on a freshly built set. Each line
-gives the instance, its number of states, the median over the runs of the
-seconds `state_set_from_document` and the vector index take to load the
-set's canonical document (`load_s`; the document is written and parsed
-outside the timed span), of the seconds spent building the pair table of
-the built set (`pair_table_s`, which includes the per-party index of
-distinct vectors), of the seconds `verify_all` then takes (`verify_all_s`,
-which reads the table already built and eliminates every party), of the
-seconds the rule engine takes to derive the certificate (`certificate_s`)
-and of the seconds `check_certificate` takes to replay it (`check_s`), and
-the per-party statuses. The rotated rungs map every party's vectors by a
-seeded random integer matrix with orthogonal columns (`rotated` in
-`tests/helpers.py`), so no local basis is the computational one. A run
-that does not finish within 60 s is printed as
+Each rung runs three times. Each line gives the instance, its number of
+states, the median over the runs of the seconds the rung's builder takes
+(`generate_s`: the library's generator and, on a derived rung, the rotation
+or the stopper's removal, each of which interns the set's vectors as it is
+made), of the seconds `state_set_from_document` takes to load the set's
+canonical document (`load_s`; the document is written and parsed outside
+the timed span), of the seconds spent building the pair table of the loaded
+set (`pair_table_s`), of the seconds `verify_all` then takes
+(`verify_all_s`, which reads the table already built and eliminates every
+party), of the seconds the rule engine takes to derive the certificate
+(`certificate_s`) and of the seconds `check_certificate` takes to replay it
+(`check_s`), and the per-party statuses. The rotated rungs map every
+party's vectors by a seeded random integer matrix with orthogonal columns
+(`rotated` in `tests/helpers.py`), so no local basis is the computational
+one. A run that does not finish within 60 s is printed as
 {"instance": ..., "skipped": "budget"} and the ladder goes on.
 
     python scripts/ladder.py
@@ -26,21 +27,21 @@ stamp: the Python version, the number of CPUs the process may use, the
 git commit of the checkout and a digest of the source the rungs ran
 (`source_sha256`, as `perfbench/run.py` computes it), which names the code
 even when it was measured before its commit. With `--baseline PATH`, each
-printed line also gives `baseline_ratio`: each of the rung's five stage
-times divided by the same stage of the same rung in PATH, an earlier
-`--json` file (null where PATH lacks the rung or the stage, or timed it at
-0); the `--json` file is unchanged.
+printed line also gives `baseline_ratio`: each of the rung's stage times
+divided by the same stage of the same rung in PATH, an earlier `--json`
+file (null where PATH lacks the rung or the stage, or timed it at 0); the
+`--json` file is unchanged.
 
 With `--against REV`, the script instead compares the working tree with
 `src/nwe` at the git revision REV, which it extracts with `git archive`
 into a temporary directory and imports under a second package name. Each
 rung runs five times in each tree, alternating which tree runs first; each
-run loads the rung's canonical document with its tree's loader and times
-the five stages on that set (so `pair_table_s` excludes the vector index
-wherever the loader builds it). Each printed line gives, per stage, the
-median of the working tree's time over REV's (`ratio`) and the number of
-runs the working tree was faster (`won`), and both trees' statuses. The
-script exits with 1 if any rung's statuses differ between the trees.
+run builds the rung with its tree's generators and loads the rung's
+canonical document with its tree's loader, so both trees are timed the same
+way. Each printed line gives, per stage, the median of the working tree's
+time over REV's (`ratio`) and the number of runs the working tree was
+faster (`won`), and both trees' statuses. The script exits with 1 if any
+rung's statuses differ between the trees.
 
     python scripts/ladder.py --against HEAD
 
@@ -63,7 +64,7 @@ import time
 from pathlib import Path
 from types import SimpleNamespace
 
-from nwe import gen_equal, gen_general
+from nwe import StateSet
 from nwe.serialize import dumps_canonical, state_set_to_document
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -80,31 +81,32 @@ ROTATION_SEED = 2022
 AGAINST_PACKAGE = "nwe_against"
 
 
-def rotated_equal(dim: int):
+def rotated_equal(api, dim: int):
     """equal(3,dim) with every party's vectors in a seeded rotated basis."""
-    return rotated(gen_equal(3, dim), random.Random(ROTATION_SEED + dim), range(3))
+    return rotated(api.gen_equal(3, dim), random.Random(ROTATION_SEED + dim), range(3))
 
 
+# each builder makes its rung with the generators of the tree `api`
 RUNGS = (
-    ("equal(3,3)", lambda: gen_equal(3, 3)),
-    ("equal(3,8)", lambda: gen_equal(3, 8)),
-    ("equal(3,16)", lambda: gen_equal(3, 16)),
-    ("equal(3,24)", lambda: gen_equal(3, 24)),
-    ("equal(3,32)", lambda: gen_equal(3, 32)),
-    ("equal(3,64)", lambda: gen_equal(3, 64)),
-    ("equal(4,8)", lambda: gen_equal(4, 8)),
-    ("equal(5,8)", lambda: gen_equal(5, 8)),
-    ("equal(6,8)", lambda: gen_equal(6, 8)),
-    ("equal(3,16)-no-stopper", lambda: without_stopper(gen_equal(3, 16))),
-    ("general(3,3,24)", lambda: gen_general((3, 3, 24))),
-    ("general(3,32,64)", lambda: gen_general((3, 32, 64))),
-    ("general(4,8,12,16)", lambda: gen_general((4, 8, 12, 16))),
-    ("equal(3,8)-rotated", lambda: rotated_equal(8)),
-    ("equal(3,12)-rotated", lambda: rotated_equal(12)),
-    ("equal(3,16)-rotated", lambda: rotated_equal(16)),
-    ("equal(3,8)-rotated-no-stopper", lambda: without_stopper(rotated_equal(8))),
-    ("equal(3,12)-rotated-no-stopper", lambda: without_stopper(rotated_equal(12))),
-    ("equal(3,16)-rotated-no-stopper", lambda: without_stopper(rotated_equal(16))),
+    ("equal(3,3)", lambda api: api.gen_equal(3, 3)),
+    ("equal(3,8)", lambda api: api.gen_equal(3, 8)),
+    ("equal(3,16)", lambda api: api.gen_equal(3, 16)),
+    ("equal(3,24)", lambda api: api.gen_equal(3, 24)),
+    ("equal(3,32)", lambda api: api.gen_equal(3, 32)),
+    ("equal(3,64)", lambda api: api.gen_equal(3, 64)),
+    ("equal(4,8)", lambda api: api.gen_equal(4, 8)),
+    ("equal(5,8)", lambda api: api.gen_equal(5, 8)),
+    ("equal(6,8)", lambda api: api.gen_equal(6, 8)),
+    ("equal(3,16)-no-stopper", lambda api: without_stopper(api.gen_equal(3, 16))),
+    ("general(3,3,24)", lambda api: api.gen_general((3, 3, 24))),
+    ("general(3,32,64)", lambda api: api.gen_general((3, 32, 64))),
+    ("general(4,8,12,16)", lambda api: api.gen_general((4, 8, 12, 16))),
+    ("equal(3,8)-rotated", lambda api: rotated_equal(api, 8)),
+    ("equal(3,12)-rotated", lambda api: rotated_equal(api, 12)),
+    ("equal(3,16)-rotated", lambda api: rotated_equal(api, 16)),
+    ("equal(3,8)-rotated-no-stopper", lambda api: without_stopper(rotated_equal(api, 8))),
+    ("equal(3,12)-rotated-no-stopper", lambda api: without_stopper(rotated_equal(api, 12))),
+    ("equal(3,16)-rotated-no-stopper", lambda api: without_stopper(rotated_equal(api, 16))),
 )
 
 
@@ -113,15 +115,18 @@ class OverBudget(Exception):
 
 
 # the timed stages of `run`, in order; `--baseline` compares each of them
-STAGES = ("load_s", "pair_table_s", "verify_all_s", "certificate_s", "check_s")
+STAGES = ("generate_s", "load_s", "pair_table_s", "verify_all_s", "certificate_s", "check_s")
 
 
 def tree(package: str) -> SimpleNamespace:
     """The functions a run calls, from the package `package`."""
+    constructions = importlib.import_module(f"{package}.constructions")
     serialize = importlib.import_module(f"{package}.serialize")
     inference = importlib.import_module(f"{package}.inference")
     verifier = importlib.import_module(f"{package}.verifier")
     return SimpleNamespace(
+        gen_equal=constructions.gen_equal,
+        gen_general=constructions.gen_general,
         state_set_from_document=serialize.state_set_from_document,
         verify_all=verifier.verify_all,
         derive_certificate=inference.derive_certificate,
@@ -129,15 +134,19 @@ def tree(package: str) -> SimpleNamespace:
     )
 
 
-def document(sset) -> dict:
+def document(sset: StateSet) -> dict:
+    """The canonical document of a set built by the working tree."""
     return json.loads(dumps_canonical(state_set_to_document(sset)))
 
 
-def run(sset, doc: dict, api) -> tuple[int, list[float], list[str]]:
+def run(build, doc: dict, api) -> tuple[int, list[float], list[str]]:
     """(states, seconds per timed stage, statuses) of one run of `api`'s
-    functions on the set `sset`, whose canonical document is `doc`."""
+    functions on the rung that `build` makes and whose canonical document
+    is `doc`; the stages after the load run on the loaded set."""
     marks = [time.perf_counter()]
-    api.state_set_from_document(doc).vector_index
+    build(api)
+    marks.append(time.perf_counter())
+    sset = api.state_set_from_document(doc)
     marks.append(time.perf_counter())
     sset.pair_table
     marks.append(time.perf_counter())
@@ -165,11 +174,9 @@ def budgeted(runs: int, one_run) -> list | None:
 
 
 def rung(instance: str, build) -> dict:
-    def one_run(_):
-        sset = build()
-        return run(sset, document(sset), tree("nwe"))
-
-    runs = budgeted(RUNS, one_run)
+    api = tree("nwe")
+    doc = document(build(api))
+    runs = budgeted(RUNS, lambda _: run(build, doc, api))
     if runs is None:
         return {"instance": instance, "skipped": "budget"}
     line = {"instance": instance, "states": runs[0][0]}
@@ -215,17 +222,13 @@ def baseline_ratio(line: dict, earlier: dict) -> dict:
 
 def against_rung(instance: str, build, trees: dict) -> dict:
     """The rung run AGAINST_RUNS times in each of the two trees, {"working":
-    ..., "against": ...}, alternating which runs first, on sets loaded from
-    one canonical document."""
-    doc = document(build())
+    ..., "against": ...}, alternating which runs first, each tree building
+    the rung and loading the working tree's canonical document of it."""
+    doc = document(build(trees["working"]))
     names = list(trees)
 
     def one_run(k):
-        results = {}
-        for name in names if k % 2 == 0 else names[::-1]:
-            api = trees[name]
-            results[name] = run(api.state_set_from_document(doc), doc, api)
-        return results
+        return {name: run(build, doc, trees[name]) for name in (names if k % 2 == 0 else names[::-1])}
 
     runs = budgeted(AGAINST_RUNS, one_run)
     if runs is None:

@@ -16,6 +16,7 @@ can cite them; the stopper is always labeled "S".
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -109,11 +110,13 @@ def _build(d: tuple[int, ...], provenance: str, group: Callable[[int], str]) -> 
     the count formula already accounts for them. In group B_2n-1 the first
     party carries |2> when i is even and |1> when i is odd, which keeps
     consecutive members orthogonal despite their overlapping last factors.
-    Every state not given a factor on a party shares that party's one |0>.
+    Every state not given a factor on a party shares that party's one |0>,
+    and every ket is built once and shared by the states that carry it.
     """
     n = len(d)
     shape = SystemShape(d)
-    zeros = [basis_ket(dk, 0) for dk in d]
+    ket, diff = functools.cache(basis_ket), functools.cache(diff_ket)
+    zeros = [ket(dk, 0) for dk in d]
     states: list[ProductState] = []
 
     def add(g: int, i: int, *factors: tuple[int, LocalVector]) -> None:
@@ -124,23 +127,23 @@ def _build(d: tuple[int, ...], provenance: str, group: Callable[[int], str]) -> 
 
     # B_1: |0-i> on party 0, |i> on party n-1
     for i in range(1, d[0]):
-        add(1, i, (0, diff_ket(d[0], 0, i)), (n - 1, basis_ket(d[n - 1], i)))
+        add(1, i, (0, diff(d[0], 0, i)), (n - 1, ket(d[n - 1], i)))
     # B_g for g in [2, n]: |i> on party g-2, |0-i> on party g-1 (0-indexed)
     for g in range(2, n + 1):
         for i in range(1, d[g - 2]):
-            add(g, i, (g - 2, basis_ket(d[g - 2], i)), (g - 1, diff_ket(d[g - 1], 0, i)))
+            add(g, i, (g - 2, ket(d[g - 2], i)), (g - 1, diff(d[g - 1], 0, i)))
     # B_{n+g} for g in [1, n-2]: |1> on party g-1, |0-i> on party g, |i> on party g+1
     for g in range(1, n - 1):
         for i in range(d[g - 1], d[g]):
-            add(n + g, i, (g - 1, basis_ket(d[g - 1], 1)), (g, diff_ket(d[g], 0, i)), (g + 1, basis_ket(d[g + 1], i)))
+            add(n + g, i, (g - 1, ket(d[g - 1], 1)), (g, diff(d[g], 0, i)), (g + 1, ket(d[g + 1], i)))
     # B_{2n-1}: |m> on party 0 (m = 2 for even i, 1 for odd i), |1> on party n-2,
     # |(i-1)-i> on party n-1
     for i in range(d[n - 2], d[n - 1]):
         m = 2 if i % 2 == 0 else 1
-        add(2 * n - 1, i, (0, basis_ket(d[0], m)), (n - 2, basis_ket(d[n - 2], 1)), (n - 1, diff_ket(d[n - 1], i - 1, i)))
+        add(2 * n - 1, i, (0, ket(d[0], m)), (n - 2, ket(d[n - 2], 1)), (n - 1, diff(d[n - 1], i - 1, i)))
     # B_{2n}: |0-2> on parties 0 and n-2, |i> on party n-1
     for i in range(d[0], d[n - 1]):
-        add(2 * n, i, (0, diff_ket(d[0], 0, 2)), (n - 2, diff_ket(d[n - 2], 0, 2)), (n - 1, basis_ket(d[n - 1], i)))
+        add(2 * n, i, (0, diff(d[0], 0, 2)), (n - 2, diff(d[n - 2], 0, 2)), (n - 1, ket(d[n - 1], i)))
     # B_{2n+1}: the stopper
     states.append(stopper(shape))
     return StateSet(shape, tuple(states), provenance=provenance)

@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 from json.encoder import encode_basestring as _encode_str
 
-from .states import StateSet, SystemShape, _party_vectors
+from .states import StateSet, SystemShape
 
 FORMAT_VERSION = "nwe/1"
 
@@ -28,11 +28,11 @@ class DocumentError(ValueError):
 
 
 def state_set_to_document(sset: StateSet) -> dict:
-    states = []
-    for s in sset.states:
-        entry: dict = {"locals": [list(lv.coeffs) for lv in s.locals]}
-        if s.label is not None:
-            entry["label"] = s.label
+    index, states = sset.vector_index, []
+    for vs, label in zip(zip(*(p.ids for p in index)), sset._labels):
+        entry: dict = {"locals": [list(p.coeffs[v]) for p, v in zip(index, vs)]}
+        if label is not None:
+            entry["label"] = label
         states.append(entry)
     return {
         "version": FORMAT_VERSION,
@@ -89,8 +89,7 @@ def state_set_from_document(doc) -> StateSet:
         if label is not None and not isinstance(label, str):
             raise DocumentError(f"states[{idx}].label: expected a string")
         labels.append(label)
-    index = tuple(map(_party_vectors, tables, columns))
-    sset = StateSet._from_index(shape, index, tuple(labels), provenance)
+    sset = object.__new__(StateSet)._store(shape, tables, columns, tuple(labels), provenance)
     # certificates cite states by label (an unlabelled state by "#index"),
     # so each label must name one state
     first: dict[str, int] = {}

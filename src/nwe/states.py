@@ -7,12 +7,12 @@ orthogonality is decided exactly with integer arithmetic alone.
 
 A party usually has far fewer distinct vectors than the set has states.
 `StateSet.vector_index` lists each party's distinct vectors once, with the
-vector id of every state and each vector's sparse support. A set read from
-a document is stored as this index and its labels; the verify path reads
-nothing else. The pair table sums the inner products of distinct
-vectors coordinate by coordinate, so only the entries two vectors share
-are multiplied (vectors with disjoint supports are orthogonal), and sorts
-the state pairs with integer bitsets.
+vector id of every state and each vector's sparse support. Every set is
+stored as this index and its labels, interned once when the set is made;
+the verify path reads nothing else. The pair table sums the inner
+products of distinct vectors coordinate by coordinate, so only the entries
+two vectors share are multiplied (vectors with disjoint supports are
+orthogonal), and sorts the state pairs with integer bitsets.
 """
 
 from __future__ import annotations
@@ -153,59 +153,62 @@ class ProductState:
                 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class StateSet:
     """Ordered collection of product states over one shape.
 
-    A set built from ProductStates builds `vector_index` on first use. A set
-    read from a document is stored as its `vector_index` and labels, and
-    builds `states` on first use, one LocalVector per distinct coefficient
-    tuple, shared across parties.
+    The set is stored as its `vector_index` and the states' labels (None
+    for an unlabelled state), whichever way it was made: `StateSet(shape,
+    states)` interns the states' vectors at construction, and the loader
+    interns a document's. `states` is a view, one LocalVector per distinct
+    coefficient tuple, shared across parties; a set made from states keeps
+    those as the view. Equality and hashing read the stored fields only.
     """
 
     shape: SystemShape
-    states: tuple[ProductState, ...]
-    provenance: str = "user"
+    vector_index: tuple[PartyVectors, ...]
+    _labels: tuple[str | None, ...]
+    provenance: str
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "states", tuple(self.states))
-        for idx, s in enumerate(self.states):
-            if s.shape != self.shape:
-                raise DimensionError(f"state {idx} has shape {s.shape.dims}, set has {self.shape.dims}")
-        object.__setattr__(self, "_labels", tuple(s.label for s in self.states))
+    def __init__(self, shape: SystemShape, states: tuple[ProductState, ...], provenance: str = "user") -> None:
+        states = tuple(states)
+        for idx, s in enumerate(states):
+            if s.shape != shape:
+                raise DimensionError(f"state {idx} has shape {s.shape.dims}, set has {shape.dims}")
+        # each party's table maps a distinct coefficient tuple to its position
+        tables: list[dict] = [{} for _ in shape.dims]
+        ids = [[table.setdefault(s.locals[t].coeffs, len(table)) for s in states] for t, table in enumerate(tables)]
+        self._store(shape, tables, ids, tuple(s.label for s in states), provenance)
+        self.__dict__["states"] = states
 
-    @classmethod
-    def _from_index(cls, shape: SystemShape, index, labels, provenance: str) -> StateSet:
-        """The set whose state i has vector index[t].ids[i] on party t and
-        label labels[i] (None for none), both checked by the caller."""
-        sset = object.__new__(cls)
-        sset.__dict__.update(shape=shape, provenance=provenance, vector_index=index, _labels=labels)
-        return sset
+    def _store(self, shape: SystemShape, vectors, ids, labels, provenance: str) -> StateSet:
+        """Store the set whose state i has label labels[i] and, on party t,
+        the ids[t][i]-th coefficient tuple of vectors[t] (a sequence, or a
+        table of distinct tuples in order of first appearance), all checked
+        by the caller, with each vector's support; the constructor and the
+        loader both end here."""
+        index = tuple(
+            PartyVectors(tuple(vs), tuple(column), tuple(tuple((a, c) for a, c in enumerate(v) if c) for v in vs))
+            for vs, column in zip(vectors, ids)
+        )
+        self.__dict__.update(shape=shape, vector_index=index, _labels=labels, provenance=provenance)
+        return self
 
-    def __getattr__(self, name: str):
-        # only reached for an attribute not stored: a document's states
-        if name != "states":
-            raise AttributeError(f"'StateSet' object has no attribute {name!r}")
+    @cached_property
+    def states(self) -> tuple[ProductState, ...]:
+        """The states, built from the index on first use."""
         index = self.vector_index
         shared = {c: LocalVector(c) for p in index for c in p.coeffs}
-        self.__dict__["states"] = tuple(
+        return tuple(
             ProductState(self.shape, tuple(shared[p.coeffs[v]] for p, v in zip(index, vs)), label)
             for vs, label in zip(zip(*(p.ids for p in index)), self._labels)
         )
-        return self.states
 
     def __len__(self) -> int:
         return len(self._labels)
 
     def labels(self) -> tuple[str, ...]:
         return tuple(f"#{i}" if label is None else label for i, label in enumerate(self._labels))
-
-    @cached_property
-    def vector_index(self) -> tuple[PartyVectors, ...]:
-        """Each party's distinct local vectors; computed on first use."""
-        tables: list[dict] = [{} for _ in self.shape.dims]
-        ids = [[table.setdefault(s.locals[t].coeffs, len(table)) for s in self.states] for t, table in enumerate(tables)]
-        return tuple(map(_party_vectors, tables, ids))
 
     @cached_property
     def pair_table(self) -> PairTable:
@@ -225,13 +228,6 @@ class PartyVectors(NamedTuple):
     coeffs: tuple[tuple[int, ...], ...]
     ids: tuple[int, ...]
     supports: tuple[tuple[tuple[int, int], ...], ...]
-
-
-def _party_vectors(table: dict[tuple[int, ...], int], ids) -> PartyVectors:
-    """One party's index, from its table of distinct coefficient tuples (in
-    order of first appearance, each mapped to its position) and the ids."""
-    supports = tuple(tuple((a, c) for a, c in enumerate(coeffs) if c) for coeffs in table)
-    return PartyVectors(tuple(table), tuple(ids), supports)
 
 
 @dataclass(frozen=True)

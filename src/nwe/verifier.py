@@ -79,13 +79,6 @@ def anti_index(dim: int, a: int, b: int) -> int:
     return dim * (dim + 1) // 2 + a * (dim - 1) - a * (a - 1) // 2 + (b - a - 1)
 
 
-def identity_coords(dim: int) -> tuple[int, ...]:
-    coords = [0] * (dim * dim)
-    for a in range(dim):
-        coords[sym_index(dim, a, a)] = 1
-    return tuple(coords)
-
-
 @dataclass(frozen=True)
 class MeasurementConstraintSystem:
     """Sparse integer constraints on the d*d real unknowns of one party.
@@ -122,22 +115,12 @@ class MeasurementConstraintSystem:
 class HermitianMatrix:
     """Exact-rational Hermitian matrix (S + iA) / den, den > 0, stored as its
     sorted nonzero integers ((a, b), S[a,b]), a <= b, in `sym` and ((a, b),
-    A[a,b]), a < b, in `anti`; `real` and `imag` are dense views."""
+    A[a,b]), a < b, in `anti`."""
 
     dim: int
     den: int
     sym: tuple[tuple[tuple[int, int], int], ...]
     anti: tuple[tuple[tuple[int, int], int], ...]
-
-    real = property(lambda self: self._dense(self.sym, 1))
-    imag = property(lambda self: self._dense(self.anti, -1))
-
-    def _dense(self, entries, sign: int):
-        out = [[Fraction(0)] * self.dim for _ in range(self.dim)]
-        for (a, b), x in entries:
-            out[a][b] = Fraction(x, self.den)
-            out[b][a] = sign * out[a][b]
-        return tuple(map(tuple, out))
 
     def is_identity_multiple(self) -> bool:
         diagonal = len(self.sym) in (0, self.dim) and all(a == b for (a, b), _ in self.sym)
@@ -145,11 +128,17 @@ class HermitianMatrix:
 
     def entry_strings(self) -> list[list[str]]:
         """Entries as exact fraction strings, e.g. "1/2" or "0+1/3i"."""
+        den = self.den
+
+        def ratio(x: int) -> str:  # str(Fraction(x, den)), reduced by one gcd
+            g = math.gcd(x, den)
+            return str(x // g) if g == den else f"{x // g}/{den // g}"
+
         out = [["0"] * self.dim for _ in range(self.dim)]
         for (a, b), x in self.sym:
-            out[a][b] = out[b][a] = str(Fraction(x, self.den))
+            out[a][b] = out[b][a] = ratio(x)
         for (a, b), x in self.anti:
-            im = f"{Fraction(abs(x), self.den)}i"
+            im = ratio(abs(x)) + "i"
             out[a][b] += "+" + im if x > 0 else "-" + im
             out[b][a] += "-" + im if x > 0 else "+" + im
         return out

@@ -35,7 +35,6 @@ from nwe.states import (
     LocalVector,
     NonOrthogonalSetError,
     PairTable,
-    PartyVectors,
     ProductState,
     SystemShape,
     basis_ket,
@@ -85,14 +84,36 @@ def dense_is_identity_multiple(vec, dim: int) -> bool:
     return len({vec[k] for k in diagonal}) == 1 and not any(x for k, x in enumerate(vec) if k not in diagonal)
 
 
+def identity_coords(dim: int) -> tuple[int, ...]:
+    """The coordinate vector of the d x d identity."""
+    coords = [0] * (dim * dim)
+    for a in range(dim):
+        coords[sym_index(dim, a, a)] = 1
+    return tuple(coords)
+
+
+def dense_parts(mat: HermitianMatrix) -> tuple[tuple[tuple[Fraction, ...], ...], ...]:
+    """The dense real part S / den and imaginary part A / den of a Hermitian
+    matrix: (real, imag), each a d x d tuple of rows of Fractions."""
+    parts = []
+    for entries, sign in ((mat.sym, 1), (mat.anti, -1)):
+        out = [[Fraction(0)] * mat.dim for _ in range(mat.dim)]
+        for (a, b), x in entries:
+            out[a][b] = Fraction(x, mat.den)
+            out[b][a] = sign * out[a][b]
+        parts.append(tuple(map(tuple, out)))
+    return tuple(parts)
+
+
 def matrix_to_coords(mat: HermitianMatrix) -> tuple[Fraction, ...]:
     dim = mat.dim
+    real, imag = dense_parts(mat)
     vec = [Fraction(0)] * (dim * dim)
     for a in range(dim):
-        vec[sym_index(dim, a, a)] = mat.real[a][a]
+        vec[sym_index(dim, a, a)] = real[a][a]
         for b in range(a + 1, dim):
-            vec[sym_index(dim, a, b)] = mat.real[a][b]
-            vec[anti_index(dim, a, b)] = mat.imag[a][b]
+            vec[sym_index(dim, a, b)] = real[a][b]
+            vec[anti_index(dim, a, b)] = imag[a][b]
     return tuple(vec)
 
 
@@ -154,13 +175,14 @@ def embedded_operator(matrix, shape: SystemShape, t: int):
         after *= d
     dt = dims[t]
     block = dims[t] * after
+    real, imag = dense_parts(matrix)
     op = [[CZERO] * total for _ in range(total)]
     for p in range(total):
         pre, rem = divmod(p, block)
         pt, post = divmod(rem, after)
         for qt in range(dt):
             q = pre * block + qt * after + post
-            op[p][q] = (matrix.real[pt][qt], matrix.imag[pt][qt])
+            op[p][q] = (real[pt][qt], imag[pt][qt])
     return op
 
 
@@ -281,7 +303,7 @@ def reference_certificate(sset: StateSet) -> Certificate:
 def reference_state_set_from_document(doc) -> StateSet:
     """The loader as it was before documents were read straight into the
     vector index: one LocalVector per distinct list and one ProductState per
-    state, then the set built from them, whose index is built on first use.
+    state, then the set the constructor builds from them.
     Its sets and its DocumentError messages are what the library's loader
     must give."""
     if not isinstance(doc, dict):
@@ -346,18 +368,12 @@ def reference_state_set_from_document(doc) -> StateSet:
 def unshared_index(sset: StateSet) -> StateSet:
     """A copy of the set whose vector index gives every state a vector of its
     own, with the support read off that state's coefficients; stages that read
-    the index then compute every support per state."""
-    copy = StateSet(sset.shape, sset.states, sset.provenance)
-    states = range(len(sset.states))
-    copy.__dict__["vector_index"] = tuple(
-        PartyVectors(
-            tuple(s.locals[t].coeffs for s in sset.states),
-            tuple(states),
-            tuple(tuple((a, c) for a, c in enumerate(s.locals[t].coeffs) if c) for s in sset.states),
-        )
-        for t in range(sset.shape.n)
-    )
-    return copy
+    the index then compute every support per state. The constructor interns
+    equal vectors, so the copy is stored by the step both it and the loader
+    end in."""
+    vectors = [[s.locals[t].coeffs for s in sset.states] for t in range(sset.shape.n)]
+    ids = [range(len(sset))] * sset.shape.n
+    return object.__new__(StateSet)._store(sset.shape, vectors, ids, sset._labels, sset.provenance)
 
 
 def computational_basis_set(dims: tuple[int, ...]) -> StateSet:
@@ -378,8 +394,9 @@ def computational_basis_set(dims: tuple[int, ...]) -> StateSet:
 
 
 def without_stopper(sset: StateSet) -> StateSet:
+    """The set without its all-ones state, built by `sset`'s own copy of the library."""
     states = tuple(s for s in sset.states if not all(all(c == 1 for c in lv.coeffs) for lv in s.locals))
-    return StateSet(sset.shape, states, provenance=sset.provenance + "-no-stopper")
+    return type(sset)(sset.shape, states, provenance=sset.provenance + "-no-stopper")
 
 
 def scrambled(sset: StateSet, rng: random.Random, reduce: bool = False) -> StateSet:
@@ -547,25 +564,27 @@ def orthogonal_integer_matrix(rng: random.Random, dim: int, fix_ones: bool) -> l
             return m
 
 
-def primitive(coeffs) -> LocalVector:
+def primitive(coeffs) -> tuple[int, ...]:
+    """The coefficients divided by their gcd."""
     g = math.gcd(*coeffs)
-    return LocalVector(tuple(c // g for c in coeffs))
+    return tuple(c // g for c in coeffs)
 
 
 def rotated(sset: StateSet, rng: random.Random, parties) -> StateSet:
     """The set with the vectors of each party in `parties` mapped by a random
     integer matrix with orthogonal columns of equal length, each then divided
     by the gcd of its coefficients. Neither step changes which inner products
-    vanish, and the matrices fix the all-ones vector, so the stopper stays."""
+    vanish, and the matrices fix the all-ones vector, so the stopper stays.
+    The set is built with the classes of `sset`'s own copy of the library."""
     mats = {t: orthogonal_integer_matrix(rng, sset.shape.dims[t], fix_ones=True) for t in parties}
     states = []
     for state in sset.states:
         locals_ = list(state.locals)
         for t, m in mats.items():
-            u = locals_[t].coeffs
-            locals_[t] = primitive([sum(x * y for x, y in zip(row, u)) for row in m])
-        states.append(ProductState(sset.shape, tuple(locals_), state.label))
-    return StateSet(sset.shape, tuple(states), provenance=sset.provenance + "-rotated")
+            u = locals_[t]
+            locals_[t] = type(u)(primitive([sum(x * y for x, y in zip(row, u.coeffs)) for row in m]))
+        states.append(type(state)(sset.shape, tuple(locals_), state.label))
+    return type(sset)(sset.shape, tuple(states), provenance=sset.provenance + "-rotated")
 
 
 def invariant_error_under_python_O(code: str) -> str:

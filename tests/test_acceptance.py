@@ -24,10 +24,16 @@ from nwe import (
 )
 from nwe.constructions import GeneralDims, expected_size
 from nwe.states import ProductState, check_pairwise_orthogonality
-from nwe.verifier import identity_coords
 from nwe.inference import DiagonalEqualFact, ZeroEntryFact
 
-from helpers import computational_basis_set, coords_to_matrix, measured_overlap, scaled_vector, without_stopper
+from helpers import (
+    computational_basis_set,
+    coords_to_matrix,
+    identity_coords,
+    measured_overlap,
+    scaled_vector,
+    without_stopper,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 SWEEP_SEED = 20250810

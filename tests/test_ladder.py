@@ -6,7 +6,6 @@ from pathlib import Path
 import pytest
 
 import nwe.verifier
-from nwe import gen_equal
 
 from helpers import load_script, without_stopper
 
@@ -17,14 +16,23 @@ def test_baseline_ratio():
     ladder = load_script("ladder")
     line = {
         "instance": "x",
+        "generate_s": 0.003,
         "load_s": 0.002,
         "pair_table_s": 0.003,
         "verify_all_s": 0.5,
         "certificate_s": 0.004,
         "check_s": 0.001,
     }
-    earlier = {"load_s": 0.001, "pair_table_s": 0.006, "verify_all_s": 0.25, "certificate_s": 0.008, "check_s": 0.002}
+    earlier = {
+        "generate_s": 0.001,
+        "load_s": 0.001,
+        "pair_table_s": 0.006,
+        "verify_all_s": 0.25,
+        "certificate_s": 0.008,
+        "check_s": 0.002,
+    }
     assert ladder.baseline_ratio(line, earlier) == {
+        "generate_s": 3.0,
         "load_s": 2.0,
         "pair_table_s": 0.5,
         "verify_all_s": 2.0,
@@ -35,11 +43,13 @@ def test_baseline_ratio():
     assert ladder.baseline_ratio(line, {}) == dict.fromkeys(ladder.STAGES)
     assert ladder.baseline_ratio(line, {**earlier, "pair_table_s": 0.0})["pair_table_s"] is None
     assert ladder.baseline_ratio(line, {"pair_table_s": 0.006, "verify_all_s": 0.25})["certificate_s"] is None
+    # a baseline written before `generate_s` was timed has no ratio for it
+    assert ladder.baseline_ratio(line, {k: v for k, v in earlier.items() if k != "generate_s"})["generate_s"] is None
 
 
 def test_baseline_ratios_are_printed_and_not_written(tmp_path, capsys, monkeypatch):
     ladder = load_script("ladder")
-    monkeypatch.setattr(ladder, "RUNGS", (("equal(3,3)", lambda: gen_equal(3, 3)),))
+    monkeypatch.setattr(ladder, "RUNGS", (("equal(3,3)", lambda api: api.gen_equal(3, 3)),))
     times = dict.fromkeys(ladder.STAGES, 1.0)
     earlier = {"stamp": {}, "rungs": [{"instance": "equal(3,3)", **times}]}
     (tmp_path / "before.json").write_text(json.dumps(earlier))
@@ -57,7 +67,7 @@ def test_stamp_carries_the_source_digest(tmp_path, monkeypatch):
     # the digest `perfbench/run.py` stamps its runs with: sha256 over each
     # src/nwe/*.py in name order, as name, NUL and bytes; first 16 hex digits
     ladder = load_script("ladder")
-    monkeypatch.setattr(ladder, "RUNGS", (("equal(3,3)", lambda: gen_equal(3, 3)),))
+    monkeypatch.setattr(ladder, "RUNGS", (("equal(3,3)", lambda api: api.gen_equal(3, 3)),))
     out = tmp_path / "ladder.json"
     assert ladder.main(["--json", str(out)]) == 0
     digest = hashlib.sha256()
@@ -69,9 +79,19 @@ def test_stamp_carries_the_source_digest(tmp_path, monkeypatch):
 @pytest.mark.skipif(not (ROOT / ".git").exists(), reason="--against extracts a revision with git archive")
 def test_against_head_on_two_small_rungs(capsys, monkeypatch):
     ladder = load_script("ladder")
-    rungs = (("equal(3,3)", lambda: gen_equal(3, 3)), ("equal(3,4)-no-stopper", lambda: without_stopper(gen_equal(3, 4))))
+    built = []  # the package of each set the first rung's builder makes
+
+    def equal_3_3(api):
+        sset = api.gen_equal(3, 3)
+        built.append(type(sset).__module__)
+        return sset
+
+    rungs = (("equal(3,3)", equal_3_3), ("equal(3,4)-no-stopper", lambda api: without_stopper(api.gen_equal(3, 4))))
     monkeypatch.setattr(ladder, "RUNGS", rungs)
     assert ladder.main(["--against", "HEAD"]) == 0
+    # once for the rung's document, then in every run by each tree's own generators
+    assert built.count("nwe.states") == 1 + ladder.AGAINST_RUNS
+    assert built.count(f"{ladder.AGAINST_PACKAGE}.states") == ladder.AGAINST_RUNS
     lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     assert [line["instance"] for line in lines] == ["equal(3,3)", "equal(3,4)-no-stopper"]
     for line in lines:

@@ -115,6 +115,37 @@ class TestValidation:
         assert len(state_set_from_document(doc)) == len(doc["states"])
 
 
+class TestEqualityReadsTheStoredForm:
+    """Sets compare and hash by their shape, vector index, labels and
+    provenance, so no comparison builds the `states` view."""
+
+    @pytest.mark.parametrize(
+        "sset",
+        [gen_equal(3, 4), gen_general((3, 4, 5)), without_stopper(gen_equal(3, 4))],
+        ids=lambda s: s.provenance,
+    )
+    def test_loaded_set_equals_the_set_it_was_saved_from(self, sset):
+        given = sset.__dict__["states"]  # the states the set was made from, kept as its view
+        doc = state_set_to_document(sset)
+        loaded, again = state_set_from_document(doc), state_set_from_document(doc)
+        assert loaded == sset and sset == loaded and loaded == again
+        assert hash(loaded) == hash(sset) == hash(again)
+        assert "states" not in loaded.__dict__ and "states" not in again.__dict__
+        assert sset.__dict__["states"] is given
+
+    def test_one_label_or_the_provenance_tells_sets_apart(self):
+        sset = gen_equal(3, 4)
+        doc = state_set_to_document(sset)
+        relabelled, unlabelled = json.loads(json.dumps(doc)), json.loads(json.dumps(doc))
+        relabelled["states"][3]["label"] = "x"
+        del unlabelled["states"][3]["label"]
+        others = [state_set_from_document(d) for d in (relabelled, unlabelled, {**doc, "provenance": "elsewhere"})]
+        for other in others:
+            assert other != sset and sset != other
+            assert other.vector_index == sset.vector_index
+            assert "states" not in other.__dict__
+
+
 class TestSharedVectors:
     def test_equal_coefficients_share_one_vector(self):
         doc = {

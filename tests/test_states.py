@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 import re
@@ -385,10 +386,14 @@ class TestVectorIndex:
         assert ids == (0, 1, 0)
         assert supports == (((0, 1), (1, -1)), ((2, 2),))
 
-    def test_built_on_first_use(self):
+    def test_stored_at_construction(self):
+        # the index and the labels are the set's stored form, made when the
+        # set is; `states` is a view and no field
+        assert [f.name for f in dataclasses.fields(StateSet)] == ["shape", "vector_index", "_labels", "provenance"]
         sset = gen_equal(3, 4)
-        assert "vector_index" not in sset.__dict__
-        assert sset.vector_index is sset.vector_index
+        assert sset.__dict__["vector_index"] is sset.vector_index
+        assert "pair_table" not in sset.__dict__
+        assert sset._labels == tuple(s.label for s in sset.states)
 
     def test_every_kind_of_pair_with_repeated_vectors(self):
         shape = SystemShape((2, 2))

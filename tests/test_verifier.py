@@ -30,7 +30,6 @@ from nwe.verifier import (
     _peel,
     anti_index,
     certified_nonlocal,
-    identity_coords,
     sym_index,
     verdict,
 )
@@ -44,7 +43,9 @@ from helpers import (
     dense_entry_strings,
     dense_is_identity_multiple,
     dense_nullspace,
+    dense_parts,
     dense_rref,
+    identity_coords,
     invariant_error_under_python_O,
     matrix_to_coords,
     measured_overlap,
@@ -91,11 +92,12 @@ class TestCoordinateLayout:
         mat = coords_to_matrix(vec, d)
         assert matrix_to_coords(mat) == vec
         # Hermitian structure: symmetric real part, antisymmetric imaginary part
+        real, imag = dense_parts(mat)
         for a in range(d):
-            assert mat.imag[a][a] == 0
+            assert imag[a][a] == 0
             for b in range(d):
-                assert mat.real[a][b] == mat.real[b][a]
-                assert mat.imag[a][b] == -mat.imag[b][a]
+                assert real[a][b] == real[b][a]
+                assert imag[a][b] == -imag[b][a]
 
 
 class TestAssemble:
@@ -281,9 +283,10 @@ class TestVerdict:
         w = v.witness
         assert w is not None and not w.is_identity_multiple()
         # diagonal witness with opposite-sign entries, zero off-diagonal
-        assert w.real[0][1] == w.real[1][0] == 0
-        assert w.imag[0][1] == 0
-        assert w.real[0][0] == -w.real[1][1] != 0
+        real, imag = dense_parts(w)
+        assert real[0][1] == real[1][0] == 0
+        assert imag[0][1] == 0
+        assert real[0][0] == -real[1][1] != 0
 
     def test_witness_satisfies_every_constraint(self):
         sset = computational_basis_set((2, 2))
@@ -593,8 +596,10 @@ class TestWitnessStrings:
         # S[0,1] = -3/6, S[1,1] = 18/6 and A[0,1] = 2/6
         matrix = nwe.verifier.HermitianMatrix(2, 6, (((0, 1), -3), ((1, 1), 18)), (((0, 1), 2),))
         assert matrix.entry_strings() == [["0", "-1/2+1/3i"], ["-1/2-1/3i", "3"]]
-        assert matrix.real == ((0, Fraction(-1, 2)), (Fraction(-1, 2), 3))
-        assert matrix.imag == ((0, Fraction(1, 3)), (Fraction(-1, 3), 0))
+        assert dense_parts(matrix) == (
+            ((0, Fraction(-1, 2)), (Fraction(-1, 2), 3)),
+            ((0, Fraction(1, 3)), (Fraction(-1, 3), 0)),
+        )
 
     @pytest.mark.parametrize("factor", [3, -4, 6])
     def test_scaled_witnesses_match_dense_elimination(self, factor):
@@ -732,7 +737,7 @@ class TestRandomOrthogonalBases:
         bases = [orthogonal_integer_matrix(rng, d, fix_ones=False) for d in shape.dims]
         # columns of each matrix form the party's local basis
         states = tuple(
-            ProductState(shape, (primitive([row[i] for row in bases[0]]), primitive([row[j] for row in bases[1]])))
+            ProductState(shape, tuple(LocalVector(primitive([row[k] for row in m])) for k, m in zip((i, j), bases)))
             for i in range(2)
             for j in range(3)
         )
@@ -978,6 +983,37 @@ def test_sparse_witness_equals_the_dense_one(system):
         matrix = coords_to_matrix(vec, dim)
         assert matrix.entry_strings() == dense_entry_strings(vec, dim)
         assert matrix.is_identity_multiple() == dense_is_identity_multiple(vec, dim)
+
+
+@st.composite
+def hermitian_matrices(draw):
+    """Sparse Hermitian matrices over a denominator of 1-36 whose signed
+    numerators may or may not be multiples of it; an entry may be missing
+    from either block, so imaginary parts are often zero."""
+    dim, den = draw(st.integers(1, 4)), draw(st.integers(1, 36))
+    entry = st.one_of(st.just(0), st.integers(-80, 80), st.integers(-4, 4).map(lambda k: k * den))
+    sym = {(a, b): x for a in range(dim) for b in range(a, dim) if (x := draw(entry))}
+    anti = {(a, b): x for a in range(dim) for b in range(a + 1, dim) if (x := draw(entry))}
+    return nwe.verifier.HermitianMatrix(dim, den, tuple(sym.items()), tuple(anti.items()))
+
+
+@example(nwe.verifier.HermitianMatrix(2, 6, (((0, 1), -3), ((1, 1), 18)), (((0, 1), 2),)))
+@example(nwe.verifier.HermitianMatrix(2, 1, (((0, 0), -7),), (((0, 1), -1),)))
+@settings(max_examples=300, deadline=None)
+@given(hermitian_matrices())
+def test_entry_strings_are_the_fraction_strings(matrix):
+    dim, den, sym, anti = matrix.dim, matrix.den, dict(matrix.sym), dict(matrix.anti)
+    expected = []
+    for a in range(dim):
+        row = []
+        for b in range(dim):
+            key = (min(a, b), max(a, b))
+            im = anti.get(key, 0) * (1 if a < b else -1)
+            re = str(Fraction(sym.get(key, 0), den))
+            row.append(re + (f"{'+' if im > 0 else '-'}{Fraction(abs(im), den)}i" if im else ""))
+        expected.append(row)
+    assert matrix.entry_strings() == expected
+    assert expected == dense_entry_strings(matrix_to_coords(matrix), dim)
 
 
 def test_zeroed_diagonal_raises_under_python_O():
