@@ -5,7 +5,8 @@ Each rung runs three times. Each line gives the instance, its number of
 states, the median over the runs of the seconds the rung's builder takes
 (`generate_s`: the library's generator and, on a derived rung, the rotation
 or the stopper's removal, each of which interns the set's vectors as it is
-made), of the seconds `state_set_from_document` takes to load the set's
+made; the rotation's matrices are drawn once per rung, before any timed
+run), of the seconds `state_set_from_document` takes to load the set's
 canonical document (`load_s`; the document is written and parsed outside
 the timed span), of the seconds spent building the pair table of the loaded
 set (`pair_table_s`), of the seconds `verify_all` then takes
@@ -14,7 +15,7 @@ party), of the seconds the rule engine takes to derive the certificate
 (`certificate_s`) and of the seconds `check_certificate` takes to replay it
 (`check_s`), and the per-party statuses. The rotated rungs map every
 party's vectors by a seeded random integer matrix with orthogonal columns
-(`rotated` in `tests/helpers.py`), so no local basis is the computational
+(`rotations` in `tests/helpers.py`), so no local basis is the computational
 one. A run that does not finish within 60 s is printed as
 {"instance": ..., "skipped": "budget"} and the ladder goes on.
 
@@ -38,10 +39,10 @@ into a temporary directory and imports under a second package name. Each
 rung runs five times in each tree, alternating which tree runs first; each
 run builds the rung with its tree's generators and loads the rung's
 canonical document with its tree's loader, so both trees are timed the same
-way. Each printed line gives, per stage, the median of the working tree's
-time over REV's (`ratio`) and the number of runs the working tree was
-faster (`won`), and both trees' statuses. The script exits with 1 if any
-rung's statuses differ between the trees.
+way, with the same rotation matrices. Each printed line gives, per stage,
+the median of the working tree's time over REV's (`ratio`) and the number
+of runs the working tree was faster (`won`), and both trees' statuses. The
+script exits with 1 if any rung's statuses differ between the trees.
 
     python scripts/ladder.py --against HEAD
 
@@ -49,6 +50,7 @@ The budget is enforced with SIGALRM, so the script needs a POSIX system.
 """
 
 import argparse
+import functools
 import hashlib
 import importlib
 import json
@@ -71,7 +73,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 # the seeded rotations and the stopper removal are shared with the tests
 sys.path.insert(0, str(ROOT / "tests"))
-from helpers import rotated, without_stopper  # noqa: E402
+from helpers import rotate, rotations, without_stopper  # noqa: E402
 
 BUDGET_S = 60.0
 RUNS = 3
@@ -81,9 +83,17 @@ ROTATION_SEED = 2022
 AGAINST_PACKAGE = "nwe_against"
 
 
+@functools.cache
+def rotation(dim: int) -> dict[int, list[list[int]]]:
+    """The seeded matrices of the rotated equal(3,dim) rungs. They are drawn
+    by the rung's first build, which makes its document before any run is
+    timed, and every later build of either tree reuses them."""
+    return rotations(random.Random(ROTATION_SEED + dim), (dim,) * 3, range(3))
+
+
 def rotated_equal(api, dim: int):
     """equal(3,dim) with every party's vectors in a seeded rotated basis."""
-    return rotated(api.gen_equal(3, dim), random.Random(ROTATION_SEED + dim), range(3))
+    return rotate(api.gen_equal(3, dim), rotation(dim))
 
 
 # each builder makes its rung with the generators of the tree `api`

@@ -19,21 +19,28 @@ each citing the pair that forces it:
    with the all-ones stopper forces m[a,a] = m[b,b]. It is recorded as
    Lemma2 when c = 1 and as UnitPropagation otherwise.
 
-One pass over a party's bucket sorts its pairs into single-support,
-overlapping and disjoint ones; only the last get a term list.
+One pass over a party's bucket sorts its pairs into single-support (two
+lookups of the index's ket coordinates, `PartyVectors.kets`), overlapping
+and disjoint ones; only the last get a term list. Facts are named tuples,
+built by thousands per run.
 
 The engine is deliberately incomplete: it is a proof search, and the exact
 nullspace verifier is the decision procedure, so Incomplete is a per-party
 verdict, not an error.
 
-`check_certificate` replays a certificate without `propagate` or the rules'
-search; `verify_all` skips the elimination of a party it replays to Trivial.
+`check_certificate` replays a certificate without `propagate`, the rules'
+search or the ket coordinates, rebuilding each constraint from the
+supports; `verify_all` skips the elimination of a party it replays to
+Trivial.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import groupby
+from operator import attrgetter
+from typing import NamedTuple
 
 from .states import InvariantError, NonOrthogonalSetError, StateSet, SystemShape, find_stopper
 
@@ -42,8 +49,7 @@ RULE_LEMMA2 = "Lemma2"
 RULE_UNIT_PROPAGATION = "UnitPropagation"
 
 
-@dataclass(frozen=True)
-class ZeroEntryFact:
+class ZeroEntryFact(NamedTuple):
     """m[row, col] = 0 (and by Hermiticity m[col, row] = 0) for party `party`."""
 
     party: int
@@ -53,8 +59,7 @@ class ZeroEntryFact:
     rule: str
 
 
-@dataclass(frozen=True)
-class DiagonalEqualFact:
+class DiagonalEqualFact(NamedTuple):
     """m[a, a] = m[b, b] for party `party`."""
 
     party: int
@@ -64,7 +69,14 @@ class DiagonalEqualFact:
     rule: str
 
 
+# facts are named tuples, so facts of the two kinds with equal fields
+# compare equal; whatever tells them apart must test their type
 Fact = ZeroEntryFact | DiagonalEqualFact
+
+# `_fact(kind, fields)` builds a fact from the tuple of its fields with no
+# call of the named tuple's Python-level __new__; the derivation makes
+# thousands of facts per run
+_fact = tuple.__new__
 
 
 @dataclass(frozen=True)
@@ -91,8 +103,8 @@ class Certificate:
     def facts_by_party(self) -> dict[int, tuple[Fact, ...]]:
         """Each party's facts, in derivation order, grouped in one pass."""
         groups: dict[int, list[Fact]] = {}
-        for f in self.facts:
-            groups.setdefault(f.party, []).append(f)
+        for t, run in groupby(self.facts, attrgetter("party")):
+            groups.setdefault(t, []).extend(run)
         return {t: tuple(group) for t, group in groups.items()}
 
     def facts_for_party(self, t: int) -> tuple[Fact, ...]:
@@ -111,17 +123,17 @@ def _conclusion(t: int, dim: int, known, equal) -> PartyConclusion:
     label = list(range(dim))
     members = [[a] for a in range(dim)]
     for a, b in equal:
-        lo, hi = sorted((label[a], label[b]))
+        lo, hi = label[a], label[b]
         if lo != hi:
+            if lo > hi:
+                lo, hi = hi, lo
             for x in members[hi]:
                 label[x] = lo
             members[lo] += members[hi]
             members[hi] = []
-    # a class's least index is its label and comes first, so classes follow it
-    classes: dict[int, list[int]] = {}
-    for a, c in enumerate(label):
-        classes.setdefault(c, []).append(a)
-    return PartyConclusion(t, not missing and len(classes) == 1, missing, tuple(map(tuple, classes.values())))
+    # a class's least index is its label, so classes follow their labels
+    classes = tuple(tuple(sorted(m)) for m in members if m)
+    return PartyConclusion(t, not missing and len(classes) == 1, missing, classes)
 
 
 def propagate(rows, known: set) -> list:
@@ -159,34 +171,36 @@ def derive_certificate(sset: StateSet) -> Certificate:
     conclusions: list[PartyConclusion] = []
     for t in range(sset.shape.n):
         dim = sset.shape.dims[t]
-        _, ids, supports = sset.vector_index[t]
-        masks = [sum([1 << a for a, _ in s]) for s in supports]
+        _, ids, supports, kets = sset.vector_index[t]
+        masks = [1 << k if k >= 0 else sum([1 << a for a, _ in s]) for s, k in zip(supports, kets)]
         known: set[int] = set()  # m[a, b] known zero, as min(a, b) * dim + max(a, b)
         constraints = []  # the pairs of disjoint supports
         rows = []  # their terms' keys
         linked = []  # the stopper's partners
-        for i, j in table.buckets[t]:
+        for pair in table.buckets[t]:
+            i, j = pair
             vi, vj = ids[i], ids[j]
-            u, v = supports[vi], supports[vj]
-            if len(u) == 1 == len(v):
-                a, b = u[0][0], v[0][0]
+            a, b = kets[vi], kets[vj]
+            if a >= 0 and b >= 0:
                 key = a * dim + b if a < b else b * dim + a
                 if key not in known:
                     known.add(key)
-                    facts.append(ZeroEntryFact(t, a, b, (i, j), RULE_LEMMA1))
+                    facts.append(_fact(ZeroEntryFact, (t, a, b, pair, RULE_LEMMA1)))
             elif masks[vi] & masks[vj]:
                 if stopper_idx == i or stopper_idx == j:
                     linked.append(i + j - stopper_idx)
             else:
-                constraints.append((i, j))
-                rows.append([a * dim + b if a < b else b * dim + a for a, _ in u for b, _ in v])
+                constraints.append(pair)
+                rows.append(
+                    [a * dim + b if a < b else b * dim + a for a, _ in supports[vi] for b, _ in supports[vj]]
+                )
 
         for r, key in propagate(rows, known):
-            i, j = constraints[r]
+            pair = constraints[r]
             lo, hi = divmod(key, dim)
             # the fact's row lies in the first support, as in its constraint
-            a, b = (lo, hi) if masks[ids[i]] >> lo & 1 else (hi, lo)
-            facts.append(ZeroEntryFact(t, a, b, (i, j), RULE_UNIT_PROPAGATION))
+            a, b = (lo, hi) if masks[ids[pair[0]]] >> lo & 1 else (hi, lo)
+            facts.append(_fact(ZeroEntryFact, (t, a, b, pair, RULE_UNIT_PROPAGATION)))
 
         # Lemma2, once every off-diagonal entry is known zero
         equal = []
@@ -202,7 +216,7 @@ def derive_certificate(sset: StateSet) -> Certificate:
                 seen.add((a, b))
                 pos, neg = (a, b) if ca > 0 else (b, a)
                 rule = RULE_LEMMA2 if abs(ca) == 1 else RULE_UNIT_PROPAGATION
-                facts.append(DiagonalEqualFact(t, pos, neg, (partner, stopper_idx), rule))
+                facts.append(_fact(DiagonalEqualFact, (t, pos, neg, (partner, stopper_idx), rule)))
                 equal.append((pos, neg))
 
         conclusions.append(_conclusion(t, dim, known, equal))
@@ -235,16 +249,14 @@ def check_certificate(sset: StateSet, cert: Certificate) -> None:
     if cert.shape != sset.shape or cert.labels != sset.labels() or len(cert.conclusions) != n:
         raise InvariantError("the certificate is of another state set")
     for k, fact in enumerate(cert.facts):
-        if isinstance(fact, ZeroEntryFact):
-            a, b = fact.row, fact.col
-        elif isinstance(fact, DiagonalEqualFact):
-            a, b = fact.a, fact.b
-        else:
+        if not isinstance(fact, (ZeroEntryFact, DiagonalEqualFact)):
             raise InvariantError(f"fact {k}: {fact!r} is not a fact")
+        # a fact's fields are read by unpacking it, here, in the replay below
+        # and in render_fact: cheaper than a named tuple's attributes
+        party, a, b, pair, _ = fact
         # exact ints only: a bool, a float or an int subclass could replay but render otherwise
-        pair = fact.pair
         ints = type(pair) is tuple and len(pair) == 2 and type(pair[0]) is type(pair[1]) is int
-        if not (ints and type(fact.party) is type(a) is type(b) is int):
+        if not (ints and type(party) is type(a) is type(b) is int):
             raise InvariantError(f"fact {k}: {fact!r}: the party and entries must be ints, the pair two ints")
     by_party = cert.facts_by_party
     for t in by_party:
@@ -252,17 +264,19 @@ def check_certificate(sset: StateSet, cert: Certificate) -> None:
             raise InvariantError(f"party {t}: no such party, but facts name it")
     for t, conclusion in enumerate(cert.conclusions):
         dim = sset.shape.dims[t]
-        _, ids, supports = sset.vector_index[t]
+        index = sset.vector_index[t]
+        ids, supports = index.ids, index.supports
         bucket = set(table.buckets[t])
         known: set[int] = set()  # m[a, b] known zero, as min(a, b) * dim + max(a, b)
         equal: list[tuple[int, int]] = []
         for fact in by_party.get(t, ()):
-            i, j = fact.pair
-            if (i, j) not in bucket and (j, i) not in bucket:
+            _, x, y, pair, rule = fact
+            i, j = pair
+            if pair not in bucket and (j, i) not in bucket:
                 raise InvariantError(f"party {t}: {fact}: the pair is not in the party's bucket")
             u, v = supports[ids[i]], supports[ids[j]]
             if isinstance(fact, ZeroEntryFact):
-                row, col = entry = fact.row, fact.col
+                row, col = entry = x, y
                 key = row * dim + col if row < col else col * dim + row
                 if len(u) == 1 == len(v):
                     forced = (u[0][0], v[0][0]) == entry and key not in known
@@ -272,7 +286,7 @@ def check_certificate(sset: StateSet, cert: Certificate) -> None:
                     forced = live == [entry]
                 if not forced or row == col:
                     raise InvariantError(f"party {t}: {fact}: the pair does not force this entry to zero")
-                if fact.rule != (RULE_LEMMA1 if len(u) * len(v) == 1 else RULE_UNIT_PROPAGATION):
+                if rule != (RULE_LEMMA1 if len(u) * len(v) == 1 else RULE_UNIT_PROPAGATION):
                     raise InvariantError(f"party {t}: {fact}: the rule does not match the constraint")
                 known.add(key)
             else:
@@ -280,23 +294,21 @@ def check_certificate(sset: StateSet, cert: Certificate) -> None:
                     raise InvariantError(f"party {t}: {fact}: an off-diagonal entry is not yet known zero")
                 v_at = dict(v)
                 diagonal = {a: c * v_at[a] for a, c in u if a in v_at}
-                if diagonal.keys() != {fact.a, fact.b} or sum(diagonal.values()):
+                if diagonal.keys() != {x, y} or sum(diagonal.values()):
                     raise InvariantError(f"party {t}: {fact}: the pair does not force this diagonal equality")
-                if fact.rule != (RULE_LEMMA2 if abs(diagonal[fact.a]) == 1 else RULE_UNIT_PROPAGATION):
+                if rule != (RULE_LEMMA2 if abs(diagonal[x]) == 1 else RULE_UNIT_PROPAGATION):
                     raise InvariantError(f"party {t}: {fact}: the rule does not match the constraint")
-                equal.append((fact.a, fact.b))
+                equal.append((x, y))
         if conclusion != _conclusion(t, dim, known, equal):
             raise InvariantError(f"party {t}: the conclusion {conclusion} does not follow from the facts")
 
 
 def render_fact(fact: Fact, labels: tuple[str, ...]) -> str:
-    li, lj = labels[fact.pair[0]], labels[fact.pair[1]]
+    party, x, y, (i, j), rule = fact
+    li, lj = labels[i], labels[j]
     if isinstance(fact, ZeroEntryFact):
-        return f"party={fact.party} m[{fact.row},{fact.col}]=0 via states ({li},{lj}) rule={fact.rule}"
-    return (
-        f"party={fact.party} m[{fact.a},{fact.a}]=m[{fact.b},{fact.b}] "
-        f"via ({li},{lj}) rule={fact.rule}"
-    )
+        return f"party={party} m[{x},{y}]=0 via states ({li},{lj}) rule={rule}"
+    return f"party={party} m[{x},{x}]=m[{y},{y}] via ({li},{lj}) rule={rule}"
 
 
 def render_certificate(cert: Certificate) -> str:

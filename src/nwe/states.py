@@ -185,13 +185,14 @@ class StateSet:
         """Store the set whose state i has label labels[i] and, on party t,
         the ids[t][i]-th coefficient tuple of vectors[t] (a sequence, or a
         table of distinct tuples in order of first appearance), all checked
-        by the caller, with each vector's support; the constructor and the
-        loader both end here."""
-        index = tuple(
-            PartyVectors(tuple(vs), tuple(column), tuple(tuple((a, c) for a, c in enumerate(v) if c) for v in vs))
-            for vs, column in zip(vectors, ids)
-        )
-        self.__dict__.update(shape=shape, vector_index=index, _labels=labels, provenance=provenance)
+        by the caller, with each vector's support and ket coordinate; the
+        constructor and the loader both end here."""
+        index = []
+        for vs, column in zip(vectors, ids):
+            supports = tuple(tuple(compress(enumerate(v), v)) for v in vs)
+            kets = tuple([s[0][0] if len(s) == 1 else -1 for s in supports])
+            index.append(PartyVectors(tuple(vs), tuple(column), supports, kets))
+        self.__dict__.update(shape=shape, vector_index=tuple(index), _labels=labels, provenance=provenance)
         return self
 
     @cached_property
@@ -220,14 +221,16 @@ class PartyVectors(NamedTuple):
     """The distinct local vectors of one party of a state set.
 
     `coeffs` holds each distinct coefficient tuple once, in order of first
-    appearance; `ids[i]` is the position of state i's vector in it; and
+    appearance; `ids[i]` is the position of state i's vector in it;
     `supports[v]` lists vector v's nonzero entries as (index, coefficient)
-    pairs, by ascending index.
+    pairs, by ascending index; and `kets[v]` is the index of vector v's
+    only nonzero entry if it has one (v is a multiple of a basis ket), else -1.
     """
 
     coeffs: tuple[tuple[int, ...], ...]
     ids: tuple[int, ...]
     supports: tuple[tuple[tuple[int, int], ...], ...]
+    kets: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -247,45 +250,63 @@ class PairTable:
 
 def _classify_pairs(sset: StateSet) -> PairTable:
     # zeros[t][i]: the states orthogonal to state i on party t, as a bitset
-    # over state indices. Each vector's inner products with the earlier
-    # ones are summed coordinate by coordinate, from the lists of the
-    # earlier vectors nonzero there, so vectors with disjoint supports
-    # (which are orthogonal) are never multiplied; a vector is never
-    # orthogonal to itself.
+    # over state indices. A ket at coordinate a meets exactly the vectors
+    # nonzero at a (col[a]), with no product at all, and a vector that is
+    # not a ket meets every ket in its support (ketcol). Two vectors that
+    # are not kets sum their inner product over the coordinates they share,
+    # from the lists of the earlier such vectors nonzero there, so vectors
+    # with disjoint supports (which are orthogonal) are never multiplied; a
+    # list indexed by vector holds the sums, which on dense vectors is
+    # cheaper than a dict. A vector is never orthogonal to itself.
     count = len(sset)
     every = (1 << count) - 1
     zeros = []
-    for dim, (coeffs, ids, supports) in zip(sset.shape.dims, sset.vector_index):
+    for dim, (coeffs, ids, supports, kets) in zip(sset.shape.dims, sset.vector_index):
         members = [0] * len(coeffs)
         for i, v in enumerate(ids):
             members[v] |= 1 << i
-        at: list[list] = [[] for _ in range(dim)]  # at[a]: (w, entry a of w) for the earlier vectors w nonzero at a
-        meets = members[:]  # meets[v]: the states whose vector is not orthogonal to v
+        col = [0] * dim  # col[a]: the states whose vector is nonzero at a
+        ketcol = [0] * dim  # ketcol[a]: the states whose vector is a ket at a
         for v, support in enumerate(supports):
-            dots = [0] * v  # dots[w]: the inner product of v with the earlier vector w
+            for a, _ in support:
+                col[a] |= members[v]
+            if kets[v] >= 0:
+                ketcol[kets[v]] |= members[v]
+        at: list[list] = [[] for _ in range(dim)]  # at[a]: (w, entry a of w) for the earlier non-kets w nonzero at a
+        meets = []  # meets[v]: the states whose vector is not orthogonal to v
+        for v, support in enumerate(supports):
+            if kets[v] >= 0:
+                meets.append(col[kets[v]])
+                continue
+            met = members[v]
+            dots = [0] * v  # dots[w]: the inner product of v with the earlier non-ket w
             for a, c in support:
+                met |= ketcol[a]
                 for w, cw in at[a]:
                     dots[w] += c * cw
                 at[a].append((v, c))
             for w in compress(range(v), dots):
-                meets[v] |= members[w]
+                met |= members[w]
                 meets[w] |= members[v]
+            meets.append(met)
         zero = [every & ~m for m in meets]
         zeros.append([zero[v] for v in ids])
     violations, buckets = [], [[] for _ in zeros]
-    for i in range(count):
+    later = every  # the states j > i
+    for i, row in enumerate(zip(*zeros)):  # row[t]: zeros[t][i]
+        later ^= 1 << i
         ones = twos = 0  # the states with at least one, at least two zero factors
-        for z in zeros:
-            twos |= ones & z[i]
-            ones |= z[i]
-        later = every & (-2 << i)  # the states j > i
+        for z in row:
+            twos |= ones & z
+            ones |= z
         x = later & ~ones
         while x:
             low = x & -x
             x ^= low
             violations.append((i, low.bit_length() - 1))
-        for bucket, z in zip(buckets, zeros):
-            x = z[i] & later & ~twos
+        keep = later & ~twos
+        for bucket, z in zip(buckets, row):
+            x = z & keep
             while x:
                 low = x & -x
                 x ^= low

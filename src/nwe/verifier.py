@@ -196,7 +196,8 @@ def assemble(sset: StateSet, t: int) -> MeasurementConstraintSystem:
 
     Each pair in party t's bucket, in table order, contributes its S-block
     row and its A-block row, unless empty: a row of one entry as its zeroed
-    coordinate. A pair of kets |a>, |b>, a != b, zeroes S[a,b] and A[a,b].
+    coordinate. A pair of kets |a>, |b>, a != b (found by the index's ket
+    coordinates), zeroes S[a,b] and A[a,b].
     """
     if not 0 <= t < sset.shape.n:
         raise IndexError(f"party {t} out of range for {sset.shape.n} parties")
@@ -205,17 +206,17 @@ def assemble(sset: StateSet, t: int) -> MeasurementConstraintSystem:
         raise NonOrthogonalSetError(list(table.violations))
     dim = sset.shape.dims[t]
     sym_at, anti_at = _coordinate_tables(dim)
-    _, ids, supports = sset.vector_index[t]
+    _, ids, supports, kets = sset.vector_index[t]
     sym, anti, zeroed = [], [], set()
     for i, j in table.buckets[t]:
-        u, v = supports[ids[i]], supports[ids[j]]
-        if len(u) == 1 == len(v) and u[0][0] != v[0][0]:
+        vi, vj = ids[i], ids[j]
+        a, b = kets[vi], kets[vj]
+        if a >= 0 and b >= 0 and a != b:
             # a == b fails _pair_rows' trace check
-            a, b = u[0][0], v[0][0]
             zeroed.add(sym_at[a][b])
             zeroed.add(anti_at[a][b])
             continue
-        for row, rows in zip(_pair_rows(u, v, dim), (sym, anti)):
+        for row, rows in zip(_pair_rows(supports[vi], supports[vj], dim), (sym, anti)):
             if len(row) == 1:
                 zeroed.update(row)
             elif row:
@@ -323,12 +324,17 @@ def _blocks(system: MeasurementConstraintSystem):
     nsym = dim * (dim + 1) // 2
     # the identity satisfies every S row, so no row may zero a diagonal coordinate
     diagonal = _row_starts(dim)[:dim]
-    for rows, columns in ((system.sym, range(nsym)), (system.anti, range(nsym, dim * dim))):
-        zeroed, core = _peel(rows, system.zeroed)
+    sym_zeroed = [c for c in system.zeroed if c < nsym]
+    anti_zeroed = [c for c in system.zeroed if c >= nsym]
+    for rows, given, columns in (
+        (system.sym, sym_zeroed, range(nsym)),
+        (system.anti, anti_zeroed, range(nsym, dim * dim)),
+    ):
+        zeroed, core = _peel(rows, given)
         if not zeroed.isdisjoint(diagonal):
             raise InvariantError(f"a constraint row forces coordinate {min(zeroed.intersection(diagonal))} to zero")
         pivots, den = _exact_rref(core)
-        yield sorted(set(columns).difference(zeroed, pivots)), pivots, den
+        yield [c for c in columns if c not in zeroed and c not in pivots], pivots, den
 
 
 def rank(system: MeasurementConstraintSystem) -> int:

@@ -256,7 +256,7 @@ def reference_certificate(sset: StateSet) -> Certificate:
     for t in range(sset.shape.n):
         dim = sset.shape.dims[t]
         known: set[tuple[int, int]] = set()
-        _, ids, supports = sset.vector_index[t]
+        _, ids, supports, _ = sset.vector_index[t]
         support = [supports[v] for v in ids]
         constraints = [(i, j, [(a, b) for a, _ in support[i] for b, _ in support[j]]) for i, j in table.buckets[t]]
         for i, j, terms in constraints:
@@ -570,13 +570,25 @@ def primitive(coeffs) -> tuple[int, ...]:
     return tuple(c // g for c in coeffs)
 
 
+def rotations(rng: random.Random, dims, parties) -> dict[int, list[list[int]]]:
+    """For each party t in `parties`, in order, a random integer matrix of
+    size dims[t] with orthogonal columns of equal length that fixes the
+    all-ones vector: the matrices `rotated` draws."""
+    return {t: orthogonal_integer_matrix(rng, dims[t], fix_ones=True) for t in parties}
+
+
 def rotated(sset: StateSet, rng: random.Random, parties) -> StateSet:
     """The set with the vectors of each party in `parties` mapped by a random
-    integer matrix with orthogonal columns of equal length, each then divided
-    by the gcd of its coefficients. Neither step changes which inner products
-    vanish, and the matrices fix the all-ones vector, so the stopper stays.
-    The set is built with the classes of `sset`'s own copy of the library."""
-    mats = {t: orthogonal_integer_matrix(rng, sset.shape.dims[t], fix_ones=True) for t in parties}
+    integer matrix with orthogonal columns of equal length (`rotations`)."""
+    return rotate(sset, rotations(rng, sset.shape.dims, parties))
+
+
+def rotate(sset: StateSet, mats: dict[int, list[list[int]]]) -> StateSet:
+    """The set with the vectors of each party t in `mats` mapped by mats[t],
+    each then divided by the gcd of its coefficients. Neither step changes
+    which inner products vanish for matrices from `rotations`, which fix
+    the all-ones vector, so the stopper stays. The set is built with the
+    classes of `sset`'s own copy of the library."""
     states = []
     for state in sset.states:
         locals_ = list(state.locals)

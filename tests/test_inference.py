@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -387,7 +388,7 @@ class TestCheckCertificate:
         cert = derive_certificate(sset)
         fact = cert.facts_for_party(0)[0]
         other = sset.pair_table.buckets[1][0]
-        forged = replaced(cert, fact, dataclasses.replace(fact, pair=other))
+        forged = replaced(cert, fact, fact._replace(pair=other))
         with pytest.raises(InvariantError, match="party 0: .*not in the party's bucket"):
             check_certificate(sset, forged)
 
@@ -399,7 +400,7 @@ class TestCheckCertificate:
         row, col = (fact.col, fact.row) if swap else next(
             (a, b) for a in range(3) for b in range(3) if a != b and {a, b} != {fact.row, fact.col}
         )
-        forged = replaced(cert, fact, dataclasses.replace(fact, row=row, col=col))
+        forged = replaced(cert, fact, fact._replace(row=row, col=col))
         with pytest.raises(InvariantError, match="does not force this entry to zero"):
             check_certificate(sset, forged)
 
@@ -411,7 +412,7 @@ class TestCheckCertificate:
         cert = derive_certificate(sset)
         facts = list(cert.facts)
         k, fact = next((k, f) for k, f in enumerate(facts) if f.rule == rule)
-        facts.insert(k + 1, dataclasses.replace(fact, row=fact.col, col=fact.row, pair=fact.pair[::-1]))
+        facts.insert(k + 1, fact._replace(row=fact.col, col=fact.row, pair=fact.pair[::-1]))
         with pytest.raises(InvariantError, match=f"party {fact.party}: .*does not force this entry to zero"):
             check_certificate(sset, with_facts(cert, facts))
 
@@ -424,7 +425,7 @@ class TestCheckCertificate:
         sset = gen_general((3, 4, 5))
         cert = derive_certificate(sset)
         fact = next(f for f in cert.facts if f.rule == rule)
-        forged = replaced(cert, fact, dataclasses.replace(fact, rule=forged_rule))
+        forged = replaced(cert, fact, fact._replace(rule=forged_rule))
         with pytest.raises(InvariantError, match="the rule does not match the constraint"):
             check_certificate(sset, forged)
 
@@ -433,7 +434,7 @@ class TestCheckCertificate:
         cert = derive_certificate(sset)
         fact = next(f for f in cert.facts if isinstance(f, DiagonalEqualFact))
         third = ({0, 1, 2} - {fact.a, fact.b}).pop()
-        forged = replaced(cert, fact, dataclasses.replace(fact, b=third))
+        forged = replaced(cert, fact, fact._replace(b=third))
         with pytest.raises(InvariantError, match="does not force this diagonal equality"):
             check_certificate(sset, forged)
 
@@ -479,9 +480,49 @@ class TestCheckCertificate:
         sset = gen_equal(3, 3)
         cert = derive_certificate(sset)
         fact = cert.facts[0]
-        forged = replaced(cert, fact, dataclasses.replace(fact, party=5))
+        forged = replaced(cert, fact, fact._replace(party=5))
         with pytest.raises(InvariantError, match="party 5: no such party"):
             check_certificate(sset, forged)
+
+    def test_diagonal_fact_with_a_zero_facts_fields(self):
+        # facts are named tuples, so facts of the two kinds with equal fields
+        # compare equal; the replay must tell them apart by type
+        sset = gen_equal(3, 3)
+        cert = derive_certificate(sset)
+        fact = next(f for f in cert.facts if f.rule == "Lemma1")
+        forged = DiagonalEqualFact(*fact)
+        assert forged == fact
+        with pytest.raises(InvariantError, match=f"party {fact.party}: DiagonalEqualFact\\(.*rule='Lemma1'\\)"):
+            check_certificate(sset, replaced(cert, fact, forged))
+
+    def test_zero_fact_with_a_diagonal_facts_fields(self):
+        sset = gen_equal(3, 3)
+        cert = derive_certificate(sset)
+        fact = next(f for f in cert.facts if f.rule == "Lemma2")
+        forged = ZeroEntryFact(*fact)
+        assert forged == fact
+        with pytest.raises(InvariantError, match=f"party {fact.party}: ZeroEntryFact.*does not force this entry"):
+            check_certificate(sset, replaced(cert, fact, forged))
+
+    @pytest.mark.parametrize("rule", ["Lemma1", "Lemma2"])
+    def test_plain_tuple_with_a_facts_fields(self, rule):
+        sset = gen_equal(3, 3)
+        cert = derive_certificate(sset)
+        k, fact = next((k, f) for k, f in enumerate(cert.facts) if f.rule == rule)
+        plain = tuple(fact)
+        assert plain == fact
+        with pytest.raises(InvariantError, match=re.escape(f"fact {k}: {plain!r} is not a fact")):
+            check_certificate(sset, replaced(cert, fact, plain))
+
+    @pytest.mark.parametrize("kind", [ZeroEntryFact, DiagonalEqualFact])
+    def test_facts_are_hashable_and_immutable(self, kind):
+        cert = derive_certificate(gen_general((3, 4, 5)))
+        facts = [f for f in cert.facts if isinstance(f, kind)]
+        assert len(set(facts)) == len(facts)
+        assert hash(facts[0]) == hash(kind(*facts[0]))
+        for field in kind._fields:
+            with pytest.raises(AttributeError):
+                setattr(facts[0], field, 0)
 
     def test_certificate_of_another_set(self):
         with pytest.raises(InvariantError, match="of another state set"):
@@ -516,7 +557,7 @@ cert = derive_certificate(sset)
 k = next(k for k, f in enumerate(cert.facts) if isinstance(f, {kind}))
 f = cert.facts[k]
 facts = list(cert.facts)
-facts[k] = dataclasses.replace(f, {change})
+facts[k] = f._replace({change})
 """
 
 
@@ -539,7 +580,7 @@ cert = derive_certificate(sset)
 k = next(k for k, f in enumerate(cert.facts) if f.rule == "Lemma1")
 f = cert.facts[k]
 facts = list(cert.facts)
-facts[k] = dataclasses.replace(f, row=f.col, col=f.row)
+facts[k] = f._replace(row=f.col, col=f.row)
 """,
         "does not force this entry to zero",
     ),
@@ -551,7 +592,7 @@ k = next(k for k, f in enumerate(cert.facts) if f.rule == "Lemma1")
 f = cert.facts[k]
 row, col = next((a, b) for a in range(3) for b in range(a + 1, 3) if {a, b} != {f.row, f.col})
 facts = list(cert.facts)
-facts[k] = dataclasses.replace(f, row=row, col=col)
+facts[k] = f._replace(row=row, col=col)
 """,
         "does not force this entry to zero",
     ),
@@ -561,7 +602,7 @@ sset = gen_general((3, 4, 5))
 cert = derive_certificate(sset)
 k = next(k for k, f in enumerate(cert.facts) if isinstance(f, ZeroEntryFact) and f.rule == "UnitPropagation")
 facts = list(cert.facts)
-facts[k] = dataclasses.replace(facts[k], rule="Lemma1")
+facts[k] = facts[k]._replace(rule="Lemma1")
 """,
         "the rule does not match the constraint",
     ),
@@ -571,7 +612,7 @@ sset = gen_equal(3, 3)
 cert = derive_certificate(sset)
 k = next(k for k, f in enumerate(cert.facts) if f.rule == "Lemma1")
 facts = list(cert.facts)
-facts[k] = dataclasses.replace(facts[k], rule="UnitPropagation")
+facts[k] = facts[k]._replace(rule="UnitPropagation")
 """,
         "the rule does not match the constraint",
     ),
@@ -596,6 +637,25 @@ facts[k] = dataclasses.replace(facts[k], rule="UnitPropagation")
         "the pair two ints",
     ),
     "fact-with-pair-of-three": (_forged_field("ZeroEntryFact", "pair=(0, 1, 2)"), "the pair two ints"),
+    "diagonal-fact-with-lemma1-fields": (
+        """
+sset = gen_equal(3, 3)
+cert = derive_certificate(sset)
+k = next(k for k, f in enumerate(cert.facts) if f.rule == "Lemma1")
+facts = list(cert.facts)
+facts[k] = DiagonalEqualFact(*facts[k])
+""",
+        "party 0: DiagonalEqualFact(party=0, a=1, b=2, pair=(2, 3), rule='Lemma1'): an off-diagonal entry",
+    ),
+    "plain-tuple-with-fact-fields": (
+        """
+sset = gen_equal(3, 3)
+cert = derive_certificate(sset)
+facts = list(cert.facts)
+facts[2] = tuple(facts[2])
+""",
+        "fact 2: (0, 2, 0, (3, 5), 'Lemma1') is not a fact",
+    ),
     "non-fact": (
         """
 sset = gen_equal(3, 3)

@@ -1,4 +1,5 @@
 import hashlib
+import random
 import sys
 import json
 from pathlib import Path
@@ -6,8 +7,9 @@ from pathlib import Path
 import pytest
 
 import nwe.verifier
+from nwe import gen_equal
 
-from helpers import load_script, without_stopper
+from helpers import load_script, rotated, without_stopper
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -106,3 +108,25 @@ def test_against_head_on_two_small_rungs(capsys, monkeypatch):
     monkeypatch.setattr(nwe.verifier, "verify_all", lambda sset: [])
     assert ladder.main(["--against", "HEAD"]) == 1
     assert ladder.main(["--against", "no-such-revision"]) == 2
+
+
+@pytest.mark.skipif(not (ROOT / ".git").exists(), reason="--against extracts a revision with git archive")
+def test_rotated_rung_draws_its_matrices_once(capsys, monkeypatch):
+    # the search for the matrices is the tests' helper, not the library, so
+    # it runs once per rung, before the timed runs, and both trees of
+    # --against rotate by the same matrices
+    ladder = load_script("ladder")
+    drawn, used = [], []
+    draw, rotate = ladder.rotations, ladder.rotate
+    monkeypatch.setattr(ladder, "rotations", lambda *args: drawn.append(args) or draw(*args))
+    monkeypatch.setattr(ladder, "rotate", lambda sset, mats: used.append(mats) or rotate(sset, mats))
+    monkeypatch.setattr(ladder, "RUNGS", (("equal(3,4)-rotated", lambda api: ladder.rotated_equal(api, 4)),))
+    assert ladder.main([]) == 0
+    assert ladder.main(["--against", "HEAD"]) == 0
+    capsys.readouterr()
+    assert len(drawn) == 1
+    assert len(used) == 1 + ladder.RUNS + 1 + 2 * ladder.AGAINST_RUNS
+    assert all(mats is used[0] for mats in used)
+    # the rung is the set `rotated` makes with the rung's seed
+    expected = rotated(gen_equal(3, 4), random.Random(ladder.ROTATION_SEED + 4), range(3))
+    assert ladder.rotated_equal(ladder.tree("nwe"), 4) == expected

@@ -19,7 +19,9 @@ def test_no_assert_statement(path):
 def test_certificate_replay_does_not_run_the_search():
     # `--engine both` skips the elimination of a party that check_certificate
     # replays to Trivial, so the replay must not reuse the search it checks:
-    # no function it reaches in its module names propagate or derive_certificate
+    # no function it reaches in its module names propagate or
+    # derive_certificate, and it rebuilds every constraint from the supports,
+    # not from the index's ket coordinates
     path = next(p for p in SOURCES if p.name == "inference.py")
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
@@ -35,4 +37,4 @@ def test_certificate_replay_does_not_run_the_search():
                     todo.append(node.id)
                 elif isinstance(node, ast.Attribute):
                     todo.append(node.attr)
-    assert not reached & {"propagate", "derive_certificate"}
+    assert not reached & {"propagate", "derive_certificate", "kets"}

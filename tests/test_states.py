@@ -381,10 +381,26 @@ class TestVectorIndex:
         a = product_state(shape, (1, -1, 0), (1, 0))
         b = product_state(shape, (0, 0, 2), (1, 0))
         c = product_state(shape, (1, -1, 0), (0, 1))
-        coeffs, ids, supports = StateSet(shape, (a, b, c)).vector_index[0]
+        coeffs, ids, supports, kets = StateSet(shape, (a, b, c)).vector_index[0]
         assert coeffs == ((1, -1, 0), (0, 0, 2))
         assert ids == (0, 1, 0)
         assert supports == (((0, 1), (1, -1)), ((2, 2),))
+        assert kets == (-1, 2)
+
+    @settings(max_examples=150, deadline=None)
+    @given(pooled_sets(), st.integers(0, 2**16))
+    def test_kets_agree_with_supports(self, sset, seed):
+        # every way a set is made ends in one store: the constructor, the
+        # loader and a rotation, which makes most vectors dense (at d = 2
+        # the helper's only matrix fixing the all-ones vector is the
+        # identity, which its search never accepts)
+        loaded = state_set_from_document(state_set_to_document(sset))
+        turned = rotated(sset, random.Random(seed), [t for t, d in enumerate(sset.shape.dims) if d > 2])
+        for made in (sset, loaded, turned):
+            for coeffs, _, supports, kets in made.vector_index:
+                assert supports == tuple(tuple((a, c) for a, c in enumerate(v) if c) for v in coeffs)
+                assert kets == tuple(s[0][0] if len(s) == 1 else -1 for s in supports)
+                assert all(v[a] and sum(map(bool, v)) == 1 for v, a in zip(coeffs, kets) if a >= 0)
 
     def test_stored_at_construction(self):
         # the index and the labels are the set's stored form, made when the
