@@ -105,6 +105,9 @@ def _build_report(sset: StateSet, engines: list[str]) -> tuple[dict, int]:
     if verdicts is None and cert is not None:
         check_certificate(sset, cert)
 
+    rendered = [[] for _ in range(sset.shape.n)]  # each party's fact lines, in derivation order
+    for fact in cert.facts if cert is not None else ():
+        rendered[fact.party].append(render_fact(fact, cert.labels))
     for t in range(sset.shape.n):
         if cert is not None:
             conclusion = cert.conclusions[t]
@@ -112,7 +115,7 @@ def _build_report(sset: StateSet, engines: list[str]) -> tuple[dict, int]:
                 "party": t,
                 "engine": "lemma",
                 "status": "Trivial" if conclusion.trivial else "Incomplete",
-                "facts": [render_fact(f, cert.labels) for f in cert.facts_for_party(t)],
+                "facts": rendered[t],
             }
             if not conclusion.trivial:
                 entry["missing_zero_entries"] = [list(p) for p in conclusion.missing_zeros]

@@ -28,18 +28,15 @@ The engine is deliberately incomplete: it is a proof search, and the exact
 nullspace verifier is the decision procedure, so Incomplete is a per-party
 verdict, not an error.
 
-`check_certificate` replays a certificate without `propagate`, the rules'
-search or the ket coordinates, rebuilding each constraint from the
-supports; `verify_all` skips the elimination of a party it replays to
-Trivial.
+`check_certificate` replays a certificate in one pass over its facts,
+without `propagate`, the rules' search or the ket coordinates, rebuilding
+each constraint from the supports; `verify_all` skips the elimination of a
+party it replays to Trivial.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import groupby
-from operator import attrgetter
 from typing import NamedTuple
 
 from .states import InvariantError, NonOrthogonalSetError, StateSet, SystemShape, find_stopper
@@ -99,16 +96,8 @@ class Certificate:
     def trivial_for_all(self) -> bool:
         return all(c.trivial for c in self.conclusions)
 
-    @cached_property
-    def facts_by_party(self) -> dict[int, tuple[Fact, ...]]:
-        """Each party's facts, in derivation order, grouped in one pass."""
-        groups: dict[int, list[Fact]] = {}
-        for t, run in groupby(self.facts, attrgetter("party")):
-            groups.setdefault(t, []).extend(run)
-        return {t: tuple(group) for t, group in groups.items()}
-
     def facts_for_party(self, t: int) -> tuple[Fact, ...]:
-        return self.facts_by_party.get(t, ())
+        return tuple(f for f in self.facts if f.party == t)
 
 
 def _conclusion(t: int, dim: int, known, equal) -> PartyConclusion:
@@ -225,12 +214,14 @@ def derive_certificate(sset: StateSet) -> Certificate:
 
 
 def check_certificate(sset: StateSet, cert: Certificate) -> None:
-    """Replay `cert` on `sset`: each fact from its cited pair and the earlier
-    facts of its party only, then each party's conclusion from its facts.
-    The first step that does not follow raises InvariantError, naming the
-    party and the fact, or the index of an entry that is not a fact or whose
-    party, entry or pair indices are not exact ints. The fact records check
-    nothing themselves: this replay is their validator.
+    """Replay `cert` on `sset` in one pass over its facts, in derivation
+    order: each fact from its cited pair and its party's earlier facts only,
+    from state built once per party at its first fact; then each party's
+    conclusion from its facts. The first step that does not follow raises
+    InvariantError, naming the party and the fact, or the index of an entry
+    that is not a fact or whose party, entry or pair indices are not exact
+    ints. The fact records check nothing themselves: this replay is their
+    validator.
 
     The pair must lie in the party's bucket, and its constraint is rebuilt
     from the two vectors' supports. A zero fact needs a constraint with no
@@ -248,58 +239,56 @@ def check_certificate(sset: StateSet, cert: Certificate) -> None:
     n = sset.shape.n
     if cert.shape != sset.shape or cert.labels != sset.labels() or len(cert.conclusions) != n:
         raise InvariantError("the certificate is of another state set")
+    # from its first fact on, each party's dim, ids, supports, bucket, entries
+    # m[a, b] known zero, as min(a, b) * dim + max(a, b), and diagonal equalities (a, b)
+    replay: dict[int, tuple] = {}
+    t = None
     for k, fact in enumerate(cert.facts):
         if not isinstance(fact, (ZeroEntryFact, DiagonalEqualFact)):
             raise InvariantError(f"fact {k}: {fact!r} is not a fact")
-        # a fact's fields are read by unpacking it, here, in the replay below
-        # and in render_fact: cheaper than a named tuple's attributes
-        party, a, b, pair, _ = fact
+        party, x, y, pair, rule = fact  # unpacking is cheaper than a named tuple's attributes
         # exact ints only: a bool, a float or an int subclass could replay but render otherwise
         ints = type(pair) is tuple and len(pair) == 2 and type(pair[0]) is type(pair[1]) is int
-        if not (ints and type(party) is type(a) is type(b) is int):
+        if not (ints and type(party) is type(x) is type(y) is int):
             raise InvariantError(f"fact {k}: {fact!r}: the party and entries must be ints, the pair two ints")
-    by_party = cert.facts_by_party
-    for t in by_party:
-        if not 0 <= t < n:
-            raise InvariantError(f"party {t}: no such party, but facts name it")
-    for t, conclusion in enumerate(cert.conclusions):
-        dim = sset.shape.dims[t]
-        index = sset.vector_index[t]
-        ids, supports = index.ids, index.supports
-        bucket = set(table.buckets[t])
-        known: set[int] = set()  # m[a, b] known zero, as min(a, b) * dim + max(a, b)
-        equal: list[tuple[int, int]] = []
-        for fact in by_party.get(t, ()):
-            _, x, y, pair, rule = fact
-            i, j = pair
-            if pair not in bucket and (j, i) not in bucket:
-                raise InvariantError(f"party {t}: {fact}: the pair is not in the party's bucket")
-            u, v = supports[ids[i]], supports[ids[j]]
-            if isinstance(fact, ZeroEntryFact):
-                row, col = entry = x, y
-                key = row * dim + col if row < col else col * dim + row
-                if len(u) == 1 == len(v):
-                    forced = (u[0][0], v[0][0]) == entry and key not in known
-                else:
-                    # a diagonal term is never known zero, so it would stay live
-                    live = [(a, b) for a, _ in u for b, _ in v if (a * dim + b if a < b else b * dim + a) not in known]
-                    forced = live == [entry]
-                if not forced or row == col:
-                    raise InvariantError(f"party {t}: {fact}: the pair does not force this entry to zero")
-                if rule != (RULE_LEMMA1 if len(u) * len(v) == 1 else RULE_UNIT_PROPAGATION):
-                    raise InvariantError(f"party {t}: {fact}: the rule does not match the constraint")
-                known.add(key)
+        if party != t:
+            if not 0 <= party < n:
+                raise InvariantError(f"party {party}: no such party, but facts name it")
+            t = party
+            if t not in replay:
+                index = sset.vector_index[t]
+                replay[t] = sset.shape.dims[t], index.ids, index.supports, set(table.buckets[t]), set(), []
+            dim, ids, supports, bucket, known, equal = replay[t]
+        if pair not in bucket and pair[::-1] not in bucket:
+            raise InvariantError(f"party {t}: {fact}: the pair is not in the party's bucket")
+        u, v = supports[ids[pair[0]]], supports[ids[pair[1]]]
+        if isinstance(fact, ZeroEntryFact):
+            row, col = entry = x, y
+            key = row * dim + col if row < col else col * dim + row
+            if len(u) == 1 == len(v):
+                forced = (u[0][0], v[0][0]) == entry and key not in known
             else:
-                if len(known) != dim * (dim - 1) // 2:
-                    raise InvariantError(f"party {t}: {fact}: an off-diagonal entry is not yet known zero")
-                v_at = dict(v)
-                diagonal = {a: c * v_at[a] for a, c in u if a in v_at}
-                if diagonal.keys() != {x, y} or sum(diagonal.values()):
-                    raise InvariantError(f"party {t}: {fact}: the pair does not force this diagonal equality")
-                if rule != (RULE_LEMMA2 if abs(diagonal[x]) == 1 else RULE_UNIT_PROPAGATION):
-                    raise InvariantError(f"party {t}: {fact}: the rule does not match the constraint")
-                equal.append((x, y))
-        if conclusion != _conclusion(t, dim, known, equal):
+                # a diagonal term is never known zero, so it would stay live
+                live = [(a, b) for a, _ in u for b, _ in v if (a * dim + b if a < b else b * dim + a) not in known]
+                forced = live == [entry]
+            if not forced or row == col:
+                raise InvariantError(f"party {t}: {fact}: the pair does not force this entry to zero")
+            if rule != (RULE_LEMMA1 if len(u) * len(v) == 1 else RULE_UNIT_PROPAGATION):
+                raise InvariantError(f"party {t}: {fact}: the rule does not match the constraint")
+            known.add(key)
+        else:
+            if len(known) != dim * (dim - 1) // 2:
+                raise InvariantError(f"party {t}: {fact}: an off-diagonal entry is not yet known zero")
+            v_at = dict(v)
+            diagonal = {a: c * v_at[a] for a, c in u if a in v_at}
+            if diagonal.keys() != {x, y} or sum(diagonal.values()):
+                raise InvariantError(f"party {t}: {fact}: the pair does not force this diagonal equality")
+            if rule != (RULE_LEMMA2 if abs(diagonal[x]) == 1 else RULE_UNIT_PROPAGATION):
+                raise InvariantError(f"party {t}: {fact}: the rule does not match the constraint")
+            equal.append((x, y))
+    for t, conclusion in enumerate(cert.conclusions):
+        known, equal = replay[t][-2:] if t in replay else ((), ())
+        if conclusion != _conclusion(t, sset.shape.dims[t], known, equal):
             raise InvariantError(f"party {t}: the conclusion {conclusion} does not follow from the facts")
 
 

@@ -535,7 +535,12 @@ def orthogonal_integer_matrix(rng: random.Random, dim: int, fix_ones: bool) -> l
     makes it integral, so M^T M = c^2 I keeps every inner product zero or
     nonzero. Q = (I + K)^-1 (I - K) for K = v w^T - w v^T with small random
     integer v, w; with `fix_ones`, v and w sum to zero, so K and Q fix the
-    all-ones vector. Some entry of M lies outside {-1, 0, 1}."""
+    all-ones vector. Some entry of M lies outside {-1, 0, 1}. v and w range
+    over a space of dimension dim, or dim - 1 with `fix_ones`; below 2 they
+    are parallel, so K = 0 and Q = I on every draw, and ValueError is raised
+    at once."""
+    if dim - fix_ones < 2:
+        raise ValueError(f"no such matrix of size {dim}{' fixing the all-ones vector' if fix_ones else ''}")
     while True:
         v, w = ([rng.randint(-1, 1) for _ in range(dim)] for _ in range(2))
         if fix_ones:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nwe.cli
 from nwe import (
     NonOrthogonalSetError,
     StateSet,
@@ -346,6 +347,16 @@ def with_facts(cert, facts):
     return dataclasses.replace(cert, facts=tuple(facts))
 
 
+def interleaved(cert):
+    """The certificate with its parties' facts taken in turn, one at a time,
+    each party's in derivation order."""
+    queues = [list(cert.facts_for_party(t)) for t in range(len(cert.conclusions))]
+    facts = []
+    while any(queues):
+        facts += [q.pop(0) for q in queues if q]
+    return with_facts(cert, facts)
+
+
 def replaced(cert, fact, new):
     return with_facts(cert, [new if f is fact else f for f in cert.facts])
 
@@ -364,11 +375,76 @@ class TestCheckCertificate:
 
     def test_groups_facts_by_party_in_order(self):
         cert = derive_certificate(gen_general((3, 4, 5)))
-        groups = cert.facts_by_party
-        assert sorted(groups) == [0, 1, 2]
-        assert [f for t in range(3) for f in groups[t]] == list(cert.facts)
-        assert cert.facts_for_party(1) == groups[1]
+        assert all(cert.facts_for_party(t) for t in range(3))
+        assert sum((cert.facts_for_party(t) for t in range(3)), ()) == cert.facts
         assert cert.facts_for_party(7) == ()
+
+    def test_reads_the_facts_in_one_pass(self):
+        class Counted(tuple):
+            def __iter__(self):
+                self.iterations += 1
+                return super().__iter__()
+
+        sset = gen_general((3, 4, 5))
+        cert = derive_certificate(sset)
+        facts = Counted(cert.facts)
+        facts.iterations = 0
+        check_certificate(sset, dataclasses.replace(cert, facts=facts))
+        assert facts.iterations == 1
+
+    def test_reads_each_bucket_once_when_parties_alternate(self):
+        class Counted(tuple):
+            def __getitem__(self, t):
+                self.reads[t] += 1
+                return super().__getitem__(t)
+
+        sset = gen_general((3, 4, 5))
+        cert = derive_certificate(sset)
+        alternating = interleaved(cert)
+        assert [f.party for f in alternating.facts[:6]] == [0, 1, 2, 0, 1, 2]
+        buckets = Counted(sset.pair_table.buckets)
+        buckets.reads = [0] * 3
+        sset.__dict__["pair_table"] = dataclasses.replace(sset.pair_table, buckets=buckets)
+        check_certificate(sset, alternating)
+        assert buckets.reads == [1, 1, 1]
+
+    @pytest.mark.parametrize("engines", [["lemma"], ["lemma", "oracle"]], ids=["lemma", "both"])
+    def test_party_facts_split_around_another_partys(self, monkeypatch, engines):
+        # party 0's facts, split around party 1's, replay and render as when grouped
+        sset = gen_general((3, 4, 5))
+        cert = derive_certificate(sset)
+        zero, one = cert.facts_for_party(0), cert.facts_for_party(1)
+        half = len(zero) // 2
+        split = with_facts(cert, zero[:half] + one + zero[half:] + cert.facts_for_party(2))
+        assert split.facts != cert.facts
+        check_certificate(sset, split)
+        grouped = nwe.cli._build_report(sset, engines)
+        monkeypatch.setattr(nwe.cli, "derive_certificate", lambda _: split)
+        assert nwe.cli._build_report(sset, engines) == grouped
+
+    @pytest.mark.parametrize("reverse", [False, True], ids=["bucket-first", "non-fact-first"])
+    def test_names_the_earlier_of_two_forged_facts(self, reverse):
+        sset = gen_general((3, 4, 5))
+        cert = derive_certificate(sset)
+        facts = list(cert.facts)
+        last = len(facts) - 1
+        other_bucket = facts[0]._replace(pair=sset.pair_table.buckets[1][0])
+        plain = tuple(facts[last])
+        facts[0], facts[last] = (plain, other_bucket) if reverse else (other_bucket, plain)
+        expected = "fact 0: .* is not a fact" if reverse else "party 0: .*not in the party's bucket"
+        with pytest.raises(InvariantError, match=f"^{expected}"):
+            check_certificate(sset, with_facts(cert, facts))
+
+    def test_names_a_later_partys_forged_fact_that_comes_first(self):
+        sset = gen_general((3, 4, 5))
+        cert = derive_certificate(sset)
+        two = cert.facts_for_party(2)
+        zero = cert.facts_for_party(0)
+        forged_two = two[0]._replace(rule="UnitPropagation")
+        forged_zero = zero[0]._replace(row=zero[0].col, col=zero[0].row)
+        facts = (forged_two, forged_zero) + zero[1:] + cert.facts_for_party(1) + two[1:]
+        with pytest.raises(InvariantError, match="^party 2: .*the rule does not match the constraint"):
+            check_certificate(sset, with_facts(cert, facts))
 
     def test_dropped_fact(self):
         sset = gen_equal(3, 3)

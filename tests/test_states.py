@@ -28,6 +28,7 @@ from helpers import (
     inner_factors,
     local_inner,
     reference_pair_table,
+    orthogonal_integer_matrix,
     rotated,
     scaled_vector,
     scrambled,
@@ -393,7 +394,7 @@ class TestVectorIndex:
         # every way a set is made ends in one store: the constructor, the
         # loader and a rotation, which makes most vectors dense (at d = 2
         # the helper's only matrix fixing the all-ones vector is the
-        # identity, which its search never accepts)
+        # identity, so orthogonal_integer_matrix raises ValueError there)
         loaded = state_set_from_document(state_set_to_document(sset))
         turned = rotated(sset, random.Random(seed), [t for t, d in enumerate(sset.shape.dims) if d > 2])
         for made in (sset, loaded, turned):
@@ -401,6 +402,22 @@ class TestVectorIndex:
                 assert supports == tuple(tuple((a, c) for a, c in enumerate(v) if c) for v in coeffs)
                 assert kets == tuple(s[0][0] if len(s) == 1 else -1 for s in supports)
                 assert all(v[a] and sum(map(bool, v)) == 1 for v, a in zip(coeffs, kets) if a >= 0)
+
+    @pytest.mark.parametrize("dim, fix_ones", [(1, False), (1, True), (2, True)])
+    def test_rotation_helper_refuses_sizes_with_no_matrix(self, dim, fix_ones):
+        # v and w would be parallel on every draw, so the search would never end
+        with pytest.raises(ValueError, match=f"no such matrix of size {dim}"):
+            orthogonal_integer_matrix(random.Random(0), dim, fix_ones)
+        if fix_ones:
+            with pytest.raises(ValueError):
+                rotated(set_of((dim, 2), ((1,) * dim, (1, 0)), ((1,) * dim, (0, 1))), random.Random(0), [0])
+
+    @pytest.mark.parametrize("dim, fix_ones", [(2, False), (3, True)])
+    def test_rotation_helper_at_the_least_sizes(self, dim, fix_ones):
+        m = orthogonal_integer_matrix(random.Random(0), dim, fix_ones)
+        assert any(abs(x) > 1 for row in m for x in row)
+        gram = [[sum(r[a] * r[b] for r in m) for b in range(dim)] for a in range(dim)]
+        assert gram == [[gram[0][0] * (a == b) for b in range(dim)] for a in range(dim)]
 
     def test_stored_at_construction(self):
         # the index and the labels are the set's stored form, made when the
