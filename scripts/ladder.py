@@ -25,9 +25,16 @@ one. A run that does not finish within 60 s is printed as
 
 With `--json PATH`, every rung is also written to PATH, together with a
 stamp: the Python version, the number of CPUs the process may use, the
-git commit of the checkout and a digest of the source the rungs ran
+git commit of the checkout, a digest of the source the rungs ran
 (`source_sha256`, as `perfbench/run.py` computes it), which names the code
-even when it was measured before its commit. With `--baseline PATH`, each
+even when it was measured before its commit, and the start-up stage
+(`import_s`): the seconds a fresh interpreter takes to `import nwe` and to
+`import nwe.cli`, each the median over 7 interpreters. Each of them first
+imports the standard-library modules the package uses, then points
+`sys.pycache_prefix` at an empty directory and stops writing bytecode, so
+the package compiles from source whatever `__pycache__` holds, as it does
+in every set-up of `perfbench/run.py` in a fresh checkout under
+`PYTHONDONTWRITEBYTECODE=1`. With `--baseline PATH`, each
 printed line also gives `baseline_ratio`: each of the rung's stage times
 divided by the same stage of the same rung in PATH, an earlier `--json`
 file (null where PATH lacks the rung or the stage, or timed it at 0); the
@@ -41,8 +48,11 @@ run builds the rung with its tree's generators and loads the rung's
 canonical document with its tree's loader, so both trees are timed the same
 way, with the same rotation matrices. Each printed line gives, per stage,
 the median of the working tree's time over REV's (`ratio`) and the number
-of runs the working tree was faster (`won`), and both trees' statuses. The
-script exits with 1 if any rung's statuses differ between the trees.
+of runs the working tree was faster (`won`), and both trees' statuses. A
+first line does the same for the start-up stage (`"stage": "import_s"`),
+over 7 fresh interpreters per tree and import, alternating which tree runs
+first. The script exits with 1 if any rung's statuses differ between the
+trees.
 
     python scripts/ladder.py --against HEAD
 
@@ -50,6 +60,7 @@ The budget is enforced with SIGALRM, so the script needs a POSIX system.
 """
 
 import argparse
+import ast
 import functools
 import hashlib
 import importlib
@@ -81,6 +92,26 @@ AGAINST_RUNS = 5
 ROTATION_SEED = 2022
 # `src/nwe` at the `--against` revision is imported as this package
 AGAINST_PACKAGE = "nwe_against"
+# fresh interpreters per import of the start-up stage
+IMPORT_RUNS = 7
+# the imports the start-up stage times, named as in the working tree
+IMPORTS = ("nwe", "nwe.cli")
+# one fresh interpreter of the start-up stage: argv is the directory that
+# holds the package, the module to import and the standard-library modules
+# to import before the clock starts; prints the seconds the import took
+IMPORT_CHILD = """
+import importlib, sys, tempfile, time
+where, module, *stdlib = sys.argv[1:]
+for name in stdlib:
+    importlib.import_module(name)
+sys.path.insert(0, where)
+with tempfile.TemporaryDirectory() as cache:
+    sys.pycache_prefix = cache
+    sys.dont_write_bytecode = True
+    start = time.perf_counter()
+    importlib.import_module(module)
+    print(time.perf_counter() - start)
+"""
 
 
 @functools.cache
@@ -205,6 +236,36 @@ def source_digest() -> str:
     return digest.hexdigest()[:16]
 
 
+@functools.cache
+def stdlib_modules(package_dir: Path) -> list[str]:
+    """The modules that the package in `package_dir` imports by absolute name."""
+    names = set()
+    for path in package_dir.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names.add(node.module)
+    return sorted(names)
+
+
+def import_seconds(where: Path, package: str, name: str) -> float:
+    """The seconds a fresh interpreter takes to import `name` (one of
+    IMPORTS) from the package `package` in the directory `where`."""
+    module = package + name.removeprefix("nwe")
+    argv = [sys.executable, "-c", IMPORT_CHILD, str(where), module, *stdlib_modules(where / package)]
+    return float(subprocess.run(argv, capture_output=True, text=True, check=True).stdout)
+
+
+def import_s() -> dict:
+    """The start-up stage of the working tree: per import, the median of
+    IMPORT_RUNS fresh interpreters."""
+    return {
+        name: round(statistics.median(import_seconds(ROOT / "src", "nwe", name) for _ in range(IMPORT_RUNS)), 4)
+        for name in IMPORTS
+    }
+
+
 def stamp() -> dict:
     try:
         commit = subprocess.run(
@@ -218,6 +279,7 @@ def stamp() -> dict:
         "commit": commit,
         "source_sha256": source_digest(),
         "runs_per_rung": RUNS,
+        "import_s": import_s(),
     }
 
 
@@ -228,6 +290,31 @@ def baseline_ratio(line: dict, earlier: dict) -> dict:
         stage: round(line[stage] / earlier[stage], 2) if line.get(stage) is not None and earlier.get(stage) else None
         for stage in STAGES
     }
+
+
+def compare(pairs: dict) -> tuple[dict, dict]:
+    """From each stage's (working, against) seconds per run: the median of
+    working over against per stage (None if against timed one at 0), and
+    the number of runs the working tree was faster."""
+    ratio = {
+        stage: round(statistics.median(w / a for w, a in runs), 2) if all(a for _, a in runs) else None
+        for stage, runs in pairs.items()
+    }
+    return ratio, {stage: sum(w < a for w, a in runs) for stage, runs in pairs.items()}
+
+
+def against_imports(places: dict) -> dict:
+    """The start-up stage compared between the trees, each of `places`
+    mapping a tree to (directory, package): IMPORT_RUNS fresh interpreters
+    per tree and import, alternating which tree runs first."""
+    names = list(places)
+    pairs = {name: [] for name in IMPORTS}
+    for k in range(IMPORT_RUNS):
+        for name in IMPORTS:
+            seconds = {tree: import_seconds(*places[tree], name) for tree in (names if k % 2 == 0 else names[::-1])}
+            pairs[name].append((seconds["working"], seconds["against"]))
+    ratio, won = compare(pairs)
+    return {"stage": "import_s", "runs": IMPORT_RUNS, "ratio": ratio, "won": won}
 
 
 def against_rung(instance: str, build, trees: dict) -> dict:
@@ -243,11 +330,9 @@ def against_rung(instance: str, build, trees: dict) -> dict:
     runs = budgeted(AGAINST_RUNS, one_run)
     if runs is None:
         return {"instance": instance, "skipped": "budget"}
-    ratio, won = {}, {}
-    for k, stage in enumerate(STAGES):
-        pairs = [(r["working"][1][k], r["against"][1][k]) for r in runs]
-        ratio[stage] = round(statistics.median(w / a for w, a in pairs), 2) if all(a for _, a in pairs) else None
-        won[stage] = sum(w < a for w, a in pairs)
+    ratio, won = compare(
+        {stage: [(r["working"][1][k], r["against"][1][k]) for r in runs] for k, stage in enumerate(STAGES)}
+    )
     statuses = {name: runs[0][name][2] for name in names}
     return {
         "instance": instance,
@@ -273,6 +358,8 @@ def against(rev: str) -> int:
         Path(tmp, "src", "nwe").rename(Path(tmp, AGAINST_PACKAGE))
         sys.path.insert(0, tmp)
         try:
+            places = {"working": (ROOT / "src", "nwe"), "against": (Path(tmp), AGAINST_PACKAGE)}
+            print(json.dumps(against_imports(places)), flush=True)
             trees = {"working": tree("nwe"), "against": tree(AGAINST_PACKAGE)}
             differ = False
             for instance, build in RUNGS:

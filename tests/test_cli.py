@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -40,6 +41,16 @@ class TestGenerate:
         assert "9 states" in captured.err
         doc = json.loads(captured.out)
         assert len(doc["states"]) == 9
+
+    def test_readme_document_is_abridged_generate_output(self, capsys):
+        # the README's canonical-JSON example, each `...` line standing for
+        # one or more lines of the real output
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("`nwe generate --dims 3,3,4` writes", 1)[1].split("```\n", 2)[1]
+        lines = block.splitlines()
+        pattern = "".join(r"(?:[^\n]*\n)+?" if line.strip() == "..." else re.escape(line) + "\n" for line in lines)
+        assert main(["generate", "--dims", "3,3,4"]) == 0
+        assert re.fullmatch(pattern, capsys.readouterr().out)
 
     def test_byte_stable_output(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

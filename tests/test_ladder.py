@@ -1,5 +1,8 @@
 import hashlib
+import os
+import py_compile
 import random
+import subprocess
 import sys
 import json
 from pathlib import Path
@@ -75,7 +78,32 @@ def test_stamp_carries_the_source_digest(tmp_path, monkeypatch):
     digest = hashlib.sha256()
     for path in sorted((Path(__file__).resolve().parents[1] / "src" / "nwe").glob("*.py")):
         digest.update(path.name.encode() + b"\0" + path.read_bytes())
-    assert json.loads(out.read_text())["stamp"]["source_sha256"] == digest.hexdigest()[:16]
+    stamp = json.loads(out.read_text())["stamp"]
+    assert stamp["source_sha256"] == digest.hexdigest()[:16]
+    # the start-up stage: a fresh `import nwe` and `import nwe.cli`
+    assert list(stamp["import_s"]) == list(ladder.IMPORTS) == ["nwe", "nwe.cli"]
+    assert all(seconds > 0 for seconds in stamp["import_s"].values())
+
+
+def test_import_stage_compiles_from_source(tmp_path):
+    # a stale bytecode file that matches its source's size and mtime is
+    # what a plain import runs; the stage's child compiles the source
+    package = tmp_path / "pkg"
+    package.mkdir()
+    init = package / "__init__.py"
+    init.write_text("raise SystemExit(3)\n")
+    py_compile.compile(str(init), invalidation_mode=py_compile.PycInvalidationMode.TIMESTAMP)
+    mtime = init.stat().st_mtime_ns
+    init.write_text("import json;  x = 1\n")
+    os.utime(init, ns=(mtime, mtime))
+    stale = subprocess.run([sys.executable, "-c", "import pkg"], cwd=tmp_path, capture_output=True)
+    assert stale.returncode == 3
+    cached = sorted((package / "__pycache__").iterdir())
+    ladder = load_script("ladder")
+    assert ladder.stdlib_modules(package) == ["json"]
+    assert ladder.import_seconds(tmp_path, "pkg", "nwe") > 0
+    # and writes no bytecode
+    assert sorted((package / "__pycache__").iterdir()) == cached
 
 
 @pytest.mark.skipif(not (ROOT / ".git").exists(), reason="--against extracts a revision with git archive")
@@ -94,7 +122,13 @@ def test_against_head_on_two_small_rungs(capsys, monkeypatch):
     # once for the rung's document, then in every run by each tree's own generators
     assert built.count("nwe.states") == 1 + ladder.AGAINST_RUNS
     assert built.count(f"{ladder.AGAINST_PACKAGE}.states") == ladder.AGAINST_RUNS
-    lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    imports, *lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    # the start-up stage comes first, over fresh interpreters of each tree
+    assert imports["stage"] == "import_s"
+    assert imports["runs"] == ladder.IMPORT_RUNS == 7
+    assert list(imports["ratio"]) == list(imports["won"]) == list(ladder.IMPORTS)
+    assert all(ratio > 0 for ratio in imports["ratio"].values())
+    assert all(0 <= won <= 7 for won in imports["won"].values())
     assert [line["instance"] for line in lines] == ["equal(3,3)", "equal(3,4)-no-stopper"]
     for line in lines:
         assert line["runs"] == ladder.AGAINST_RUNS == 5

@@ -1,10 +1,15 @@
 """The package's top-level names against the documented usage: the README's
-`## Library` section and the `from nwe import ...` lines of `scripts/`."""
+`## Library` section and the `from nwe import ...` lines of `scripts/`; and
+the names that load their submodule on first use."""
 
 import ast
 import contextlib
 import io
+import json
+import os
 import re
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -21,11 +26,21 @@ def library_section() -> str:
 
 
 def public_names() -> set[str]:
-    return {
+    return set(nwe.__all__)
+
+
+def test_star_import_binds_exactly_the_public_api():
+    # a lazy name is in vars(nwe) only after its first use; after `import *`
+    # every name of __all__ has been used, and nothing else public is there
+    namespace = {}
+    exec("from nwe import *", namespace)
+    assert set(namespace) - {"__builtins__"} == public_names()
+    bound = {
         name
         for name, value in vars(nwe).items()
         if (not name.startswith("_") or name == "__version__") and not isinstance(value, types.ModuleType)
     }
+    assert bound == public_names()
 
 
 def test_readme_library_block_runs():
@@ -47,3 +62,65 @@ def test_script_imports_resolve(script):
     names = [a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.module == "nwe" for a in node.names]
     assert names, f"{script.name} imports nothing from nwe"
     assert [name for name in names if not hasattr(nwe, name)] == []
+
+
+LAZY_CONTRACT = """
+import json, sys
+import nwe
+
+nwe.gen_equal(3, 3); nwe.gen_general((3, 3, 4)); nwe.prior_sizes((3, 3, 4))
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "nwe")
+eager = [name for name in nwe.__all__ if name in vars(nwe)]
+same, bound = [], []
+for name in nwe.__all__:
+    if name != "__version__":
+        value = getattr(nwe, name)
+        same.append(value is getattr(sys.modules[value.__module__], name))
+        bound.append(vars(nwe)[name] is value)
+try:
+    nwe.nope
+    missing = None
+except AttributeError as exc:
+    missing = str(exc)
+print(json.dumps({
+    "loaded": loaded, "eager": eager, "same": all(same), "bound": all(bound),
+    "missing": missing, "dir": dir(nwe), "all": nwe.__all__,
+}))
+"""
+
+BARE_IMPORT = """
+import nwe
+print(nwe.verifier.__name__, nwe.inference.__name__, nwe.serialize.__name__)
+"""
+
+
+def fresh_interpreter(code: str) -> str:
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
+def test_import_loads_only_the_generators():
+    facts = json.loads(fresh_interpreter(LAZY_CONTRACT))
+    # generating and comparing sizes compiles none of the engines
+    assert facts["loaded"] == ["nwe", "nwe.constructions", "nwe.states"]
+    assert set(facts["eager"]) == {
+        "ConstructionError",
+        "DimensionError",
+        "InvariantError",
+        "NonOrthogonalSetError",
+        "StateSet",
+        "gen_equal",
+        "gen_general",
+        "prior_sizes",
+        "__version__",
+    }
+    # each name is its submodule's object, bound in the package once used
+    assert facts["same"] and facts["bound"]
+    assert facts["missing"] == "module 'nwe' has no attribute 'nope'"
+    assert set(facts["all"]) <= set(facts["dir"])
+
+
+def test_bare_import_still_exposes_the_engine_modules():
+    assert fresh_interpreter(BARE_IMPORT).split() == ["nwe.verifier", "nwe.inference", "nwe.serialize"]

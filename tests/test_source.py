@@ -38,3 +38,20 @@ def test_certificate_replay_does_not_run_the_search():
                 elif isinstance(node, ast.Attribute):
                     todo.append(node.attr)
     assert not reached & {"propagate", "derive_certificate", "kets"}
+
+
+def test_package_imports_only_the_generators():
+    # `import nwe` must not compile the verification engines: the package's
+    # module-level imports come from .states and .constructions only, and
+    # every other name loads its submodule on first use
+    path = next(p for p in SOURCES if p.name == "__init__.py")
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    todo, imports = list(tree.body), []
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imports.append(node)
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)):
+            todo.extend(ast.iter_child_nodes(node))
+    sources = {(node.level, node.module) if isinstance(node, ast.ImportFrom) else (0, None) for node in imports}
+    assert sources == {(1, "states"), (1, "constructions")}
