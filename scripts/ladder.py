@@ -28,13 +28,18 @@ stamp: the Python version, the number of CPUs the process may use, the
 git commit of the checkout, a digest of the source the rungs ran
 (`source_sha256`, as `perfbench/run.py` computes it), which names the code
 even when it was measured before its commit, and the start-up stage
-(`import_s`): the seconds a fresh interpreter takes to `import nwe` and to
-`import nwe.cli`, each the median over 7 interpreters. Each of them first
-imports the standard-library modules the package uses, then points
+(`import_s`, the median over 21 fresh interpreters of each figure, and
+`import_min_s`, their minimum). Its figures are the seconds a fresh
+interpreter takes to `import nwe` and to `import nwe.cli`, and `cold`: the
+wall seconds of a whole `python -m nwe.cli verify --dims 3,3,4` process,
+which is what a user pays. An import's interpreter first imports the
+standard-library modules the package uses, then points
 `sys.pycache_prefix` at an empty directory and stops writing bytecode, so
 the package compiles from source whatever `__pycache__` holds, as it does
 in every set-up of `perfbench/run.py` in a fresh checkout under
-`PYTHONDONTWRITEBYTECODE=1`. With `--baseline PATH`, each
+`PYTHONDONTWRITEBYTECODE=1`. The cold process preloads nothing and runs a
+copy of the package without bytecode, under `PYTHONDONTWRITEBYTECODE=1`,
+so it too compiles the package from source. With `--baseline PATH`, each
 printed line also gives `baseline_ratio`: each of the rung's stage times
 divided by the same stage of the same rung in PATH, an earlier `--json`
 file (null where PATH lacks the rung or the stage, or timed it at 0); the
@@ -50,8 +55,9 @@ way, with the same rotation matrices. Each printed line gives, per stage,
 the median of the working tree's time over REV's (`ratio`) and the number
 of runs the working tree was faster (`won`), and both trees' statuses. A
 first line does the same for the start-up stage (`"stage": "import_s"`),
-over 7 fresh interpreters per tree and import, alternating which tree runs
-first. The script exits with 1 if any rung's statuses differ between the
+over 21 fresh interpreters per tree and figure, alternating which tree
+runs first, and adds `min_ratio`: the working tree's fastest run over
+REV's. The script exits with 1 if any rung's statuses differ between the
 trees.
 
     python scripts/ladder.py --against HEAD
@@ -68,6 +74,7 @@ import json
 import os
 import platform
 import random
+import shutil
 import signal
 import statistics
 import subprocess
@@ -92,10 +99,14 @@ AGAINST_RUNS = 5
 ROTATION_SEED = 2022
 # `src/nwe` at the `--against` revision is imported as this package
 AGAINST_PACKAGE = "nwe_against"
-# fresh interpreters per import of the start-up stage
-IMPORT_RUNS = 7
+# fresh interpreters per figure of the start-up stage
+IMPORT_RUNS = 21
 # the imports the start-up stage times, named as in the working tree
 IMPORTS = ("nwe", "nwe.cli")
+# the command line of the stage's cold figure, run as `python -m nwe.cli ...`
+COLD_ARGS = ("verify", "--dims", "3,3,4")
+# the start-up stage's figures: the imports, then the cold command
+STARTUP = (*IMPORTS, "cold")
 # one fresh interpreter of the start-up stage: argv is the directory that
 # holds the package, the module to import and the standard-library modules
 # to import before the clock starts; prints the seconds the import took
@@ -257,13 +268,33 @@ def import_seconds(where: Path, package: str, name: str) -> float:
     return float(subprocess.run(argv, capture_output=True, text=True, check=True).stdout)
 
 
-def import_s() -> dict:
-    """The start-up stage of the working tree: per import, the median of
-    IMPORT_RUNS fresh interpreters."""
-    return {
-        name: round(statistics.median(import_seconds(ROOT / "src", "nwe", name) for _ in range(IMPORT_RUNS)), 4)
-        for name in IMPORTS
-    }
+def cold_seconds(where: Path, package: str) -> float:
+    """The wall seconds of a fresh `python -m <package>.cli` run of
+    COLD_ARGS, nothing preloaded, on a copy of the package in the directory
+    `where` that holds no bytecode and gets none written."""
+    with tempfile.TemporaryDirectory() as tmp:
+        shutil.copytree(where / package, Path(tmp, package), ignore=shutil.ignore_patterns("__pycache__"))
+        env = {**os.environ, "PYTHONPATH": tmp, "PYTHONDONTWRITEBYTECODE": "1"}
+        argv = [sys.executable, "-m", f"{package}.cli", *COLD_ARGS]
+        start = time.perf_counter()
+        subprocess.run(argv, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, check=True)
+        return time.perf_counter() - start
+
+
+def startup_seconds(where: Path, package: str, name: str) -> float:
+    """The seconds of the start-up figure `name` (one of STARTUP) for the
+    package `package` in the directory `where`."""
+    return cold_seconds(where, package) if name == "cold" else import_seconds(where, package, name)
+
+
+def import_s() -> tuple[dict, dict]:
+    """The start-up stage of the working tree: per figure, the median and
+    the minimum of IMPORT_RUNS fresh interpreters."""
+    runs = {name: [startup_seconds(ROOT / "src", "nwe", name) for _ in range(IMPORT_RUNS)] for name in STARTUP}
+    return (
+        {name: round(statistics.median(seconds), 4) for name, seconds in runs.items()},
+        {name: round(min(seconds), 4) for name, seconds in runs.items()},
+    )
 
 
 def stamp() -> dict:
@@ -273,13 +304,15 @@ def stamp() -> dict:
         ).stdout.strip()
     except (OSError, subprocess.CalledProcessError):
         commit = None
+    medians, minima = import_s()
     return {
         "python": platform.python_version(),
         "nproc": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count(),
         "commit": commit,
         "source_sha256": source_digest(),
         "runs_per_rung": RUNS,
-        "import_s": import_s(),
+        "import_s": medians,
+        "import_min_s": minima,
     }
 
 
@@ -306,15 +339,17 @@ def compare(pairs: dict) -> tuple[dict, dict]:
 def against_imports(places: dict) -> dict:
     """The start-up stage compared between the trees, each of `places`
     mapping a tree to (directory, package): IMPORT_RUNS fresh interpreters
-    per tree and import, alternating which tree runs first."""
+    per tree and figure, alternating which tree runs first. `min_ratio` is
+    the working tree's fastest run over the other tree's."""
     names = list(places)
-    pairs = {name: [] for name in IMPORTS}
+    pairs = {name: [] for name in STARTUP}
     for k in range(IMPORT_RUNS):
-        for name in IMPORTS:
-            seconds = {tree: import_seconds(*places[tree], name) for tree in (names if k % 2 == 0 else names[::-1])}
+        for name in STARTUP:
+            seconds = {tree: startup_seconds(*places[tree], name) for tree in (names if k % 2 == 0 else names[::-1])}
             pairs[name].append((seconds["working"], seconds["against"]))
     ratio, won = compare(pairs)
-    return {"stage": "import_s", "runs": IMPORT_RUNS, "ratio": ratio, "won": won}
+    min_ratio = {name: round(min(w for w, _ in runs) / min(a for _, a in runs), 2) for name, runs in pairs.items()}
+    return {"stage": "import_s", "runs": IMPORT_RUNS, "ratio": ratio, "min_ratio": min_ratio, "won": won}
 
 
 def against_rung(instance: str, build, trees: dict) -> dict:

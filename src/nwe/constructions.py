@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import functools
 from collections.abc import Callable
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .states import (
     LocalVector,
@@ -26,6 +26,7 @@ from .states import (
     StateSet,
     SystemShape,
     _integers,
+    _Value,
     basis_ket,
     diff_ket,
     stopper,
@@ -41,23 +42,23 @@ class ConstructionError(ValueError):
 MAX_COEFFICIENTS = 10**6
 
 
-@dataclass(frozen=True)
-class GeneralDims:
+class GeneralDims(_Value):
     """Parameters of the general family: nondecreasing dims, smallest >= 3."""
 
-    dims: tuple[int, ...]
+    __slots__ = _fields = ("dims",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "dims", _integers(self.dims, "dimensions"))
-        if len(self.dims) < 3:
-            raise ConstructionError(f"general family needs n >= 3 parties, got n={len(self.dims)}")
-        for k in range(len(self.dims) - 1):
-            if self.dims[k + 1] < self.dims[k]:
+    def __init__(self, dims: tuple[int, ...]) -> None:
+        dims = _integers(dims, "dimensions")
+        if len(dims) < 3:
+            raise ConstructionError(f"general family needs n >= 3 parties, got n={len(dims)}")
+        for k in range(len(dims) - 1):
+            if dims[k + 1] < dims[k]:
                 raise ConstructionError(
-                    f"dims must be nondecreasing: dims[{k + 1}]={self.dims[k + 1]} < dims[{k}]={self.dims[k]}"
+                    f"dims must be nondecreasing: dims[{k + 1}]={dims[k + 1]} < dims[{k}]={dims[k]}"
                 )
-        if self.dims[0] < 3:
-            raise ConstructionError(f"smallest dimension must be >= 3, got d_1={self.dims[0]}")
+        if dims[0] < 3:
+            raise ConstructionError(f"smallest dimension must be >= 3, got d_1={dims[0]}")
+        object.__setattr__(self, "dims", dims)
 
 
 def expected_size(kind: GeneralDims) -> int:
@@ -149,8 +150,7 @@ def _build(d: tuple[int, ...], provenance: str, group: Callable[[int], str]) -> 
     return StateSet(shape, tuple(states), provenance=provenance)
 
 
-@dataclass(frozen=True)
-class SizeReport:
+class SizeReport(NamedTuple):
     """Set sizes of this library's family versus previously published counts."""
 
     ours: int | None

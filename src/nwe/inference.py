@@ -36,7 +36,6 @@ party it replays to Trivial.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .states import InvariantError, NonOrthogonalSetError, StateSet, SystemShape, find_stopper
@@ -76,16 +75,14 @@ Fact = ZeroEntryFact | DiagonalEqualFact
 _fact = tuple.__new__
 
 
-@dataclass(frozen=True)
-class PartyConclusion:
+class PartyConclusion(NamedTuple):
     party: int
     trivial: bool
     missing_zeros: tuple[tuple[int, int], ...]
     diagonal_classes: tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     """Ordered derivation of facts plus a per-party Trivial/Incomplete verdict."""
 
     shape: SystemShape
@@ -288,7 +285,8 @@ def check_certificate(sset: StateSet, cert: Certificate) -> None:
             equal.append((x, y))
     for t, conclusion in enumerate(cert.conclusions):
         known, equal = replay[t][-2:] if t in replay else ((), ())
-        if conclusion != _conclusion(t, sset.shape.dims[t], known, equal):
+        # a conclusion is a named tuple, so a plain tuple would compare equal
+        if type(conclusion) is not PartyConclusion or conclusion != _conclusion(t, sset.shape.dims[t], known, equal):
             raise InvariantError(f"party {t}: the conclusion {conclusion} does not follow from the facts")
 
 

@@ -18,7 +18,6 @@ orthogonal), and sorts the state pairs with integer bitsets.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
 from operator import index
@@ -69,30 +68,77 @@ def dim_cap() -> int:
     return cap
 
 
-@dataclass(frozen=True)
-class SystemShape:
+def _rebuild(cls, values: tuple):
+    """The value of class `cls` whose fields are `values`, as stored, with
+    no validation; unpickling and copying a value end here."""
+    self = object.__new__(cls)
+    for name, value in zip(cls._fields, values):
+        object.__setattr__(self, name, value)
+    return self
+
+
+class _Value:
+    """An immutable value over the attributes named in `_fields`.
+
+    A value equals only a value of the same class with equal fields, hashes
+    as the tuple of its fields, is shown as `Name(field=value, ...)`, and
+    raises AttributeError on any assignment or deletion; a subclass sets its
+    fields in `__init__` with object.__setattr__, after validating them.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other is self:  # every field is equal to itself; a set's states share one shape
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return _rebuild, (type(self), self._values())
+
+
+class SystemShape(_Value):
     """Dimension vector (d_1, ..., d_n) of an n-party system, n >= 2, d_k >= 2."""
 
-    dims: tuple[int, ...]
+    __slots__ = _fields = ("dims",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "dims", _integers(self.dims, "dimensions"))
-        if len(self.dims) < 2:
-            raise DimensionError(f"need at least 2 parties, got {len(self.dims)}")
+    def __init__(self, dims: tuple[int, ...]) -> None:
+        dims = _integers(dims, "dimensions")
+        if len(dims) < 2:
+            raise DimensionError(f"need at least 2 parties, got {len(dims)}")
         cap = dim_cap()
-        for k, d in enumerate(self.dims):
+        for k, d in enumerate(dims):
             if d < 2:
                 raise DimensionError(f"party {k}: dimension must be >= 2, got {d}")
             if d > cap:
                 raise DimensionError(f"party {k}: dimension {d} exceeds cap {cap} (NWE_DIM_CAP)")
+        object.__setattr__(self, "dims", dims)
 
     @property
     def n(self) -> int:
         return len(self.dims)
 
 
-@dataclass(frozen=True)
-class LocalVector:
+class LocalVector(_Value):
     """One party's integer coefficient vector; at least one entry nonzero.
 
     Coefficients may be arbitrary integers. The built-in constructions only
@@ -100,14 +146,15 @@ class LocalVector:
     vectors, so user-supplied sets are not restricted.
     """
 
-    coeffs: tuple[int, ...]
+    __slots__ = _fields = ("coeffs",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coeffs", _integers(self.coeffs, "coefficients"))
-        if not self.coeffs:
+    def __init__(self, coeffs: tuple[int, ...]) -> None:
+        coeffs = _integers(coeffs, "coefficients")
+        if not coeffs:
             raise DimensionError("local vector must not be empty")
-        if not any(self.coeffs):
+        if not any(coeffs):
             raise DimensionError("local vector must have at least one nonzero coefficient")
+        object.__setattr__(self, "coeffs", coeffs)
 
     def __len__(self) -> int:
         return len(self.coeffs)
@@ -132,29 +179,24 @@ def flat_ket(dim: int) -> LocalVector:
     return LocalVector((1,) * dim)
 
 
-@dataclass(frozen=True)
-class ProductState:
+class ProductState(_Value):
     """A product state: one LocalVector per party over a fixed shape."""
 
-    shape: SystemShape
-    locals: tuple[LocalVector, ...]
-    label: str | None = None
+    __slots__ = _fields = ("shape", "locals", "label")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "locals", tuple(self.locals))
-        if len(self.locals) != self.shape.n:
-            raise DimensionError(
-                f"state has {len(self.locals)} local vectors for {self.shape.n} parties"
-            )
-        for k, lv in enumerate(self.locals):
-            if len(lv) != self.shape.dims[k]:
-                raise DimensionError(
-                    f"party {k}: local vector length {len(lv)} != dimension {self.shape.dims[k]}"
-                )
+    def __init__(self, shape: SystemShape, locals: tuple[LocalVector, ...], label: str | None = None) -> None:
+        locals = tuple(locals)
+        if len(locals) != shape.n:
+            raise DimensionError(f"state has {len(locals)} local vectors for {shape.n} parties")
+        for k, lv in enumerate(locals):
+            if len(lv) != shape.dims[k]:
+                raise DimensionError(f"party {k}: local vector length {len(lv)} != dimension {shape.dims[k]}")
+        object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "locals", locals)
+        object.__setattr__(self, "label", label)
 
 
-@dataclass(frozen=True, init=False)
-class StateSet:
+class StateSet(_Value):
     """Ordered collection of product states over one shape.
 
     The set is stored as its `vector_index` and the states' labels (None
@@ -163,12 +205,10 @@ class StateSet:
     interns a document's. `states` is a view, one LocalVector per distinct
     coefficient tuple, shared across parties; a set made from states keeps
     those as the view. Equality and hashing read the stored fields only.
+    The fields and the cached views live in the instance `__dict__`.
     """
 
-    shape: SystemShape
-    vector_index: tuple[PartyVectors, ...]
-    _labels: tuple[str | None, ...]
-    provenance: str
+    _fields = ("shape", "vector_index", "_labels", "provenance")
 
     def __init__(self, shape: SystemShape, states: tuple[ProductState, ...], provenance: str = "user") -> None:
         states = tuple(states)
@@ -233,8 +273,7 @@ class PartyVectors(NamedTuple):
     kets: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class PairTable:
+class PairTable(NamedTuple):
     """The pairs (i, j), i < j, of a state set, sorted by their zero factors.
 
     An orthogonal pair has at least one zero per-party factor. A pair whose

@@ -55,8 +55,8 @@ from __future__ import annotations
 import functools
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .inference import Certificate, check_certificate, propagate
 from .states import InvariantError, NonOrthogonalSetError, StateSet
@@ -79,8 +79,7 @@ def anti_index(dim: int, a: int, b: int) -> int:
     return dim * (dim + 1) // 2 + a * (dim - 1) - a * (a - 1) // 2 + (b - a - 1)
 
 
-@dataclass(frozen=True)
-class MeasurementConstraintSystem:
+class MeasurementConstraintSystem(NamedTuple):
     """Sparse integer constraints on the d*d real unknowns of one party.
 
     `zeroed` holds the coordinates forced to zero by a row of one entry, and
@@ -111,8 +110,7 @@ class MeasurementConstraintSystem:
         return tuple(tuple(row.get(k, 0) for k in range(self.num_unknowns)) for row in rows)
 
 
-@dataclass(frozen=True)
-class HermitianMatrix:
+class HermitianMatrix(NamedTuple):
     """Exact-rational Hermitian matrix (S + iA) / den, den > 0, stored as its
     sorted nonzero integers ((a, b), S[a,b]), a <= b, in `sym` and ((a, b),
     A[a,b]), a < b, in `anti`."""
@@ -144,8 +142,7 @@ class HermitianMatrix:
         return out
 
 
-@dataclass(frozen=True)
-class TrivialityVerdict:
+class TrivialityVerdict(NamedTuple):
     party: int
     status: str
     nullspace_dim: int

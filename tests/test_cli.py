@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import random
 import re
@@ -455,6 +454,54 @@ class TestGoldenReports:
         assert captured.out == golden
 
 
+# the classic sets of Bennett et al. 1999 (unnormalized; a ket's name lists
+# the basis kets it sums or subtracts, cut to the party's dimension), each
+# state as its parties' kets
+CLASSIC_KETS = {
+    "0": (1, 0, 0), "1": (0, 1, 0), "2": (0, 0, 1), "0+1": (1, 1, 0), "0-1": (1, -1, 0),
+    "1+2": (0, 1, 1), "1-2": (0, 1, -1), "0+1+2": (1, 1, 1), "+": (1, 1), "-": (1, -1),
+}
+CLASSIC_SETS = {
+    # the domino basis of 3x3: a complete orthogonal product basis
+    "domino": [("1", "1"), ("0", "0+1"), ("0", "0-1"), ("2", "1+2"), ("2", "1-2"),
+               ("1+2", "0"), ("1-2", "0"), ("0+1", "2"), ("0-1", "2")],
+    # the Tiles UPB of 3x3: four tiles and the stopper
+    "tiles": [("0", "0-1"), ("0-1", "2"), ("2", "1-2"), ("1-2", "0"), ("0+1+2", "0+1+2")],
+    # the Shifts UPB of 2x2x2, with + and - for |0>+|1> and |0>-|1>
+    "shifts": [("0", "1", "+"), ("1", "+", "0"), ("+", "0", "1"), ("-", "-", "-")],
+}
+
+
+class TestClassicSets:
+    """The golden nwe/1 documents of three classic sets and their reports:
+    the oracle proves every party of each Trivial, and the lemma engine
+    completes on Tiles only."""
+
+    @pytest.mark.parametrize("name", sorted(CLASSIC_SETS))
+    def test_document_holds_the_set(self, name):
+        text = (GOLDEN / f"set_{name}.json").read_text(encoding="utf-8")
+        sset = state_set_from_document(json.loads(text))
+        dims = sset.shape.dims
+        kets = [tuple(CLASSIC_KETS[k][:d] for k, d in zip(ks, dims)) for ks in CLASSIC_SETS[name]]
+        assert [tuple(lv.coeffs for lv in s.locals) for s in sset.states] == kets
+        assert check_pairwise_orthogonality(sset) == []
+        assert dumps_canonical(state_set_to_document(sset)) == text
+
+    @pytest.mark.parametrize("engine", ["oracle", "lemma"])
+    @pytest.mark.parametrize("name", sorted(CLASSIC_SETS))
+    def test_report_is_byte_identical(self, capsys, name, engine):
+        code = main(["verify", "--input", str(GOLDEN / f"set_{name}.json"), "--engine", engine])
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out == (GOLDEN / f"report_{name}_{engine}.json").read_text(encoding="utf-8")
+        report = json.loads(captured.out)
+        statuses = {entry["status"] for entry in report["per_party"]}
+        certified = engine == "oracle" or name == "tiles"
+        assert statuses == ({"Trivial"} if certified else {"Incomplete"})
+        assert report["certified_nonlocal"] is certified
+        assert code == (0 if certified else 1)
+
+
 class TestReplayedCertificateSkipsElimination:
     """Under --engine both, a party the replayed certificate proves Trivial is
     neither assembled nor eliminated."""
@@ -523,7 +570,7 @@ class TestReplayedCertificateSkipsElimination:
         # the first fact is dropped, yet every party still claims Trivial
         def forged(sset):
             cert = derive_certificate(sset)
-            return dataclasses.replace(cert, facts=cert.facts[1:])
+            return cert._replace(facts=cert.facts[1:])
 
         monkeypatch.setattr(nwe.cli, "derive_certificate", forged)
         code, captured = self.verify(tmp_path, capsys, gen_equal(3, 3), engine)

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 import re
 from pathlib import Path
@@ -344,7 +343,7 @@ class TestAgainstReferenceEngine:
 
 
 def with_facts(cert, facts):
-    return dataclasses.replace(cert, facts=tuple(facts))
+    return cert._replace(facts=tuple(facts))
 
 
 def interleaved(cert):
@@ -389,7 +388,7 @@ class TestCheckCertificate:
         cert = derive_certificate(sset)
         facts = Counted(cert.facts)
         facts.iterations = 0
-        check_certificate(sset, dataclasses.replace(cert, facts=facts))
+        check_certificate(sset, cert._replace(facts=facts))
         assert facts.iterations == 1
 
     def test_reads_each_bucket_once_when_parties_alternate(self):
@@ -404,7 +403,7 @@ class TestCheckCertificate:
         assert [f.party for f in alternating.facts[:6]] == [0, 1, 2, 0, 1, 2]
         buckets = Counted(sset.pair_table.buckets)
         buckets.reads = [0] * 3
-        sset.__dict__["pair_table"] = dataclasses.replace(sset.pair_table, buckets=buckets)
+        sset.__dict__["pair_table"] = sset.pair_table._replace(buckets=buckets)
         check_certificate(sset, alternating)
         assert buckets.reads == [1, 1, 1]
 
@@ -550,7 +549,7 @@ class TestCheckCertificate:
         assert not cert.conclusions[0].trivial
         flipped = (PartyConclusion(0, True, (), ((0, 1, 2, 3),)),) + cert.conclusions[1:]
         with pytest.raises(InvariantError, match="party 0: the conclusion .* does not follow"):
-            check_certificate(sset, dataclasses.replace(cert, conclusions=flipped))
+            check_certificate(sset, cert._replace(conclusions=flipped))
 
     def test_fact_for_a_missing_party(self):
         sset = gen_equal(3, 3)
@@ -614,12 +613,11 @@ class TestCheckCertificate:
 
 def test_forged_certificate_raises_under_python_O():
     message = invariant_error_under_python_O("""
-import dataclasses
 from nwe import derive_certificate, gen_equal
 from nwe.inference import check_certificate
 sset = gen_equal(3, 3)
 cert = derive_certificate(sset)
-check_certificate(sset, dataclasses.replace(cert, facts=cert.facts[1:]))
+check_certificate(sset, cert._replace(facts=cert.facts[1:]))
 """)
     assert message.startswith("party 0: ")
 
@@ -748,12 +746,11 @@ def test_forged_fact_raises_under_python_O(forgery):
     code, expected = _FORGERIES[forgery]
     message = invariant_error_under_python_O(
         """
-import dataclasses
 from nwe import derive_certificate, gen_equal, gen_general
 from nwe.inference import DiagonalEqualFact, ZeroEntryFact, check_certificate
 """
         + code
-        + "check_certificate(sset, dataclasses.replace(cert, facts=tuple(facts)))\n"
+        + "check_certificate(sset, cert._replace(facts=tuple(facts)))\n"
     )
     assert expected in message
 

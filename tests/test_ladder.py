@@ -15,6 +15,21 @@ from nwe import gen_equal
 from helpers import load_script, rotated, without_stopper
 
 ROOT = Path(__file__).resolve().parents[1]
+# fresh interpreters per start-up figure in these tests; the script's own
+# count is pinned in test_start_up_stage_runs
+TEST_IMPORT_RUNS = 3
+
+
+def quick_ladder(monkeypatch):
+    """The ladder script with TEST_IMPORT_RUNS interpreters per start-up figure."""
+    ladder = load_script("ladder")
+    monkeypatch.setattr(ladder, "IMPORT_RUNS", TEST_IMPORT_RUNS)
+    return ladder
+
+
+def test_start_up_stage_runs():
+    # with fewer, two runs of one tree's `import nwe.cli` differed by 40%
+    assert load_script("ladder").IMPORT_RUNS == 21
 
 
 def test_baseline_ratio():
@@ -53,7 +68,7 @@ def test_baseline_ratio():
 
 
 def test_baseline_ratios_are_printed_and_not_written(tmp_path, capsys, monkeypatch):
-    ladder = load_script("ladder")
+    ladder = quick_ladder(monkeypatch)
     monkeypatch.setattr(ladder, "RUNGS", (("equal(3,3)", lambda api: api.gen_equal(3, 3)),))
     times = dict.fromkeys(ladder.STAGES, 1.0)
     earlier = {"stamp": {}, "rungs": [{"instance": "equal(3,3)", **times}]}
@@ -71,7 +86,7 @@ def test_baseline_ratios_are_printed_and_not_written(tmp_path, capsys, monkeypat
 def test_stamp_carries_the_source_digest(tmp_path, monkeypatch):
     # the digest `perfbench/run.py` stamps its runs with: sha256 over each
     # src/nwe/*.py in name order, as name, NUL and bytes; first 16 hex digits
-    ladder = load_script("ladder")
+    ladder = quick_ladder(monkeypatch)
     monkeypatch.setattr(ladder, "RUNGS", (("equal(3,3)", lambda api: api.gen_equal(3, 3)),))
     out = tmp_path / "ladder.json"
     assert ladder.main(["--json", str(out)]) == 0
@@ -80,16 +95,23 @@ def test_stamp_carries_the_source_digest(tmp_path, monkeypatch):
         digest.update(path.name.encode() + b"\0" + path.read_bytes())
     stamp = json.loads(out.read_text())["stamp"]
     assert stamp["source_sha256"] == digest.hexdigest()[:16]
-    # the start-up stage: a fresh `import nwe` and `import nwe.cli`
-    assert list(stamp["import_s"]) == list(ladder.IMPORTS) == ["nwe", "nwe.cli"]
-    assert all(seconds > 0 for seconds in stamp["import_s"].values())
+    # the start-up stage: a fresh `import nwe` and `import nwe.cli`, and a
+    # whole cold `nwe verify` process; the median and the minimum of each
+    assert list(stamp["import_s"]) == list(stamp["import_min_s"]) == list(ladder.STARTUP)
+    assert ladder.STARTUP == (*ladder.IMPORTS, "cold") and ladder.IMPORTS == ("nwe", "nwe.cli")
+    for name in ladder.STARTUP:
+        assert 0 < stamp["import_min_s"][name] <= stamp["import_s"][name]
+    # a process pays for more than its imports
+    assert stamp["import_min_s"]["cold"] > stamp["import_min_s"]["nwe.cli"]
 
 
 def test_import_stage_compiles_from_source(tmp_path):
     # a stale bytecode file that matches its source's size and mtime is
-    # what a plain import runs; the stage's child compiles the source
+    # what a plain import runs; the stage's children, the cold process
+    # included, compile the source
     package = tmp_path / "pkg"
     package.mkdir()
+    (package / "cli.py").write_text("x = 2\n")
     init = package / "__init__.py"
     init.write_text("raise SystemExit(3)\n")
     py_compile.compile(str(init), invalidation_mode=py_compile.PycInvalidationMode.TIMESTAMP)
@@ -102,13 +124,14 @@ def test_import_stage_compiles_from_source(tmp_path):
     ladder = load_script("ladder")
     assert ladder.stdlib_modules(package) == ["json"]
     assert ladder.import_seconds(tmp_path, "pkg", "nwe") > 0
+    assert ladder.cold_seconds(tmp_path, "pkg") > 0
     # and writes no bytecode
     assert sorted((package / "__pycache__").iterdir()) == cached
 
 
 @pytest.mark.skipif(not (ROOT / ".git").exists(), reason="--against extracts a revision with git archive")
 def test_against_head_on_two_small_rungs(capsys, monkeypatch):
-    ladder = load_script("ladder")
+    ladder = quick_ladder(monkeypatch)
     built = []  # the package of each set the first rung's builder makes
 
     def equal_3_3(api):
@@ -125,10 +148,11 @@ def test_against_head_on_two_small_rungs(capsys, monkeypatch):
     imports, *lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     # the start-up stage comes first, over fresh interpreters of each tree
     assert imports["stage"] == "import_s"
-    assert imports["runs"] == ladder.IMPORT_RUNS == 7
-    assert list(imports["ratio"]) == list(imports["won"]) == list(ladder.IMPORTS)
+    assert imports["runs"] == ladder.IMPORT_RUNS == TEST_IMPORT_RUNS
+    assert list(imports["ratio"]) == list(imports["min_ratio"]) == list(imports["won"]) == list(ladder.STARTUP)
     assert all(ratio > 0 for ratio in imports["ratio"].values())
-    assert all(0 <= won <= 7 for won in imports["won"].values())
+    assert all(ratio > 0 for ratio in imports["min_ratio"].values())
+    assert all(0 <= won <= TEST_IMPORT_RUNS for won in imports["won"].values())
     assert [line["instance"] for line in lines] == ["equal(3,3)", "equal(3,4)-no-stopper"]
     for line in lines:
         assert line["runs"] == ladder.AGAINST_RUNS == 5
@@ -149,7 +173,7 @@ def test_rotated_rung_draws_its_matrices_once(capsys, monkeypatch):
     # the search for the matrices is the tests' helper, not the library, so
     # it runs once per rung, before the timed runs, and both trees of
     # --against rotate by the same matrices
-    ladder = load_script("ladder")
+    ladder = quick_ladder(monkeypatch)
     drawn, used = [], []
     draw, rotate = ladder.rotations, ladder.rotate
     monkeypatch.setattr(ladder, "rotations", lambda *args: drawn.append(args) or draw(*args))

@@ -124,3 +124,17 @@ def test_import_loads_only_the_generators():
 
 def test_bare_import_still_exposes_the_engine_modules():
     assert fresh_interpreter(BARE_IMPORT).split() == ["nwe.verifier", "nwe.inference", "nwe.serialize"]
+
+
+CLI_IMPORT = """
+import json, sys
+bare = set(sys.modules)
+import nwe.cli
+print(json.dumps(sorted(m for m in ("dataclasses", "inspect") if m in sys.modules and m not in bare)))
+"""
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # every `nwe` process imports nwe.cli; its types are built without
+    # dataclass code generation, so it compiles neither module
+    assert json.loads(fresh_interpreter(CLI_IMPORT)) == []

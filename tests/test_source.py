@@ -55,3 +55,14 @@ def test_package_imports_only_the_generators():
             todo.extend(ast.iter_child_nodes(node))
     sources = {(node.level, node.module) if isinstance(node, ast.ImportFrom) else (0, None) for node in imports}
     assert sources == {(1, "states"), (1, "constructions")}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_dataclasses_import(path):
+    # the dataclass decorator generates and compiles each class's methods
+    # at import, and `dataclasses` loads `inspect`; every `nwe` process
+    # would pay for both at start-up
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    modules = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names]
+    modules += [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level == 0]
+    assert not [m for m in modules if m.split(".")[0] == "dataclasses"], f"{path.name} imports dataclasses"

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 import re
@@ -422,7 +421,7 @@ class TestVectorIndex:
     def test_stored_at_construction(self):
         # the index and the labels are the set's stored form, made when the
         # set is; `states` is a view and no field
-        assert [f.name for f in dataclasses.fields(StateSet)] == ["shape", "vector_index", "_labels", "provenance"]
+        assert StateSet._fields == ("shape", "vector_index", "_labels", "provenance")
         sset = gen_equal(3, 4)
         assert sset.__dict__["vector_index"] is sset.vector_index
         assert "pair_table" not in sset.__dict__

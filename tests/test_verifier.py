@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -405,7 +404,7 @@ class TestReplayedCertificate:
     def test_forged_certificate_gives_no_verdict(self):
         sset = gen_equal(3, 3)
         cert = derive_certificate(sset)
-        forged = dataclasses.replace(cert, facts=cert.facts[:-1])
+        forged = cert._replace(facts=cert.facts[:-1])
         with pytest.raises(InvariantError, match="party 2: "):
             verify_all(sset, forged)
 
