@@ -12,11 +12,15 @@ the timed span), of the seconds spent building the pair table of the loaded
 set (`pair_table_s`), of the seconds `verify_all` then takes
 (`verify_all_s`, which reads the table already built and eliminates every
 party), of the seconds the rule engine takes to derive the certificate
-(`certificate_s`) and of the seconds `check_certificate` takes to replay it
-(`check_s`), and the per-party statuses. The rotated rungs map every
-party's vectors by a seeded random integer matrix with orthogonal columns
-(`rotations` in `tests/helpers.py`), so no local basis is the computational
-one. A run that does not finish within 60 s is printed as
+(`certificate_s`), of the seconds `check_certificate` takes to replay it
+(`check_s`) and of the seconds of one whole `nwe verify --engine oracle`
+on the rung's canonical document (`cli_s`: `nwe.cli.main` loads the file,
+verifies every party and writes the report to a file; the document is
+written once per rung, before any timed run, and the command's standard
+output and error are discarded), and the per-party statuses. The rotated
+rungs map every party's vectors by a seeded random integer matrix with
+orthogonal columns (`rotations` in `tests/helpers.py`), so no local basis
+is the computational one. A run that does not finish within 60 s is printed as
 {"instance": ..., "skipped": "budget"} and the ladder goes on.
 
     python scripts/ladder.py
@@ -49,15 +53,15 @@ With `--against REV`, the script instead compares the working tree with
 `src/nwe` at the git revision REV, which it extracts with `git archive`
 into a temporary directory and imports under a second package name. Each
 rung runs five times in each tree, alternating which tree runs first; each
-run builds the rung with its tree's generators and loads the rung's
-canonical document with its tree's loader, so both trees are timed the same
-way, with the same rotation matrices. Each printed line gives, per stage,
-the median of the working tree's time over REV's (`ratio`) and the number
-of runs the working tree was faster (`won`), and both trees' statuses. A
-first line does the same for the start-up stage (`"stage": "import_s"`),
-over 21 fresh interpreters per tree and figure, alternating which tree
-runs first, and adds `min_ratio`: the working tree's fastest run over
-REV's. The script exits with 1 if any rung's statuses differ between the
+run builds the rung with its tree's generators, loads the rung's canonical
+document with its tree's loader and runs its tree's `nwe verify` on the
+document's file, so both trees are timed the same way, with the same
+rotation matrices. Each printed line gives, per stage, the median of the
+working tree's time over REV's (`ratio`) and the number of runs the working
+tree was faster (`won`), and both trees' statuses. A first line does the
+same for the start-up stage (`"stage": "import_s"`), over 21 fresh
+interpreters per tree and figure, alternating which tree runs first, and
+adds `min_ratio`: the working tree's fastest run over REV's. The script exits with 1 if any rung's statuses differ between the
 trees.
 
     python scripts/ladder.py --against HEAD
@@ -67,6 +71,7 @@ The budget is enforced with SIGALRM, so the script needs a POSIX system.
 
 import argparse
 import ast
+import contextlib
 import functools
 import hashlib
 import importlib
@@ -167,7 +172,7 @@ class OverBudget(Exception):
 
 
 # the timed stages of `run`, in order; `--baseline` compares each of them
-STAGES = ("generate_s", "load_s", "pair_table_s", "verify_all_s", "certificate_s", "check_s")
+STAGES = ("generate_s", "load_s", "pair_table_s", "verify_all_s", "certificate_s", "check_s", "cli_s")
 
 
 def tree(package: str) -> SimpleNamespace:
@@ -176,6 +181,7 @@ def tree(package: str) -> SimpleNamespace:
     serialize = importlib.import_module(f"{package}.serialize")
     inference = importlib.import_module(f"{package}.inference")
     verifier = importlib.import_module(f"{package}.verifier")
+    cli = importlib.import_module(f"{package}.cli")
     return SimpleNamespace(
         gen_equal=constructions.gen_equal,
         gen_general=constructions.gen_general,
@@ -183,6 +189,7 @@ def tree(package: str) -> SimpleNamespace:
         verify_all=verifier.verify_all,
         derive_certificate=inference.derive_certificate,
         check_certificate=inference.check_certificate,
+        cli_main=cli.main,
     )
 
 
@@ -191,23 +198,41 @@ def document(sset: StateSet) -> dict:
     return json.loads(dumps_canonical(state_set_to_document(sset)))
 
 
-def run(build, doc: dict, api) -> tuple[int, list[float], list[str]]:
+@contextlib.contextmanager
+def written(doc: dict):
+    """The path of `doc`'s canonical text, written to a temporary
+    directory, and the path `nwe verify` writes its report to there."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "set.json")
+        path.write_text(dumps_canonical(doc), encoding="utf-8")
+        yield str(path), str(Path(tmp, "report.json"))
+
+
+def run(build, doc: dict, files: tuple[str, str], api) -> tuple[int, list[float], list[str]]:
     """(states, seconds per timed stage, statuses) of one run of `api`'s
     functions on the rung that `build` makes and whose canonical document
-    is `doc`; the stages after the load run on the loaded set."""
-    marks = [time.perf_counter()]
-    build(api)
-    marks.append(time.perf_counter())
-    sset = api.state_set_from_document(doc)
-    marks.append(time.perf_counter())
-    sset.pair_table
-    marks.append(time.perf_counter())
-    verdicts = api.verify_all(sset)
-    marks.append(time.perf_counter())
-    cert = api.derive_certificate(sset)
-    marks.append(time.perf_counter())
-    api.check_certificate(sset, cert)
-    marks.append(time.perf_counter())
+    is `doc`, written to the first of `files`; the stages after the load
+    run on the loaded set, and `nwe verify` writes its report to the second
+    of `files`."""
+    path, out = files
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+        marks = [time.perf_counter()]
+        build(api)
+        marks.append(time.perf_counter())
+        sset = api.state_set_from_document(doc)
+        marks.append(time.perf_counter())
+        sset.pair_table
+        marks.append(time.perf_counter())
+        verdicts = api.verify_all(sset)
+        marks.append(time.perf_counter())
+        cert = api.derive_certificate(sset)
+        marks.append(time.perf_counter())
+        api.check_certificate(sset, cert)
+        marks.append(time.perf_counter())
+        code = api.cli_main(["verify", "--input", path, "--engine", "oracle", "--out", out])
+        marks.append(time.perf_counter())
+    if code not in (0, 1):
+        raise RuntimeError(f"nwe verify exited with {code}")
     return len(sset), [b - a for a, b in zip(marks, marks[1:])], [v.status for v in verdicts]
 
 
@@ -228,7 +253,8 @@ def budgeted(runs: int, one_run) -> list | None:
 def rung(instance: str, build) -> dict:
     api = tree("nwe")
     doc = document(build(api))
-    runs = budgeted(RUNS, lambda _: run(build, doc, api))
+    with written(doc) as files:
+        runs = budgeted(RUNS, lambda _: run(build, doc, files, api))
     if runs is None:
         return {"instance": instance, "skipped": "budget"}
     line = {"instance": instance, "states": runs[0][0]}
@@ -359,10 +385,11 @@ def against_rung(instance: str, build, trees: dict) -> dict:
     doc = document(build(trees["working"]))
     names = list(trees)
 
-    def one_run(k):
-        return {name: run(build, doc, trees[name]) for name in (names if k % 2 == 0 else names[::-1])}
-
-    runs = budgeted(AGAINST_RUNS, one_run)
+    with written(doc) as files:
+        runs = budgeted(
+            AGAINST_RUNS,
+            lambda k: {name: run(build, doc, files, trees[name]) for name in (names if k % 2 == 0 else names[::-1])},
+        )
     if runs is None:
         return {"instance": instance, "skipped": "budget"}
     ratio, won = compare(

@@ -18,6 +18,7 @@ import sys
 from .constructions import ConstructionError, SizeReport, gen_equal, gen_general, prior_sizes
 from .inference import check_certificate, derive_certificate, render_fact
 from .serialize import (
+    CanonicalText,
     DocumentError,
     dumps_canonical,
     read_document,
@@ -130,7 +131,7 @@ def _build_report(sset: StateSet, engines: list[str]) -> tuple[dict, int]:
                 "nullspace_dim": v.nullspace_dim,
             }
             if v.witness is not None:
-                entry["witness"] = v.witness.entry_strings()
+                entry["witness"] = CanonicalText(v.witness.entries_json())
             report["per_party"].append(entry)
 
     if verdicts is not None:

@@ -6,11 +6,20 @@ length and "not all zero" once per distinct tuple.
 
 Canonical form: UTF-8, keys sorted, two-space indent, LF newlines, single
 trailing newline. Writing the same set twice yields byte-identical files.
-`dumps_canonical` writes containers itself, and its text equals
-json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n" byte
-for byte: json's indent runs its pure-Python encoder, while this writer
-joins each list of strings or of ints in one call over json's C string
-encoder or int.__repr__.
+`dumps_canonical` writes containers itself. For a document of plain JSON
+values (dicts, lists, tuples, strings, numbers, booleans and None), its
+text equals json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False)
++ "\n" byte for byte: json's indent runs its pure-Python encoder, while
+this writer joins each list of strings or of ints in one call over json's
+C string encoder or int.__repr__.
+
+A value may also be `CanonicalText`: a str subclass marking text that is
+already the canonical form of some value at indent 0. The writer puts it
+in place of that value, re-indenting its lines with one `str.replace`, so
+the bytes are those of the value itself (`cli` writes each witness matrix
+this way, from `HermitianMatrix.entries_json`). Canonical text holds no
+raw newline inside a string, so the re-indent is exact. The marker is
+tested by exact type, so any other str subclass is written as a string.
 """
 
 from __future__ import annotations
@@ -92,12 +101,23 @@ def state_set_from_document(doc) -> StateSet:
     sset = object.__new__(StateSet)._store(shape, tables, columns, tuple(labels), provenance)
     # certificates cite states by label (an unlabelled state by "#index"),
     # so each label must name one state
-    first: dict[str, int] = {}
-    for idx, label in enumerate(sset.labels()):
-        if label in first:
-            raise DocumentError(f"duplicate state label {label!r}: states[{first[label]}] and states[{idx}]")
-        first[label] = idx
+    cited = sset.labels()
+    if len(set(cited)) != len(cited):
+        first: dict[str, int] = {}
+        for idx, label in enumerate(cited):
+            if label in first:
+                raise DocumentError(f"duplicate state label {label!r}: states[{first[label]}] and states[{idx}]")
+            first[label] = idx
     return sset
+
+
+class CanonicalText(str):
+    """Text already in canonical form at indent 0, without the trailing
+    newline (`dumps_canonical(v)[:-1]` for a value v). `dumps_canonical`
+    writes it in place of v, its lines re-indented; a value of any other
+    str subclass is written as a JSON string."""
+
+    __slots__ = ()
 
 
 _CONSTANTS = {None: "null", True: "true", False: "false"}
@@ -136,6 +156,10 @@ def _encode(x, indent: str) -> str:
             [_key(k) + ": " + (_encode_str(v) if type(v) is str else _encode(v, inner)) for k, v in sorted(x.items())]
         )
         return "{\n" + inner + body + "\n" + indent + "}"
+    if type(x) is CanonicalText:
+        # canonical text has no raw newline inside a string, so every
+        # newline starts a line of its own
+        return x.replace("\n", "\n" + indent)
     if isinstance(x, str):
         return _encode_str(x)
     if type(x) is int:

@@ -34,16 +34,22 @@ Its result is the core's RREF, each pivot row kept as the primitive integer
 multiple of its RREF row: exact by construction, for coefficients of any
 size.
 
-A block's free columns are those neither zeroed nor a pivot of the core;
-their number is the block's nullity. Its nullspace basis has one sparse
-vector per free column, read off the core's RREF entries in that column,
-with every zeroed coordinate 0. Every S column comes before every A column,
-so the two blocks' vectors, in column order, are the basis the RREF over
-all d*d unknowns would give. An S block at full rank has one free column,
-the last diagonal coordinate, and its vector is exactly the identity.
+Each dimension's S and A coordinates are kept as two frozensets, built once
+and shared like its coordinate tables, so a block takes its zeroed
+coordinates by one set intersection and its free columns by one set
+difference. A block's free columns are those neither zeroed nor a pivot of
+the core; their number is the block's nullity. Its nullspace basis has one
+sparse vector per free column, read off the core's RREF entries in that
+column, with every zeroed coordinate 0. Every S column comes before every A
+column, so the two blocks' vectors, in column order, are the basis the RREF
+over all d*d unknowns would give. An S block at full rank has one free
+column, the last diagonal coordinate, and its vector is exactly the
+identity.
 `nullspace` returns these vectors densely; on a Nontrivial verdict the
 witness is the first of them, in column order, that is not a multiple of
-the identity, with its identity component projected out.
+the identity, with its identity component projected out. The report writes
+the witness from `HermitianMatrix.entries_json`, the canonical JSON text
+of its entry strings joined in one pass; an entry needs no escaping.
 
 A Nontrivial verdict means a nontrivial orthogonality-preserving first
 measurement exists on that party; it does not by itself prove that the set
@@ -141,6 +147,14 @@ class HermitianMatrix(NamedTuple):
             out[b][a] += "-" + im if x > 0 else "+" + im
         return out
 
+    def entries_json(self) -> str:
+        """The canonical JSON text of `entry_strings()` at indent 0 (dim >= 1),
+        as `serialize.dumps_canonical` writes it without the final newline;
+        each entry is quoted as it is, since it holds only digits, "/",
+        "+", "-" and "i", none of which JSON escapes."""
+        rows = self.entry_strings()
+        return '[\n  [\n    "' + '"\n  ],\n  [\n    "'.join(['",\n    "'.join(row) for row in rows]) + '"\n  ]\n]'
+
 
 class TrivialityVerdict(NamedTuple):
     party: int
@@ -161,6 +175,14 @@ def _coordinate_tables(dim: int) -> tuple[tuple[tuple[int, ...], ...], tuple[tup
     sym = tuple(tuple(sym_index(dim, min(a, b), max(a, b)) for b in range(dim)) for a in range(dim))
     anti = tuple(tuple(anti_index(dim, min(a, b), max(a, b)) if a != b else None for b in range(dim)) for a in range(dim))
     return sym, anti
+
+
+@functools.cache
+def _block_columns(dim: int) -> tuple[frozenset[int], frozenset[int]]:
+    """The coordinates of the S block, [0, d(d+1)/2), and of the A block,
+    [d(d+1)/2, d*d); built once per dimension and shared."""
+    nsym = dim * (dim + 1) // 2
+    return frozenset(range(nsym)), frozenset(range(nsym, dim * dim))
 
 
 def _pair_rows(u, v, dim: int) -> tuple[dict, dict]:
@@ -317,21 +339,14 @@ def _blocks(system: MeasurementConstraintSystem):
     columns neither zeroed by `_peel` nor pivots of the core), and its
     core's exact RREF from `_exact_rref`. The block's nullity is the number
     of free columns."""
-    dim = system.dim
-    nsym = dim * (dim + 1) // 2
     # the identity satisfies every S row, so no row may zero a diagonal coordinate
-    diagonal = _row_starts(dim)[:dim]
-    sym_zeroed = [c for c in system.zeroed if c < nsym]
-    anti_zeroed = [c for c in system.zeroed if c >= nsym]
-    for rows, given, columns in (
-        (system.sym, sym_zeroed, range(nsym)),
-        (system.anti, anti_zeroed, range(nsym, dim * dim)),
-    ):
-        zeroed, core = _peel(rows, given)
+    diagonal = _row_starts(system.dim)[: system.dim]
+    for rows, columns in zip((system.sym, system.anti), _block_columns(system.dim)):
+        zeroed, core = _peel(rows, columns.intersection(system.zeroed))
         if not zeroed.isdisjoint(diagonal):
             raise InvariantError(f"a constraint row forces coordinate {min(zeroed.intersection(diagonal))} to zero")
         pivots, den = _exact_rref(core)
-        yield [c for c in columns if c not in zeroed and c not in pivots], pivots, den
+        yield sorted(columns.difference(zeroed, pivots)), pivots, den
 
 
 def rank(system: MeasurementConstraintSystem) -> int:

@@ -9,8 +9,10 @@ from pathlib import Path
 
 import pytest
 
+import nwe.cli
 import nwe.verifier
 from nwe import gen_equal
+from nwe.serialize import dumps_canonical, state_set_to_document
 
 from helpers import load_script, rotated, without_stopper
 
@@ -42,6 +44,7 @@ def test_baseline_ratio():
         "verify_all_s": 0.5,
         "certificate_s": 0.004,
         "check_s": 0.001,
+        "cli_s": 0.03,
     }
     earlier = {
         "generate_s": 0.001,
@@ -50,6 +53,7 @@ def test_baseline_ratio():
         "verify_all_s": 0.25,
         "certificate_s": 0.008,
         "check_s": 0.002,
+        "cli_s": 0.02,
     }
     assert ladder.baseline_ratio(line, earlier) == {
         "generate_s": 3.0,
@@ -58,13 +62,48 @@ def test_baseline_ratio():
         "verify_all_s": 2.0,
         "certificate_s": 0.5,
         "check_s": 0.5,
+        "cli_s": 1.5,
     }
     # a rung or a stage missing from the baseline, or timed at 0 there, has no ratio
     assert ladder.baseline_ratio(line, {}) == dict.fromkeys(ladder.STAGES)
     assert ladder.baseline_ratio(line, {**earlier, "pair_table_s": 0.0})["pair_table_s"] is None
     assert ladder.baseline_ratio(line, {"pair_table_s": 0.006, "verify_all_s": 0.25})["certificate_s"] is None
-    # a baseline written before `generate_s` was timed has no ratio for it
-    assert ladder.baseline_ratio(line, {k: v for k, v in earlier.items() if k != "generate_s"})["generate_s"] is None
+    # a baseline written before `generate_s` or `cli_s` was timed has no ratio for it
+    for stage in ("generate_s", "cli_s"):
+        assert ladder.baseline_ratio(line, {k: v for k, v in earlier.items() if k != stage})[stage] is None
+
+
+def test_cli_stage_runs_nwe_verify_on_the_written_document(capsys):
+    # `cli_s` is one `nwe verify --engine oracle` on the rung's canonical
+    # document, written once; the report goes to a file and the command's
+    # output is discarded
+    ladder = load_script("ladder")
+    assert ladder.STAGES[-1] == "cli_s"
+    sset = without_stopper(gen_equal(3, 4))
+    doc = ladder.document(sset)
+    api, calls = ladder.tree("nwe"), []
+
+    def cli_main(argv):
+        calls.append(argv)
+        print("to stdout")
+        print("to stderr", file=sys.stderr)
+        return nwe.cli.main(argv)
+
+    api.cli_main = cli_main
+    with ladder.written(doc) as (path, out):
+        assert Path(path).read_text(encoding="utf-8") == dumps_canonical(state_set_to_document(sset))
+        states, seconds, statuses = ladder.run(lambda api: without_stopper(api.gen_equal(3, 4)), doc, (path, out), api)
+        report = json.loads(Path(out).read_text(encoding="utf-8"))
+    assert calls == [["verify", "--input", path, "--engine", "oracle", "--out", out]]
+    assert capsys.readouterr() == ("", "")
+    assert (states, statuses) == (len(sset), ["Nontrivial"] * 3)
+    assert len(seconds) == len(ladder.STAGES) and all(x >= 0 for x in seconds)
+    assert [e["status"] for e in report["per_party"]] == statuses
+    assert not Path(path).parent.exists()
+    # a run whose command fails is not timed
+    api.cli_main = lambda argv: 3
+    with ladder.written(doc) as files, pytest.raises(RuntimeError, match="exited with 3"):
+        ladder.run(lambda api: api.gen_equal(3, 3), doc, files, api)
 
 
 def test_baseline_ratios_are_printed_and_not_written(tmp_path, capsys, monkeypatch):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nwe import DocumentError, gen_equal, gen_general, load_state_set, save_state_set
-from nwe.serialize import dumps_canonical, state_set_from_document, state_set_to_document
+from nwe.serialize import CanonicalText, dumps_canonical, state_set_from_document, state_set_to_document
 
 from helpers import reference_state_set_from_document, rotated, scrambled, without_stopper
 
@@ -376,6 +376,32 @@ class TestCanonicalWriter:
         sset = gen_general((3, 3, 4))
         for doc in (state_set_to_document(sset), {"witness": [["0", "-1/2+1/3i"], ["-1/2-1/3i", "3"]], "party": 0}):
             assert dumps_canonical(doc) == as_json(doc)
+
+    @settings(max_examples=300, deadline=None)
+    @given(DOCUMENTS, st.text(max_size=3), st.integers(0, 3))
+    def test_canonical_text_is_written_as_its_value(self, doc, key, depth):
+        # text marked canonical stands for the value it was written from,
+        # at every depth, in lists, tuples and dicts, beside other values
+        marked = CanonicalText(dumps_canonical(doc)[:-1])
+        assert dumps_canonical(marked) == dumps_canonical(doc)
+        for level in range(depth):
+            if level % 2:
+                doc, marked = [1, doc, "x"], (1, marked, "x")
+            else:
+                doc, marked = {key: doc, key + "~": None}, SubDict({key: marked, key + "~": None})
+        assert dumps_canonical(marked) == dumps_canonical(doc) == as_json(doc)
+
+    def test_other_str_subclasses_are_written_as_strings(self):
+        class Text(str):
+            pass
+
+        class Marked(CanonicalText):
+            pass
+
+        for text in ("[\n  1\n]", 'a "b"\n'):
+            doc = {"a": [Text(text), Marked(text)], "b": Marked(text)}
+            assert dumps_canonical(doc) == as_json(doc) == as_json({"a": [text, text], "b": text})
+        assert dumps_canonical([CanonicalText("[\n  1\n]")]) == as_json([[1]])
 
     def test_unwritable_keys_and_values_raise_as_json_does(self):
         for doc in ({(1, 2): 0}, {"a": object()}):

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction
@@ -19,6 +20,8 @@ from nwe import (
     rank,
     verify_all,
 )
+from nwe.cli import _build_report
+from nwe.serialize import CanonicalText, dumps_canonical
 from nwe.states import LocalVector, ProductState, SystemShape, basis_ket
 from nwe.verifier import (
     InvariantError,
@@ -849,6 +852,23 @@ class TestPeel:
                 zeroed, core = _peel(rows, system.zeroed)
                 assert (zeroed & set(columns), core) == unfiltered_peel(units + list(rows))
 
+    @pytest.mark.parametrize("kind, args", FAMILIES, ids=lambda x: str(x))
+    def test_free_columns_equal_the_column_scan(self, kind, args):
+        # `_blocks` splits the zeroed coordinates and takes the free columns
+        # by set algebra; the reference splits them and scans every column
+        family = gen_equal(*args) if kind == "equal" else gen_general(args)
+        sets = [family, without_stopper(family), rotated(family, random.Random(len(args)), range(family.shape.n))]
+        sets += [scrambled(family, random.Random(seed), reduce=seed % 2 == 1) for seed in range(4)]
+        for sset in sets:
+            for t in range(sset.shape.n):
+                system = assemble(sset, t)
+                expected = []
+                for rows, columns in block_columns(system):
+                    zeroed, core = _peel(rows, [c for c in system.zeroed if c in columns])
+                    pivots, _ = _exact_rref(core)
+                    expected.append([c for c in columns if c not in zeroed and c not in pivots])
+                assert [free for free, _, _ in nwe.verifier._blocks(system)] == expected
+
     @settings(max_examples=300, deadline=None)
     @given(peelable_rows())
     def test_peeled_rref_equals_the_unpeeled_rref(self, case):
@@ -1013,6 +1033,35 @@ def test_entry_strings_are_the_fraction_strings(matrix):
         expected.append(row)
     assert matrix.entry_strings() == expected
     assert expected == dense_entry_strings(matrix_to_coords(matrix), dim)
+
+
+@example(nwe.verifier.HermitianMatrix(1, 3, (((0, 0), 2),), ()), "", 3)
+@settings(max_examples=300, deadline=None)
+@given(hermitian_matrices(), st.text(max_size=3), st.integers(0, 3))
+def test_entries_json_is_the_canonical_text_of_the_entry_strings(matrix, key, depth):
+    # the report writes the witness from this text, marked canonical, in
+    # place of its entry strings: the same bytes at every depth
+    text = matrix.entries_json()
+    assert json.loads(text) == matrix.entry_strings()
+    assert text + "\n" == dumps_canonical(matrix.entry_strings())
+    plain, marked = matrix.entry_strings(), CanonicalText(text)
+    for level in range(depth):
+        if level % 2:
+            plain, marked = [plain, 0], [marked, 0]
+        else:
+            plain, marked = {key: plain, key + "~": "x"}, {key: marked, key + "~": "x"}
+    assert dumps_canonical(marked) == dumps_canonical(plain)
+
+
+@pytest.mark.parametrize("engines", [["oracle"], ["lemma", "oracle"]], ids=["oracle", "both"])
+def test_report_witness_is_the_marked_entries_json(engines):
+    sset = without_stopper(gen_general((3, 3, 4)))
+    report, code = _build_report(sset, engines)
+    witnesses = [e["witness"] for e in report["per_party"] if e["engine"] == "oracle"]
+    assert code == 1 and len(witnesses) == sset.shape.n
+    for t, witness in enumerate(witnesses):
+        assert type(witness) is CanonicalText
+        assert witness == verdict(sset, t).witness.entries_json()
 
 
 def test_zeroed_diagonal_raises_under_python_O():
