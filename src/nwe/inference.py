@@ -22,7 +22,8 @@ each citing the pair that forces it:
 One pass over a party's bucket sorts its pairs into single-support (two
 lookups of the index's ket coordinates, `PartyVectors.kets`), overlapping
 and disjoint ones; only the last get a term list. Facts are named tuples,
-built by thousands per run.
+built by thousands per run. An entry m[a, b] is keyed by its S coordinate
+`coordinate_map(dim).sym[a][b]`, the one map the oracle also reads.
 
 The engine is deliberately incomplete: it is a proof search, and the exact
 nullspace verifier is the decision procedure, so Incomplete is a per-party
@@ -36,6 +37,7 @@ party it replays to Trivial.
 
 from __future__ import annotations
 
+import functools
 from typing import NamedTuple
 
 from .states import InvariantError, NonOrthogonalSetError, StateSet, SystemShape, find_stopper
@@ -97,13 +99,42 @@ class Certificate(NamedTuple):
         return tuple(f for f in self.facts if f.party == t)
 
 
+class CoordinateMap(NamedTuple):
+    """The d*d real coordinates of a Hermitian matrix S + iA: S[a, b], a <= b,
+    then A[a, b], a < b, each row-major. `sym[a][b]` and `anti[a][b]` (None
+    if a == b) read either order; `entry[k]` is coordinate k's (a, b)."""
+
+    sym: tuple[tuple[int, ...], ...]
+    anti: tuple[tuple[int | None, ...], ...]
+    entry: tuple[tuple[int, int], ...]
+    sym_columns: frozenset[int]
+    anti_columns: frozenset[int]
+    diagonal: frozenset[int]  # the coordinates of S[a, a]
+
+
+@functools.cache
+def coordinate_map(dim: int) -> CoordinateMap:
+    """Built once per dimension and shared by both engines, so immutable."""
+    entry = [(a, b) for a in range(dim) for b in range(a, dim)]
+    nsym = len(entry)
+    entry += [e for e in entry if e[0] != e[1]]  # A shares S's (a, b) tuples
+    sym, anti = [[None] * dim for _ in range(dim)], [[None] * dim for _ in range(dim)]
+    for k, (a, b) in enumerate(entry):
+        table = sym if k < nsym else anti
+        table[a][b] = table[b][a] = k
+    diagonal = frozenset(sym[a][a] for a in range(dim))
+    sym, anti = tuple(map(tuple, sym)), tuple(map(tuple, anti))
+    return CoordinateMap(sym, anti, tuple(entry), frozenset(range(nsym)), frozenset(range(nsym, len(entry))), diagonal)
+
+
 def _conclusion(t: int, dim: int, known, equal) -> PartyConclusion:
     """Party t's conclusion from its off-diagonal entries m[a, b] known zero,
-    each once, as min(a, b) * dim + max(a, b), and its diagonal equalities
-    m[a,a] = m[b,b], as (a, b)."""
+    each once, as its S coordinate `coordinate_map(dim).sym[a][b]`, and its
+    diagonal equalities m[a,a] = m[b,b], as (a, b)."""
     missing = ()
     if len(known) != dim * (dim - 1) // 2:
-        missing = tuple((a, b) for a in range(dim) for b in range(a + 1, dim) if a * dim + b not in known)
+        sym = coordinate_map(dim).sym
+        missing = tuple((a, b) for a in range(dim) for b in range(a + 1, dim) if sym[a][b] not in known)
     # label[a] is the least index known to share a's diagonal entry, and
     # members[c] lists the indices labelled c; a merge relabels one class
     label = list(range(dim))
@@ -157,9 +188,11 @@ def derive_certificate(sset: StateSet) -> Certificate:
     conclusions: list[PartyConclusion] = []
     for t in range(sset.shape.n):
         dim = sset.shape.dims[t]
+        coords = coordinate_map(dim)
+        sym, entry = coords.sym, coords.entry
         _, ids, supports, kets = sset.vector_index[t]
         masks = [1 << k if k >= 0 else sum([1 << a for a, _ in s]) for s, k in zip(supports, kets)]
-        known: set[int] = set()  # m[a, b] known zero, as min(a, b) * dim + max(a, b)
+        known: set[int] = set()  # m[a, b] known zero, as its S coordinate sym[a][b]
         constraints = []  # the pairs of disjoint supports
         rows = []  # their terms' keys
         linked = []  # the stopper's partners
@@ -168,7 +201,7 @@ def derive_certificate(sset: StateSet) -> Certificate:
             vi, vj = ids[i], ids[j]
             a, b = kets[vi], kets[vj]
             if a >= 0 and b >= 0:
-                key = a * dim + b if a < b else b * dim + a
+                key = sym[a][b]
                 if key not in known:
                     known.add(key)
                     facts.append(_fact(ZeroEntryFact, (t, a, b, pair, RULE_LEMMA1)))
@@ -177,13 +210,11 @@ def derive_certificate(sset: StateSet) -> Certificate:
                     linked.append(i + j - stopper_idx)
             else:
                 constraints.append(pair)
-                rows.append(
-                    [a * dim + b if a < b else b * dim + a for a, _ in supports[vi] for b, _ in supports[vj]]
-                )
+                rows.append([sym[a][b] for a, _ in supports[vi] for b, _ in supports[vj]])
 
         for r, key in propagate(rows, known):
             pair = constraints[r]
-            lo, hi = divmod(key, dim)
+            lo, hi = entry[key]
             # the fact's row lies in the first support, as in its constraint
             a, b = (lo, hi) if masks[ids[pair[0]]] >> lo & 1 else (hi, lo)
             facts.append(_fact(ZeroEntryFact, (t, a, b, pair, RULE_UNIT_PROPAGATION)))
@@ -236,8 +267,8 @@ def check_certificate(sset: StateSet, cert: Certificate) -> None:
     n = sset.shape.n
     if cert.shape != sset.shape or cert.labels != sset.labels() or len(cert.conclusions) != n:
         raise InvariantError("the certificate is of another state set")
-    # from its first fact on, each party's dim, ids, supports, bucket, entries
-    # m[a, b] known zero, as min(a, b) * dim + max(a, b), and diagonal equalities (a, b)
+    # from its first fact on, each party's dim, coordinates sym, ids, supports,
+    # bucket, entries m[a, b] known zero, as sym[a][b], and diagonal equalities (a, b)
     replay: dict[int, tuple] = {}
     t = None
     for k, fact in enumerate(cert.facts):
@@ -253,22 +284,21 @@ def check_certificate(sset: StateSet, cert: Certificate) -> None:
                 raise InvariantError(f"party {party}: no such party, but facts name it")
             t = party
             if t not in replay:
-                index = sset.vector_index[t]
-                replay[t] = sset.shape.dims[t], index.ids, index.supports, set(table.buckets[t]), set(), []
-            dim, ids, supports, bucket, known, equal = replay[t]
+                index, dim = sset.vector_index[t], sset.shape.dims[t]
+                replay[t] = dim, coordinate_map(dim).sym, index.ids, index.supports, set(table.buckets[t]), set(), []
+            dim, sym, ids, supports, bucket, known, equal = replay[t]
         if pair not in bucket and pair[::-1] not in bucket:
             raise InvariantError(f"party {t}: {fact}: the pair is not in the party's bucket")
         u, v = supports[ids[pair[0]]], supports[ids[pair[1]]]
         if isinstance(fact, ZeroEntryFact):
             row, col = entry = x, y
-            key = row * dim + col if row < col else col * dim + row
             if len(u) == 1 == len(v):
-                forced = (u[0][0], v[0][0]) == entry and key not in known
+                forced = (u[0][0], v[0][0]) == entry
             else:
                 # a diagonal term is never known zero, so it would stay live
-                live = [(a, b) for a, _ in u for b, _ in v if (a * dim + b if a < b else b * dim + a) not in known]
-                forced = live == [entry]
-            if not forced or row == col:
+                forced = [(a, b) for a, _ in u for b, _ in v if sym[a][b] not in known] == [entry]
+            # sym[row][col] is read only once the entry matches a term: -1 would wrap
+            if not forced or row == col or (key := sym[row][col]) in known:
                 raise InvariantError(f"party {t}: {fact}: the pair does not force this entry to zero")
             if rule != (RULE_LEMMA1 if len(u) * len(v) == 1 else RULE_UNIT_PROPAGATION):
                 raise InvariantError(f"party {t}: {fact}: the rule does not match the constraint")

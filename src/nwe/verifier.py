@@ -34,17 +34,17 @@ Its result is the core's RREF, each pivot row kept as the primitive integer
 multiple of its RREF row: exact by construction, for coefficients of any
 size.
 
-Each dimension's S and A coordinates are kept as two frozensets, built once
-and shared like its coordinate tables, so a block takes its zeroed
-coordinates by one set intersection and its free columns by one set
-difference. A block's free columns are those neither zeroed nor a pivot of
-the core; their number is the block's nullity. Its nullspace basis has one
-sparse vector per free column, read off the core's RREF entries in that
-column, with every zeroed coordinate 0. Every S column comes before every A
-column, so the two blocks' vectors, in column order, are the basis the RREF
-over all d*d unknowns would give. An S block at full rank has one free
-column, the last diagonal coordinate, and its vector is exactly the
-identity.
+Every coordinate is read from `inference.coordinate_map(d)`, the one map
+per dimension by which the rule engine and its replay also key entries. Its
+S and A columns are frozensets, so a block takes its zeroed coordinates by
+one set intersection and its free columns by one set difference. A block's
+free columns are those neither zeroed nor a pivot of the core; their number
+is the block's nullity. Its nullspace basis has one sparse vector per free
+column, read off the core's RREF entries in that column, with every zeroed
+coordinate 0. Every S column comes before every A column, so the two
+blocks' vectors, in column order, are the basis the RREF over all d*d
+unknowns would give. An S block at full rank has one free column, the last
+diagonal coordinate, and its vector is exactly the identity.
 `nullspace` returns these vectors densely; on a Nontrivial verdict the
 witness is the first of them, in column order, that is not a multiple of
 the identity, with its identity component projected out. The report writes
@@ -58,13 +58,11 @@ is LOCC-distinguishable.
 
 from __future__ import annotations
 
-import functools
 import math
-from bisect import bisect_right
 from fractions import Fraction
 from typing import NamedTuple
 
-from .inference import Certificate, check_certificate, propagate
+from .inference import Certificate, check_certificate, coordinate_map, propagate
 from .states import InvariantError, NonOrthogonalSetError, StateSet
 
 STATUS_TRIVIAL = "Trivial"
@@ -111,7 +109,7 @@ class MeasurementConstraintSystem(NamedTuple):
         """Dense view: per block, S first, the unit rows of the zeroed
         coordinates, ascending, then the other rows."""
         units = [{c: 1} for c in sorted(self.zeroed)]
-        split = sum(c < self.dim * (self.dim + 1) // 2 for c in self.zeroed)
+        split = len(coordinate_map(self.dim).sym_columns.intersection(self.zeroed))
         rows = units[:split] + list(self.sym) + units[split:] + list(self.anti)
         return tuple(tuple(row.get(k, 0) for k in range(self.num_unknowns)) for row in rows)
 
@@ -167,28 +165,10 @@ class TrivialityVerdict(NamedTuple):
         return self.status == STATUS_TRIVIAL
 
 
-@functools.cache
-def _coordinate_tables(dim: int) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int | None, ...], ...]]:
-    """sym[a][b], the coordinate of S[min(a,b), max(a,b)], and anti[a][b], that
-    of A[min(a,b), max(a,b)] (None for a == b), for every a, b < dim; built
-    once per dimension and shared, so they are immutable."""
-    sym = tuple(tuple(sym_index(dim, min(a, b), max(a, b)) for b in range(dim)) for a in range(dim))
-    anti = tuple(tuple(anti_index(dim, min(a, b), max(a, b)) if a != b else None for b in range(dim)) for a in range(dim))
-    return sym, anti
-
-
-@functools.cache
-def _block_columns(dim: int) -> tuple[frozenset[int], frozenset[int]]:
-    """The coordinates of the S block, [0, d(d+1)/2), and of the A block,
-    [d(d+1)/2, d*d); built once per dimension and shared."""
-    nsym = dim * (dim + 1) // 2
-    return frozenset(range(nsym)), frozenset(range(nsym, dim * dim))
-
-
 def _pair_rows(u, v, dim: int) -> tuple[dict, dict]:
     """The S-block and A-block rows of u^T E v = 0, as {coordinate: coefficient};
     u and v are given as the (index, coefficient) pairs of their nonzero entries."""
-    sym, anti = _coordinate_tables(dim)
+    sym, anti = coordinate_map(dim)[:2]
     srow: dict[int, int] = {}
     arow: dict[int, int] = {}
     trace = 0
@@ -224,7 +204,7 @@ def assemble(sset: StateSet, t: int) -> MeasurementConstraintSystem:
     if table.violations:
         raise NonOrthogonalSetError(list(table.violations))
     dim = sset.shape.dims[t]
-    sym_at, anti_at = _coordinate_tables(dim)
+    sym_at, anti_at = coordinate_map(dim)[:2]
     _, ids, supports, kets = sset.vector_index[t]
     sym, anti, zeroed = [], [], set()
     for i, j in table.buckets[t]:
@@ -339,12 +319,12 @@ def _blocks(system: MeasurementConstraintSystem):
     columns neither zeroed by `_peel` nor pivots of the core), and its
     core's exact RREF from `_exact_rref`. The block's nullity is the number
     of free columns."""
-    # the identity satisfies every S row, so no row may zero a diagonal coordinate
-    diagonal = _row_starts(system.dim)[: system.dim]
-    for rows, columns in zip((system.sym, system.anti), _block_columns(system.dim)):
+    coords = coordinate_map(system.dim)
+    for rows, columns in zip((system.sym, system.anti), (coords.sym_columns, coords.anti_columns)):
         zeroed, core = _peel(rows, columns.intersection(system.zeroed))
-        if not zeroed.isdisjoint(diagonal):
-            raise InvariantError(f"a constraint row forces coordinate {min(zeroed.intersection(diagonal))} to zero")
+        # the identity satisfies every S row, so no row may zero a diagonal coordinate
+        if not zeroed.isdisjoint(coords.diagonal):
+            raise InvariantError(f"a constraint row forces coordinate {min(zeroed & coords.diagonal)} to zero")
         pivots, den = _exact_rref(core)
         yield sorted(columns.difference(zeroed, pivots)), pivots, den
 
@@ -373,31 +353,19 @@ def nullspace(system: MeasurementConstraintSystem) -> list[tuple[Fraction, ...]]
     return basis
 
 
-@functools.cache
-def _row_starts(dim: int) -> tuple[int, ...]:
-    """The coordinates of S[a,a] for each row a, then those of A[a,a+1]:
-    where each row of each block starts."""
-    return tuple(sym_index(dim, a, a) for a in range(dim)) + tuple(anti_index(dim, a, a + 1) for a in range(dim - 1))
-
-
 def _witness(pivots: dict[int, dict], den: int, free, dim: int) -> HermitianMatrix | None:
     """The first of a block's nullspace basis vectors (`_free_vectors`), over
     its free columns in ascending order, with a nonzero part off the
     identity: that part, as a matrix. Tail entries are read as fractions
     over `den`, the projection as integers over dim * den."""
-    starts = _row_starts(dim)
+    coords = coordinate_map(dim)
     for vec in _free_vectors(pivots, den, free):
         sym, anti, trace = {}, {}, 0
         for k, x in vec.items():
-            r = bisect_right(starts, k) - 1
-            if r < dim:
-                b = r + k - starts[r]
-                sym[r, b] = dim * x
-                if b == r:
-                    trace += x
-            else:
-                a = r - dim
-                anti[a, a + 1 + k - starts[r]] = dim * x
+            a, b = coords.entry[k]
+            (sym if k in coords.sym_columns else anti)[a, b] = dim * x
+            if a == b:  # only S has diagonal coordinates
+                trace += x
         for a in range(dim) if trace else ():
             y = sym.pop((a, a), 0) - trace
             if y:

@@ -18,7 +18,15 @@ from nwe import (
     render_certificate,
     verify_all,
 )
-from nwe.inference import DiagonalEqualFact, PartyConclusion, ZeroEntryFact, _conclusion, check_certificate, propagate
+from nwe.inference import (
+    DiagonalEqualFact,
+    PartyConclusion,
+    ZeroEntryFact,
+    _conclusion,
+    check_certificate,
+    coordinate_map,
+    propagate,
+)
 from nwe.states import LocalVector, ProductState, SystemShape, basis_ket, diff_ket, flat_ket
 from nwe.verifier import InvariantError, _peel, anti_index, sym_index
 
@@ -693,6 +701,9 @@ facts[k] = facts[k]._replace(rule="UnitPropagation")
     "zero-fact-on-the-diagonal": (_forged_field("ZeroEntryFact", "col=f.row"), "does not force this entry to zero"),
     "zero-fact-row-minus-one": (_forged_field("ZeroEntryFact", "row=-1"), "does not force this entry to zero"),
     "zero-fact-col-minus-one": (_forged_field("ZeroEntryFact", "col=-1"), "does not force this entry to zero"),
+    # an index equal to the dimension is past the end of the coordinate map
+    "zero-fact-row-dim": (_forged_field("ZeroEntryFact", "row=3"), "does not force this entry to zero"),
+    "zero-fact-col-dim": (_forged_field("ZeroEntryFact", "col=3"), "does not force this entry to zero"),
     "diagonal-fact-a-equals-b": (
         _forged_field("DiagonalEqualFact", "b=f.a"),
         "does not force this diagonal equality",
@@ -701,6 +712,7 @@ facts[k] = facts[k]._replace(rule="UnitPropagation")
         _forged_field("DiagonalEqualFact", "a=-1"),
         "does not force this diagonal equality",
     ),
+    "diagonal-fact-a-dim": (_forged_field("DiagonalEqualFact", "a=3"), "does not force this diagonal equality"),
     "fact-of-party-minus-one": (_forged_field("ZeroEntryFact", "party=-1"), "party -1: no such party"),
     "fact-of-party-n": (_forged_field("DiagonalEqualFact", "party=3"), "party 3: no such party"),
     # indices equal to ints but not ints, which would replay and render otherwise
@@ -777,9 +789,9 @@ class TestConclusion:
     def test_equals_the_relabelling_reference(self, case):
         # _conclusion relabels only the members of the class merged away;
         # the reference rewrites every label for each equality. Each known
-        # entry (a < b) comes once, as a * dim + b: a full count skips the scan
+        # entry (a < b) comes once, as its S coordinate: a full count skips the scan
         dim, known, equal = case
-        keys = {a * dim + b for a, b in known}
+        keys = {coordinate_map(dim).sym[a][b] for a, b in known}
         assert _conclusion(2, dim, keys, equal) == _reference_conclusion(2, dim, known, equal)
 
     def test_a_chain_merged_from_the_top(self):

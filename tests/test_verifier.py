@@ -21,12 +21,12 @@ from nwe import (
     verify_all,
 )
 from nwe.cli import _build_report
+from nwe.inference import coordinate_map
 from nwe.serialize import CanonicalText, dumps_canonical
 from nwe.states import LocalVector, ProductState, SystemShape, basis_ket
 from nwe.verifier import (
     InvariantError,
     MeasurementConstraintSystem,
-    _coordinate_tables,
     _exact_rref,
     _pair_rows,
     _peel,
@@ -81,12 +81,29 @@ class TestCoordinateLayout:
 
     @pytest.mark.parametrize("d", [2, 3, 7])
     def test_tables_read_either_order(self, d):
-        sym, anti = _coordinate_tables(d)
+        sym, anti = coordinate_map(d)[:2]
         for a in range(d):
             for b in range(d):
                 lo, hi = sorted((a, b))
                 assert sym[a][b] == sym_index(d, lo, hi)
                 assert anti[a][b] == (None if a == b else anti_index(d, lo, hi))
+
+    @pytest.mark.parametrize("d", [2, 3, 7])
+    def test_entry_inverts_sym_and_anti(self, d):
+        # every coordinate decodes exactly once: to a <= b in S, a < b in A
+        coords = coordinate_map(d)
+        assert len(coords.entry) == d * d
+        for k, (a, b) in enumerate(coords.entry):
+            if k in coords.sym_columns:
+                assert a <= b and coords.sym[a][b] == k
+            else:
+                assert a < b and coords.anti[a][b] == k
+        decoded = [coords.sym[a][b] for a in range(d) for b in range(a, d)]
+        decoded += [coords.anti[a][b] for a in range(d) for b in range(a + 1, d)]
+        assert sorted(decoded) == list(range(d * d))
+        assert coords.sym_columns == set(range(d * (d + 1) // 2))
+        assert coords.anti_columns == set(range(d * (d + 1) // 2, d * d))
+        assert coords.diagonal == {sym_index(d, a, a) for a in range(d)}
 
     def test_matrix_round_trip(self):
         d = 3
@@ -146,7 +163,7 @@ class TestAssemble:
     def test_ket_pair_rows(self):
         # two kets |a>, |b>, a != b, give one S entry and one A entry, whose
         # sign follows the order of a and b
-        sym, anti = _coordinate_tables(4)
+        sym, anti = coordinate_map(4)[:2]
         assert _pair_rows(((0, 2),), ((3, -1),), 4) == ({sym[0][3]: -2}, {anti[0][3]: -2})
         assert _pair_rows(((3, 2),), ((0, -1),), 4) == ({sym[0][3]: -2}, {anti[0][3]: 2})
 
