@@ -25,7 +25,6 @@ is the computational one. A run that does not finish within 60 s is printed as
 
     python scripts/ladder.py
     python scripts/ladder.py --json BENCH.json
-    python scripts/ladder.py --baseline BENCH_9.json
 
 With `--json PATH`, every rung is also written to PATH, together with a
 stamp: the Python version, the number of CPUs the process may use, the
@@ -43,11 +42,11 @@ the package compiles from source whatever `__pycache__` holds, as it does
 in every set-up of `perfbench/run.py` in a fresh checkout under
 `PYTHONDONTWRITEBYTECODE=1`. The cold process preloads nothing and runs a
 copy of the package without bytecode, under `PYTHONDONTWRITEBYTECODE=1`,
-so it too compiles the package from source. With `--baseline PATH`, each
-printed line also gives `baseline_ratio`: each of the rung's stage times
-divided by the same stage of the same rung in PATH, an earlier `--json`
-file (null where PATH lacks the rung or the stage, or timed it at 0); the
-`--json` file is unchanged.
+so it too compiles the package from source. A PATH that cannot be opened
+for writing ends the script with exit status 2 before any rung runs.
+The script compares no figures across sessions: on unchanged code, wall
+seconds follow the host, so such comparisons wait for ROADMAP item 5's
+reference seconds.
 
 With `--against REV`, the script instead compares the working tree with
 `src/nwe` at the git revision REV, which it extracts with `git archive`
@@ -61,8 +60,9 @@ working tree's time over REV's (`ratio`) and the number of runs the working
 tree was faster (`won`), and both trees' statuses. A first line does the
 same for the start-up stage (`"stage": "import_s"`), over 21 fresh
 interpreters per tree and figure, alternating which tree runs first, and
-adds `min_ratio`: the working tree's fastest run over REV's. The script exits with 1 if any rung's statuses differ between the
-trees.
+adds `min_ratio`: the working tree's fastest run over REV's. The script
+exits with 1 if any rung's statuses differ between the trees, and takes no
+`--json`.
 
     python scripts/ladder.py --against HEAD
 
@@ -171,7 +171,7 @@ class OverBudget(Exception):
     pass
 
 
-# the timed stages of `run`, in order; `--baseline` compares each of them
+# the timed stages of `run`, in order
 STAGES = ("generate_s", "load_s", "pair_table_s", "verify_all_s", "certificate_s", "check_s", "cli_s")
 
 
@@ -236,32 +236,36 @@ def run(build, doc: dict, files: tuple[str, str], api) -> tuple[int, list[float]
     return len(sset), [b - a for a, b in zip(marks, marks[1:])], [v.status for v in verdicts]
 
 
-def budgeted(runs: int, one_run) -> list | None:
-    """`runs` results of `one_run()`, or None when one exceeds BUDGET_S."""
-    results = []
-    for k in range(runs):
-        signal.setitimer(signal.ITIMER_REAL, BUDGET_S)
-        try:
-            results.append(one_run(k))
-        except OverBudget:
-            return None
-        finally:
-            signal.setitimer(signal.ITIMER_REAL, 0)
-    return results
+def timed_runs(build, trees: dict, runs: int) -> dict | None:
+    """`runs` runs of the rung that `build` makes in each of `trees`, which
+    maps a name to a `tree`, alternating which tree runs first; every run
+    loads the canonical document of the first tree's build. Per tree: the
+    states, the seconds of each run per stage of STAGES and the first run's
+    statuses. None when one round of the trees exceeds BUDGET_S."""
+    names = list(trees)
+    doc = document(build(trees[names[0]]))
+    results = {name: [] for name in names}
+    with written(doc) as files:
+        for k in range(runs):
+            signal.setitimer(signal.ITIMER_REAL, BUDGET_S)
+            try:
+                for name in names if k % 2 == 0 else names[::-1]:
+                    results[name].append(run(build, doc, files, trees[name]))
+            except OverBudget:
+                return None
+            finally:
+                signal.setitimer(signal.ITIMER_REAL, 0)
+    return {name: (rs[0][0], dict(zip(STAGES, zip(*(r[1] for r in rs)))), rs[0][2]) for name, rs in results.items()}
 
 
 def rung(instance: str, build) -> dict:
-    api = tree("nwe")
-    doc = document(build(api))
-    with written(doc) as files:
-        runs = budgeted(RUNS, lambda _: run(build, doc, files, api))
+    """The rung's line: per stage, the median of RUNS runs of the working tree."""
+    runs = timed_runs(build, {"working": tree("nwe")}, RUNS)
     if runs is None:
         return {"instance": instance, "skipped": "budget"}
-    line = {"instance": instance, "states": runs[0][0]}
-    for k, stage in enumerate(STAGES):
-        line[stage] = round(statistics.median(r[1][k] for r in runs), 4)
-    line["statuses"] = runs[0][2]
-    return line
+    states, seconds, statuses = runs["working"]
+    medians = {stage: round(statistics.median(s), 4) for stage, s in seconds.items()}
+    return {"instance": instance, "states": states, **medians, "statuses": statuses}
 
 
 def source_digest() -> str:
@@ -313,14 +317,18 @@ def startup_seconds(where: Path, package: str, name: str) -> float:
     return cold_seconds(where, package) if name == "cold" else import_seconds(where, package, name)
 
 
-def import_s() -> tuple[dict, dict]:
-    """The start-up stage of the working tree: per figure, the median and
-    the minimum of IMPORT_RUNS fresh interpreters."""
-    runs = {name: [startup_seconds(ROOT / "src", "nwe", name) for _ in range(IMPORT_RUNS)] for name in STARTUP}
-    return (
-        {name: round(statistics.median(seconds), 4) for name, seconds in runs.items()},
-        {name: round(min(seconds), 4) for name, seconds in runs.items()},
-    )
+def startup_runs(places: dict) -> dict:
+    """IMPORT_RUNS fresh interpreters per figure of STARTUP in each of
+    `places`, which maps a tree's name to its (directory, package),
+    alternating which tree runs first. Per tree: the seconds of each run
+    per figure."""
+    names = list(places)
+    seconds = {name: {figure: [] for figure in STARTUP} for name in names}
+    for k in range(IMPORT_RUNS):
+        for figure in STARTUP:
+            for name in names if k % 2 == 0 else names[::-1]:
+                seconds[name][figure].append(startup_seconds(*places[name], figure))
+    return seconds
 
 
 def stamp() -> dict:
@@ -330,31 +338,23 @@ def stamp() -> dict:
         ).stdout.strip()
     except (OSError, subprocess.CalledProcessError):
         commit = None
-    medians, minima = import_s()
+    seconds = startup_runs({"working": (ROOT / "src", "nwe")})["working"]
     return {
         "python": platform.python_version(),
         "nproc": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count(),
         "commit": commit,
         "source_sha256": source_digest(),
         "runs_per_rung": RUNS,
-        "import_s": medians,
-        "import_min_s": minima,
+        "import_s": {figure: round(statistics.median(s), 4) for figure, s in seconds.items()},
+        "import_min_s": {figure: round(min(s), 4) for figure, s in seconds.items()},
     }
 
 
-def baseline_ratio(line: dict, earlier: dict) -> dict:
-    """line's STAGES divided by those of earlier, the same rung of a
-    baseline run (None where either is missing or the baseline reads 0)."""
-    return {
-        stage: round(line[stage] / earlier[stage], 2) if line.get(stage) is not None and earlier.get(stage) else None
-        for stage in STAGES
-    }
-
-
-def compare(pairs: dict) -> tuple[dict, dict]:
-    """From each stage's (working, against) seconds per run: the median of
-    working over against per stage (None if against timed one at 0), and
-    the number of runs the working tree was faster."""
+def compare(working: dict, against: dict) -> tuple[dict, dict]:
+    """From the seconds of each run per stage in the two trees: per stage,
+    the median of working over against (None if against timed a run at 0),
+    and the number of runs the working tree was faster."""
+    pairs = {stage: list(zip(working[stage], against[stage])) for stage in working}
     ratio = {
         stage: round(statistics.median(w / a for w, a in runs), 2) if all(a for _, a in runs) else None
         for stage, runs in pairs.items()
@@ -363,48 +363,26 @@ def compare(pairs: dict) -> tuple[dict, dict]:
 
 
 def against_imports(places: dict) -> dict:
-    """The start-up stage compared between the trees, each of `places`
-    mapping a tree to (directory, package): IMPORT_RUNS fresh interpreters
-    per tree and figure, alternating which tree runs first. `min_ratio` is
-    the working tree's fastest run over the other tree's."""
-    names = list(places)
-    pairs = {name: [] for name in STARTUP}
-    for k in range(IMPORT_RUNS):
-        for name in STARTUP:
-            seconds = {tree: startup_seconds(*places[tree], name) for tree in (names if k % 2 == 0 else names[::-1])}
-            pairs[name].append((seconds["working"], seconds["against"]))
-    ratio, won = compare(pairs)
-    min_ratio = {name: round(min(w for w, _ in runs) / min(a for _, a in runs), 2) for name, runs in pairs.items()}
+    """The start-up stage compared between the "working" and "against"
+    trees of `places`. `min_ratio` is the working tree's fastest run over
+    the other tree's."""
+    seconds = startup_runs(places)
+    working, other = seconds["working"], seconds["against"]
+    ratio, won = compare(working, other)
+    min_ratio = {figure: round(min(working[figure]) / min(other[figure]), 2) for figure in STARTUP}
     return {"stage": "import_s", "runs": IMPORT_RUNS, "ratio": ratio, "min_ratio": min_ratio, "won": won}
 
 
 def against_rung(instance: str, build, trees: dict) -> dict:
-    """The rung run AGAINST_RUNS times in each of the two trees, {"working":
-    ..., "against": ...}, alternating which runs first, each tree building
-    the rung and loading the working tree's canonical document of it."""
-    doc = document(build(trees["working"]))
-    names = list(trees)
-
-    with written(doc) as files:
-        runs = budgeted(
-            AGAINST_RUNS,
-            lambda k: {name: run(build, doc, files, trees[name]) for name in (names if k % 2 == 0 else names[::-1])},
-        )
+    """The rung compared over AGAINST_RUNS runs of each of the two trees,
+    {"working": ..., "against": ...}."""
+    runs = timed_runs(build, trees, AGAINST_RUNS)
     if runs is None:
         return {"instance": instance, "skipped": "budget"}
-    ratio, won = compare(
-        {stage: [(r["working"][1][k], r["against"][1][k]) for r in runs] for k, stage in enumerate(STAGES)}
-    )
-    statuses = {name: runs[0][name][2] for name in names}
-    return {
-        "instance": instance,
-        "states": runs[0]["working"][0],
-        "runs": AGAINST_RUNS,
-        "ratio": ratio,
-        "won": won,
-        "statuses": statuses["working"],
-        "against_statuses": statuses["against"],
-    }
+    (states, working, statuses), (_, other, other_statuses) = runs["working"], runs["against"]
+    ratio, won = compare(working, other)
+    line = {"instance": instance, "states": states, "runs": AGAINST_RUNS, "ratio": ratio, "won": won}
+    return {**line, "statuses": statuses, "against_statuses": other_statuses}
 
 
 def against(rev: str) -> int:
@@ -442,30 +420,26 @@ def _over_budget(signum, frame):
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--json", metavar="PATH", help="also write every rung and a stamp to PATH")
-    parser.add_argument("--baseline", metavar="PATH", help="print each rung's times as ratios to PATH's")
     parser.add_argument("--against", metavar="REV", help="compare the working tree with src/nwe at git revision REV")
     args = parser.parse_args(argv)
     signal.signal(signal.SIGALRM, _over_budget)
     if args.against:
-        if args.json or args.baseline:
-            parser.error("--against takes neither --json nor --baseline")
+        if args.json:
+            parser.error("--against does not take --json")
         return against(args.against)
-    baseline = None
-    if args.baseline:
-        with open(args.baseline, encoding="utf-8") as fh:
-            baseline = {r["instance"]: r for r in json.load(fh)["rungs"]}
-    lines = []
-    for instance, build in RUNGS:
-        line = rung(instance, build)
-        lines.append(line)
-        shown = line
-        if baseline is not None:
-            shown = {**line, "baseline_ratio": baseline_ratio(line, baseline.get(instance, {}))}
-        print(json.dumps(shown), flush=True)
-    if args.json:
-        with open(args.json, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump({"stamp": stamp(), "rungs": lines}, fh, indent=2)
-            fh.write("\n")
+    try:
+        out = open(args.json, "w", encoding="utf-8", newline="\n") if args.json else contextlib.nullcontext()
+    except OSError as exc:
+        print(f"error: cannot write {args.json}: {exc.strerror}", file=sys.stderr)
+        return 2
+    with out:
+        lines = []
+        for instance, build in RUNGS:
+            lines.append(rung(instance, build))
+            print(json.dumps(lines[-1]), flush=True)
+        if args.json:
+            json.dump({"stamp": stamp(), "rungs": lines}, out, indent=2)
+            out.write("\n")
     return 0
 
 

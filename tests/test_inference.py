@@ -796,9 +796,13 @@ class TestConclusion:
 
     def test_a_chain_merged_from_the_top(self):
         equal = [(3, 4), (2, 3), (1, 2), (0, 1)]
-        known = {a * 5 + b for a in range(5) for b in range(a + 1, 5)}
+        sym = coordinate_map(5).sym
+        known = {sym[a][b] for a in range(5) for b in range(a + 1, 5)}
         assert _conclusion(0, 5, known, equal) == PartyConclusion(0, True, (), ((0, 1, 2, 3, 4),))
         assert _conclusion(0, 5, known, equal[:2]) == PartyConclusion(0, False, (), ((0,), (1,), (2, 3, 4)))
+        # an entry left out is named by its (a, b), whatever the key layout
+        known.remove(sym[1][3])
+        assert _conclusion(0, 5, known, equal) == PartyConclusion(0, False, ((1, 3),), ((0, 1, 2, 3, 4),))
 
 
 @st.composite

@@ -2,6 +2,7 @@ import hashlib
 import os
 import py_compile
 import random
+import re
 import subprocess
 import sys
 import json
@@ -32,45 +33,6 @@ def quick_ladder(monkeypatch):
 def test_start_up_stage_runs():
     # with fewer, two runs of one tree's `import nwe.cli` differed by 40%
     assert load_script("ladder").IMPORT_RUNS == 21
-
-
-def test_baseline_ratio():
-    ladder = load_script("ladder")
-    line = {
-        "instance": "x",
-        "generate_s": 0.003,
-        "load_s": 0.002,
-        "pair_table_s": 0.003,
-        "verify_all_s": 0.5,
-        "certificate_s": 0.004,
-        "check_s": 0.001,
-        "cli_s": 0.03,
-    }
-    earlier = {
-        "generate_s": 0.001,
-        "load_s": 0.001,
-        "pair_table_s": 0.006,
-        "verify_all_s": 0.25,
-        "certificate_s": 0.008,
-        "check_s": 0.002,
-        "cli_s": 0.02,
-    }
-    assert ladder.baseline_ratio(line, earlier) == {
-        "generate_s": 3.0,
-        "load_s": 2.0,
-        "pair_table_s": 0.5,
-        "verify_all_s": 2.0,
-        "certificate_s": 0.5,
-        "check_s": 0.5,
-        "cli_s": 1.5,
-    }
-    # a rung or a stage missing from the baseline, or timed at 0 there, has no ratio
-    assert ladder.baseline_ratio(line, {}) == dict.fromkeys(ladder.STAGES)
-    assert ladder.baseline_ratio(line, {**earlier, "pair_table_s": 0.0})["pair_table_s"] is None
-    assert ladder.baseline_ratio(line, {"pair_table_s": 0.006, "verify_all_s": 0.25})["certificate_s"] is None
-    # a baseline written before `generate_s` or `cli_s` was timed has no ratio for it
-    for stage in ("generate_s", "cli_s"):
-        assert ladder.baseline_ratio(line, {k: v for k, v in earlier.items() if k != stage})[stage] is None
 
 
 def test_cli_stage_runs_nwe_verify_on_the_written_document(capsys):
@@ -106,29 +68,41 @@ def test_cli_stage_runs_nwe_verify_on_the_written_document(capsys):
         ladder.run(lambda api: api.gen_equal(3, 3), doc, files, api)
 
 
-def test_baseline_ratios_are_printed_and_not_written(tmp_path, capsys, monkeypatch):
-    ladder = quick_ladder(monkeypatch)
-    monkeypatch.setattr(ladder, "RUNGS", (("equal(3,3)", lambda api: api.gen_equal(3, 3)),))
-    times = dict.fromkeys(ladder.STAGES, 1.0)
-    earlier = {"stamp": {}, "rungs": [{"instance": "equal(3,3)", **times}]}
-    (tmp_path / "before.json").write_text(json.dumps(earlier))
-    out = tmp_path / "after.json"
-    assert ladder.main(["--json", str(out), "--baseline", str(tmp_path / "before.json")]) == 0
-    printed = json.loads(capsys.readouterr().out)
-    written = json.loads(out.read_text())["rungs"][0]
-    # the baseline times are 1 s, so each ratio is the time itself
-    assert printed["baseline_ratio"] == {stage: round(printed[stage], 2) for stage in ladder.STAGES}
-    assert "baseline_ratio" not in written
-    assert written == {k: v for k, v in printed.items() if k != "baseline_ratio"}
+def test_argument_rules(tmp_path, capsys):
+    ladder = load_script("ladder")
+    with pytest.raises(SystemExit) as exc:
+        ladder.main(["--help"])
+    assert exc.value.code == 0
+    assert set(re.findall(r"--[a-z]+", capsys.readouterr().out)) == {"--help", "--json", "--against"}
+    for argv in (["--against", "HEAD", "--json", str(tmp_path / "out.json")], ["--baseline", "BENCH_9.json"]):
+        with pytest.raises(SystemExit) as exc:
+            ladder.main(argv)
+        assert exc.value.code == 2
+    assert "--against does not take --json" in capsys.readouterr().err
+    assert not (tmp_path / "out.json").exists()
 
 
-def test_stamp_carries_the_source_digest(tmp_path, monkeypatch):
-    # the digest `perfbench/run.py` stamps its runs with: sha256 over each
-    # src/nwe/*.py in name order, as name, NUL and bytes; first 16 hex digits
+def test_unwritable_json_path_fails_before_any_rung(tmp_path, capsys, monkeypatch):
+    ladder = load_script("ladder")
+    built = []
+    monkeypatch.setattr(ladder, "RUNGS", (("equal(3,3)", lambda api: built.append(1) or api.gen_equal(3, 3)),))
+    out = tmp_path / "missing" / "out.json"
+    assert ladder.main(["--json", str(out)]) == 2
+    assert built == []
+    assert capsys.readouterr() == ("", f"error: cannot write {out}: No such file or directory\n")
+
+
+def test_stamp_carries_the_source_digest(tmp_path, capsys, monkeypatch):
     ladder = quick_ladder(monkeypatch)
     monkeypatch.setattr(ladder, "RUNGS", (("equal(3,3)", lambda api: api.gen_equal(3, 3)),))
     out = tmp_path / "ladder.json"
     assert ladder.main(["--json", str(out)]) == 0
+    # the file holds exactly the rung lines printed
+    printed = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert json.loads(out.read_text())["rungs"] == printed
+    assert [list(line) for line in printed] == [["instance", "states", *ladder.STAGES, "statuses"]]
+    # the digest `perfbench/run.py` stamps its runs with: sha256 over each
+    # src/nwe/*.py in name order, as name, NUL and bytes; first 16 hex digits
     digest = hashlib.sha256()
     for path in sorted((Path(__file__).resolve().parents[1] / "src" / "nwe").glob("*.py")):
         digest.update(path.name.encode() + b"\0" + path.read_bytes())
