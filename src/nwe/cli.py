@@ -15,11 +15,11 @@ import functools
 import json
 import sys
 
-from .constructions import ConstructionError, SizeReport, gen_equal, gen_general, prior_sizes
+from .constructions import ConstructionError, gen_equal, gen_general, prior_sizes
 from .inference import check_certificate, derive_certificate, render_fact
 from .serialize import (
-    CanonicalText,
     DocumentError,
+    canonical_string_rows,
     dumps_canonical,
     read_document,
     state_set_from_document,
@@ -75,29 +75,24 @@ def _cmd_generate(args) -> int:
         sset = gen_general(_parse_dims(args.dims))
     text = dumps_canonical(state_set_to_document(sset))
     _emit(text, args.out)
-    count_line = f"{len(sset)} states"
-    if args.out is None:
-        print(count_line, file=sys.stderr)
-    else:
-        print(count_line)
+    print(f"{len(sset)} states", file=sys.stderr if args.out is None else sys.stdout)
     return EXIT_OK
 
 
-def _sizes_json(report: SizeReport) -> dict:
-    return {"ours": report.ours, "jiang": report.jiang, "wang": report.wang, "zhang": report.zhang}
-
-
 def _build_report(sset: StateSet, engines: list[str]) -> tuple[dict, int]:
+    """The verify report of `sset` under `engines` and its exit code: 3, with
+    no sizes and no party entries, for a set that is not pairwise orthogonal."""
+    violations = check_pairwise_orthogonality(sset)
     report: dict = {
         "dims": list(sset.shape.dims),
         "provenance": sset.provenance,
-        "orthogonality": {"ok": True, "violations": []},
+        "orthogonality": {"ok": not violations, "violations": violations},
         "per_party": [],
     }
-    try:
-        report["sizes"] = _sizes_json(prior_sizes(sset.shape.dims))
-    except ConstructionError:
-        report["sizes"] = None
+    if violations:
+        report.update(certified_nonlocal=False, note="input set is not pairwise orthogonal")
+        return report, EXIT_INVALID_INPUT
+    report["sizes"] = prior_sizes(sset.shape.dims)._asdict()
 
     cert = derive_certificate(sset) if "lemma" in engines else None
     # a derived certificate is replayed once: under both engines by
@@ -131,7 +126,7 @@ def _build_report(sset: StateSet, engines: list[str]) -> tuple[dict, int]:
                 "nullspace_dim": v.nullspace_dim,
             }
             if v.witness is not None:
-                entry["witness"] = CanonicalText(v.witness.entries_json())
+                entry["witness"] = canonical_string_rows(v.witness.entry_strings())
             report["per_party"].append(entry)
 
     if verdicts is not None:
@@ -163,26 +158,16 @@ def _cmd_verify(args) -> int:
     else:
         sset = gen_general(_parse_dims(args.dims))
 
-    violations = check_pairwise_orthogonality(sset)
-    if violations:
-        report = {
-            "dims": list(sset.shape.dims),
-            "provenance": sset.provenance,
-            "orthogonality": {"ok": False, "violations": [list(p) for p in violations]},
-            "per_party": [],
-            "certified_nonlocal": False,
-            "note": "input set is not pairwise orthogonal",
-        }
-        print(f"error: non-orthogonal state pairs: {violations}", file=sys.stderr)
-        try:
-            _emit(dumps_canonical(report), args.out)
-        except OutputError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID_INPUT
-
     engines = ["lemma", "oracle"] if args.engine == "both" else [args.engine]
     report, code = _build_report(sset, engines)
-    _emit(dumps_canonical(report), args.out)
+    if code == EXIT_INVALID_INPUT:
+        print(f"error: non-orthogonal state pairs: {report['orthogonality']['violations']}", file=sys.stderr)
+    try:
+        _emit(dumps_canonical(report), args.out)
+    except OutputError as exc:
+        if code != EXIT_INVALID_INPUT:
+            raise
+        print(f"error: {exc}", file=sys.stderr)  # exit 3 stands without the report
     return code
 
 
@@ -190,9 +175,7 @@ def _cmd_compare(args) -> int:
     dims = _parse_dims(args.dims)
     report = prior_sizes(dims)
     if args.json:
-        doc = {"dims": list(dims)}
-        doc.update(_sizes_json(report))
-        sys.stdout.write(dumps_canonical(doc))
+        sys.stdout.write(dumps_canonical({"dims": list(dims), **report._asdict()}))
         return EXIT_OK
     print(f"dims: {','.join(map(str, dims))}")
     if report.ours is not None:
@@ -254,13 +237,10 @@ def main(argv=None) -> int:
     except DocumentError as exc:
         print(f"error: invalid document: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
-    except NonOrthogonalSetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID_INPUT
     except InvariantError as exc:
         print(f"error: no verdict: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
-    except OSError as exc:
+    except (NonOrthogonalSetError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
 

@@ -16,8 +16,9 @@ C string encoder or int.__repr__.
 A value may also be `CanonicalText`: a str subclass marking text that is
 already the canonical form of some value at indent 0. The writer puts it
 in place of that value, re-indenting its lines with one `str.replace`, so
-the bytes are those of the value itself (`cli` writes each witness matrix
-this way, from `HermitianMatrix.entries_json`). Canonical text holds no
+the bytes are those of the value itself. `canonical_string_rows` builds
+it for a matrix of strings in one join (`cli` writes each witness matrix
+this way, from `HermitianMatrix.entry_strings`). Canonical text holds no
 raw newline inside a string, so the re-indent is exact. The marker is
 tested by exact type, so any other str subclass is written as a string.
 """
@@ -27,7 +28,7 @@ from __future__ import annotations
 import json
 from json.encoder import encode_basestring as _encode_str
 
-from .states import StateSet, SystemShape
+from .states import DimensionError, StateSet, SystemShape
 
 FORMAT_VERSION = "nwe/1"
 
@@ -98,17 +99,10 @@ def state_set_from_document(doc) -> StateSet:
         if label is not None and not isinstance(label, str):
             raise DocumentError(f"states[{idx}].label: expected a string")
         labels.append(label)
-    sset = object.__new__(StateSet)._store(shape, tables, columns, tuple(labels), provenance)
-    # certificates cite states by label (an unlabelled state by "#index"),
-    # so each label must name one state
-    cited = sset.labels()
-    if len(set(cited)) != len(cited):
-        first: dict[str, int] = {}
-        for idx, label in enumerate(cited):
-            if label in first:
-                raise DocumentError(f"duplicate state label {label!r}: states[{first[label]}] and states[{idx}]")
-            first[label] = idx
-    return sset
+    try:
+        return object.__new__(StateSet)._store(shape, tables, columns, tuple(labels), provenance)
+    except DimensionError as exc:  # a label that names two states
+        raise DocumentError(str(exc)) from None
 
 
 class CanonicalText(str):
@@ -118,6 +112,14 @@ class CanonicalText(str):
     str subclass is written as a JSON string."""
 
     __slots__ = ()
+
+
+def canonical_string_rows(rows: list[list[str]]) -> CanonicalText:
+    """The canonical text of `rows`, a nonempty list of nonempty lists of
+    strings that JSON writes unescaped (as the entry strings of a witness,
+    which hold only digits, "/", "+", "-" and "i"), joined in one pass."""
+    body = '"\n  ],\n  [\n    "'.join(['",\n    "'.join(row) for row in rows])
+    return CanonicalText('[\n  [\n    "' + body + '"\n  ]\n]')
 
 
 _CONSTANTS = {None: "null", True: "true", False: "false"}

@@ -27,7 +27,7 @@ DEFAULT_DIM_CAP = 64
 
 
 class DimensionError(ValueError):
-    """Vector lengths or system shapes do not match, or the dimension cap is invalid."""
+    """Shapes or vector lengths do not match, the dimension cap is invalid, or a label or provenance is bad."""
 
 
 class InvariantError(RuntimeError):
@@ -212,9 +212,13 @@ class StateSet(_Value):
 
     def __init__(self, shape: SystemShape, states: tuple[ProductState, ...], provenance: str = "user") -> None:
         states = tuple(states)
+        if not isinstance(provenance, str):
+            raise DimensionError("provenance must be a string")
         for idx, s in enumerate(states):
             if s.shape != shape:
                 raise DimensionError(f"state {idx} has shape {s.shape.dims}, set has {shape.dims}")
+            if s.label is not None and not isinstance(s.label, str):
+                raise DimensionError(f"states[{idx}].label: expected a string")
         # each party's table maps a distinct coefficient tuple to its position
         tables: list[dict] = [{} for _ in shape.dims]
         ids = [[table.setdefault(s.locals[t].coeffs, len(table)) for s in states] for t, table in enumerate(tables)]
@@ -226,13 +230,21 @@ class StateSet(_Value):
         the ids[t][i]-th coefficient tuple of vectors[t] (a sequence, or a
         table of distinct tuples in order of first appearance), all checked
         by the caller, with each vector's support and ket coordinate; the
-        constructor and the loader both end here."""
+        constructor and the loader both end here. Certificates cite states
+        by label (an unlabelled state by "#index"), so a label that names two
+        states raises DimensionError."""
         index = []
         for vs, column in zip(vectors, ids):
             supports = tuple(tuple(compress(enumerate(v), v)) for v in vs)
             kets = tuple([s[0][0] if len(s) == 1 else -1 for s in supports])
             index.append(PartyVectors(tuple(vs), tuple(column), supports, kets))
         self.__dict__.update(shape=shape, vector_index=tuple(index), _labels=labels, provenance=provenance)
+        cited = self.labels()
+        if len(set(cited)) != len(cited):
+            first: dict[str, int] = {}
+            for idx, label in enumerate(cited):
+                if first.setdefault(label, idx) != idx:
+                    raise DimensionError(f"duplicate state label {label!r}: states[{first[label]}] and states[{idx}]")
         return self
 
     @cached_property

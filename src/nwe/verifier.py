@@ -48,8 +48,8 @@ diagonal coordinate, and its vector is exactly the identity.
 `nullspace` returns these vectors densely; on a Nontrivial verdict the
 witness is the first of them, in column order, that is not a multiple of
 the identity, with its identity component projected out. The report writes
-the witness from `HermitianMatrix.entries_json`, the canonical JSON text
-of its entry strings joined in one pass; an entry needs no escaping.
+the witness from its `HermitianMatrix.entry_strings`, as text that
+`serialize.canonical_string_rows` joins in one pass.
 
 A Nontrivial verdict means a nontrivial orthogonality-preserving first
 measurement exists on that party; it does not by itself prove that the set
@@ -144,14 +144,6 @@ class HermitianMatrix(NamedTuple):
             out[a][b] += "+" + im if x > 0 else "-" + im
             out[b][a] += "-" + im if x > 0 else "+" + im
         return out
-
-    def entries_json(self) -> str:
-        """The canonical JSON text of `entry_strings()` at indent 0 (dim >= 1),
-        as `serialize.dumps_canonical` writes it without the final newline;
-        each entry is quoted as it is, since it holds only digits, "/",
-        "+", "-" and "i", none of which JSON escapes."""
-        rows = self.entry_strings()
-        return '[\n  [\n    "' + '"\n  ],\n  [\n    "'.join(['",\n    "'.join(row) for row in rows]) + '"\n  ]\n]'
 
 
 class TrivialityVerdict(NamedTuple):

@@ -354,15 +354,10 @@ def reference_state_set_from_document(doc) -> StateSet:
             states.append(ProductState(shape, tuple(locals_), label))
         except ValueError as exc:
             raise DocumentError(f"states[{idx}]: {exc}") from exc
-    sset = StateSet(shape, tuple(states), provenance=provenance)
-    # certificates cite states by label (an unlabelled state by "#index"),
-    # so each label must name one state
-    first: dict[str, int] = {}
-    for idx, label in enumerate(sset.labels()):
-        if label in first:
-            raise DocumentError(f"duplicate state label {label!r}: states[{first[label]}] and states[{idx}]")
-        first[label] = idx
-    return sset
+    try:
+        return StateSet(shape, tuple(states), provenance=provenance)
+    except DimensionError as exc:  # the set refuses a label that names two states
+        raise DocumentError(str(exc)) from None
 
 
 def unshared_index(sset: StateSet) -> StateSet:

@@ -113,24 +113,38 @@ class TestVerify:
         assert all("witness" in e for e in oracle)
         assert report["certified_nonlocal"] is False
 
-    def test_non_orthogonal_input_exit_3(self, tmp_path, capsys):
+    @pytest.mark.parametrize("engine", ["both", "lemma", "oracle"])
+    def test_non_orthogonal_input_exit_3(self, tmp_path, capsys, engine):
+        # the whole report is pinned: no sizes and no party entries
         doc = {
             "version": "nwe/1",
             "dims": [2, 2],
-            "provenance": "user",
+            "provenance": "overlap",
             "states": [
                 {"locals": [[1, 0], [1, 0]]},
                 {"locals": [[1, 1], [1, 1]]},
+                {"locals": [[0, 1], [0, 1]]},
             ],
         }
         path = tmp_path / "broken.json"
         write_doc(path, doc)
-        code = main(["verify", "--input", str(path)])
+        code = main(["verify", "--input", str(path), "--engine", engine])
         captured = capsys.readouterr()
         assert code == 3
-        assert "(0, 1)" in captured.err
-        report = json.loads(captured.out)
-        assert report["orthogonality"] == {"ok": False, "violations": [[0, 1]]}
+        assert captured.err == "error: non-orthogonal state pairs: [(0, 1), (1, 2)]\n"
+        assert captured.out == (
+            "{\n"
+            '  "certified_nonlocal": false,\n'
+            '  "dims": [\n    2,\n    2\n  ],\n'
+            '  "note": "input set is not pairwise orthogonal",\n'
+            '  "orthogonality": {\n'
+            '    "ok": false,\n'
+            '    "violations": [\n      [\n        0,\n        1\n      ],\n      [\n        1,\n        2\n      ]\n    ]\n'
+            "  },\n"
+            '  "per_party": [],\n'
+            '  "provenance": "overlap"\n'
+            "}\n"
+        )
 
     def test_malformed_json_exit_3(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

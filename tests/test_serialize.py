@@ -1,14 +1,17 @@
 import json
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nwe import DocumentError, gen_equal, gen_general, load_state_set, save_state_set
+from nwe import DocumentError, StateSet, gen_equal, gen_general, load_state_set, save_state_set
 from nwe.serialize import CanonicalText, dumps_canonical, state_set_from_document, state_set_to_document
 
 from helpers import reference_state_set_from_document, rotated, scrambled, without_stopper
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 class TestRoundTrip:
@@ -22,6 +25,17 @@ class TestRoundTrip:
         sset = gen_general((3, 4, 5))
         path = tmp_path / "set.json"
         save_state_set(sset, path)
+        assert load_state_set(path) == sset
+
+    @pytest.mark.parametrize("name", ["domino", "shifts", "tiles"])
+    def test_set_built_from_states_saves_and_loads(self, tmp_path, name):
+        # the golden classic sets, rebuilt from their states in Python
+        text = (GOLDEN / f"set_{name}.json").read_text(encoding="utf-8")
+        read = state_set_from_document(json.loads(text))
+        sset = StateSet(read.shape, read.states, provenance=read.provenance)
+        path = tmp_path / "set.json"
+        save_state_set(sset, path)
+        assert path.read_text(encoding="utf-8") == text
         assert load_state_set(path) == sset
 
     def test_canonical_bytes_are_stable(self, tmp_path):

@@ -243,6 +243,31 @@ class TestInvariantsValidation:
         with pytest.raises(DimensionError):
             StateSet(SystemShape((2, 3)), (a,))
 
+    # a set built from states follows the loader's rules for labels and
+    # provenance, so every set it saves loads again
+
+    def test_set_rejects_a_label_that_names_two_states(self):
+        shape = SystemShape((2, 2))
+        rows = [((1, 0), (1, 0)), ((1, 0), (0, 1)), ((0, 1), (1, 0)), ((0, 1), (0, 1))]
+        states = [product_state(shape, *row, label="x") for row in rows]
+        with pytest.raises(DimensionError, match=re.escape("duplicate state label 'x': states[0] and states[1]")):
+            StateSet(shape, states)
+        # an unlabelled state is cited as "#index"
+        states = [product_state(shape, *rows[0], label="#1"), product_state(shape, *rows[1])]
+        with pytest.raises(DimensionError, match=re.escape("duplicate state label '#1': states[0] and states[1]")):
+            StateSet(shape, states)
+
+    def test_set_rejects_a_label_that_is_not_a_string(self):
+        shape = SystemShape((2, 2))
+        states = [product_state(shape, (1, 0), (1, 0), label=5), product_state(shape, (0, 1), (1, 0))]
+        with pytest.raises(DimensionError, match=re.escape("states[0].label: expected a string")):
+            StateSet(shape, states)
+
+    def test_set_rejects_a_provenance_that_is_not_a_string(self):
+        shape = SystemShape((2, 2))
+        with pytest.raises(DimensionError, match="provenance must be a string"):
+            StateSet(shape, [product_state(shape, (1, 0), (1, 0))], provenance=7)
+
 
 class TestNonIntegers:
     NON_INTEGERS = [0.5, 3.0, Fraction(1, 2), Fraction(4, 1), "3", None]
@@ -505,7 +530,8 @@ class TestOverlappingSupports:
         base = gen_equal(3, 4)
         shape = base.shape
         extra = product_state(shape, (1, 1, 0, 0), (1, 0, 0, 0), (0, 2, 1, 0))
-        sset = StateSet(shape, base.states + (extra, base.states[2]))
+        copy = ProductState(shape, base.states[2].locals, label="copy")  # a label names one state
+        sset = StateSet(shape, base.states + (extra, copy))
         table = reference_pair_table(sset)
         assert sset.pair_table == table
         assert (2, len(base)) not in table.violations

@@ -22,7 +22,7 @@ from nwe import (
 )
 from nwe.cli import _build_report
 from nwe.inference import coordinate_map
-from nwe.serialize import CanonicalText, dumps_canonical
+from nwe.serialize import CanonicalText, canonical_string_rows, dumps_canonical
 from nwe.states import LocalVector, ProductState, SystemShape, basis_ket
 from nwe.verifier import (
     InvariantError,
@@ -1055,13 +1055,14 @@ def test_entry_strings_are_the_fraction_strings(matrix):
 @example(nwe.verifier.HermitianMatrix(1, 3, (((0, 0), 2),), ()), "", 3)
 @settings(max_examples=300, deadline=None)
 @given(hermitian_matrices(), st.text(max_size=3), st.integers(0, 3))
-def test_entries_json_is_the_canonical_text_of_the_entry_strings(matrix, key, depth):
-    # the report writes the witness from this text, marked canonical, in
-    # place of its entry strings: the same bytes at every depth
-    text = matrix.entries_json()
-    assert json.loads(text) == matrix.entry_strings()
-    assert text + "\n" == dumps_canonical(matrix.entry_strings())
-    plain, marked = matrix.entry_strings(), CanonicalText(text)
+def test_canonical_string_rows_is_the_canonical_text_of_the_entry_strings(matrix, key, depth):
+    # the report writes the witness as this text in place of its entry
+    # strings: the same bytes at every depth
+    plain = matrix.entry_strings()
+    marked = canonical_string_rows(plain)
+    assert type(marked) is CanonicalText
+    assert json.loads(marked) == plain
+    assert marked + "\n" == dumps_canonical(plain)
     for level in range(depth):
         if level % 2:
             plain, marked = [plain, 0], [marked, 0]
@@ -1071,14 +1072,14 @@ def test_entries_json_is_the_canonical_text_of_the_entry_strings(matrix, key, de
 
 
 @pytest.mark.parametrize("engines", [["oracle"], ["lemma", "oracle"]], ids=["oracle", "both"])
-def test_report_witness_is_the_marked_entries_json(engines):
+def test_report_witness_is_the_canonical_text_of_its_entry_strings(engines):
     sset = without_stopper(gen_general((3, 3, 4)))
     report, code = _build_report(sset, engines)
     witnesses = [e["witness"] for e in report["per_party"] if e["engine"] == "oracle"]
     assert code == 1 and len(witnesses) == sset.shape.n
     for t, witness in enumerate(witnesses):
         assert type(witness) is CanonicalText
-        assert witness == verdict(sset, t).witness.entries_json()
+        assert witness == canonical_string_rows(verdict(sset, t).witness.entry_strings())
 
 
 def test_zeroed_diagonal_raises_under_python_O():
