@@ -45,8 +45,8 @@ copy of the package without bytecode, under `PYTHONDONTWRITEBYTECODE=1`,
 so it too compiles the package from source. A PATH that cannot be opened
 for writing ends the script with exit status 2 before any rung runs.
 The script compares no figures across sessions: on unchanged code, wall
-seconds follow the host, so such comparisons wait for ROADMAP item 5's
-reference seconds.
+seconds follow the host, so such comparisons wait for reference seconds
+measured by the method of `perfbench/reference.py`.
 
 With `--against REV`, the script instead compares the working tree with
 `src/nwe` at the git revision REV, which it extracts with `git archive`

@@ -25,8 +25,6 @@ _LAZY = {
     "load_state_set": "serialize",
     "save_state_set": "serialize",
     "assemble": "verifier",
-    "nullspace": "verifier",
-    "rank": "verifier",
     "verify_all": "verifier",
 }
 _SUBMODULES = frozenset(_LAZY.values())

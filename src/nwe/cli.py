@@ -32,7 +32,7 @@ from .states import (
     check_pairwise_orthogonality,
     dim_cap,
 )
-from .verifier import InvariantError, certified_nonlocal, verify_all
+from .verifier import InvariantError, verify_all
 
 EXIT_OK = 0
 EXIT_NOT_CERTIFIED = 1
@@ -130,7 +130,7 @@ def _build_report(sset: StateSet, engines: list[str]) -> tuple[dict, int]:
             report["per_party"].append(entry)
 
     if verdicts is not None:
-        certified = certified_nonlocal(verdicts)
+        certified = all(v.trivial for v in verdicts)
         if certified:
             note = "certified (oracle)"
             if cert is not None and not cert.trivial_for_all():

@@ -26,6 +26,8 @@ tested by exact type, so any other str subclass is written as a string.
 from __future__ import annotations
 
 import json
+import os
+import stat
 from json.encoder import encode_basestring as _encode_str
 
 from .states import DimensionError, StateSet, SystemShape
@@ -182,21 +184,23 @@ def save_state_set(sset: StateSet, path) -> None:
 
 
 def read_document(path):
-    """The parsed JSON of a file; raises json.JSONDecodeError on malformed
-    JSON and DocumentError on bytes that are not UTF-8, on nesting too deep
-    to parse or on a value the parser rejects (such as an integer literal
-    longer than Python's digit limit)."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
+    """The parsed JSON of a regular file; raises json.JSONDecodeError on
+    malformed JSON and DocumentError on any other file (unread: /dev/zero
+    never ends), bytes that are not UTF-8, nesting too deep to parse or a
+    value the parser rejects (say an integer past Python's digit limit)."""
+    with open(path, "r", encoding="utf-8") as fh:
+        if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            raise DocumentError("not a regular file")
+        try:
             return json.load(fh)
-    except UnicodeDecodeError as exc:
-        raise DocumentError(f"not UTF-8 text: {exc.reason} at byte {exc.start}") from None
-    except RecursionError:
-        raise DocumentError("JSON arrays or objects nested too deeply") from None
-    except json.JSONDecodeError:
-        raise
-    except ValueError as exc:
-        raise DocumentError(str(exc)) from None
+        except UnicodeDecodeError as exc:
+            raise DocumentError(f"not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+        except RecursionError:
+            raise DocumentError("JSON arrays or objects nested too deeply") from None
+        except json.JSONDecodeError:
+            raise
+        except ValueError as exc:
+            raise DocumentError(str(exc)) from None
 
 
 def load_state_set(path) -> StateSet:

@@ -11,10 +11,10 @@ gives u^T S v = 0 on the S block and u^T A v = 0 on the A block (u and v
 real). `assemble` is the only builder of these rows: it records a row of one
 entry c (the paper's Lemma 1) as the zeroed coordinate c, and returns the
 others sparse, one tuple per block. The blocks share no coordinate, so they
-are eliminated apart, the S block first, by one loop that `verdict`, `rank`
-and `nullspace` all read. The identity satisfies every row, so rank_S is at
-most d(d+1)/2 - 1, and the measurement is forced trivial iff rank_S reaches
-that and rank_A = d(d-1)/2.
+are eliminated apart, the S block first, by one loop, `_blocks`, which the
+one decision `verdict` reads (and `nullspace`, for the dense basis). The
+identity satisfies every row, so rank_S is at most d(d+1)/2 - 1, and the
+measurement is forced trivial iff rank_S reaches that and rank_A = d(d-1)/2.
 
 Each block is first peeled: from the zeroed coordinates on, a row with all
 coordinates but one zeroed zeroes that one, to a fixpoint (`propagate`, the
@@ -67,20 +67,6 @@ from .states import InvariantError, NonOrthogonalSetError, StateSet
 
 STATUS_TRIVIAL = "Trivial"
 STATUS_NONTRIVIAL = "Nontrivial"
-
-
-def sym_index(dim: int, a: int, b: int) -> int:
-    """Coordinate of S[a,b], a <= b, within [0, d(d+1)/2)."""
-    if not 0 <= a <= b < dim:
-        raise IndexError(f"bad symmetric coordinate ({a},{b}) for dimension {dim}")
-    return a * dim - a * (a - 1) // 2 + (b - a)
-
-
-def anti_index(dim: int, a: int, b: int) -> int:
-    """Coordinate of A[a,b], a < b, within [d(d+1)/2, d*d)."""
-    if not 0 <= a < b < dim:
-        raise IndexError(f"bad antisymmetric coordinate ({a},{b}) for dimension {dim}")
-    return dim * (dim + 1) // 2 + a * (dim - 1) - a * (a - 1) // 2 + (b - a - 1)
 
 
 class MeasurementConstraintSystem(NamedTuple):
@@ -321,27 +307,18 @@ def _blocks(system: MeasurementConstraintSystem):
         yield sorted(columns.difference(zeroed, pivots)), pivots, den
 
 
-def rank(system: MeasurementConstraintSystem) -> int:
-    return system.num_unknowns - sum(len(free) for free, _, _ in _blocks(system))
-
-
 def nullspace(system: MeasurementConstraintSystem) -> list[tuple[Fraction, ...]]:
-    """Exact-rational basis of the solution space, deterministic order: one
-    vector per free column (neither zeroed by the peel nor a pivot of its
-    block's core), ascending, as the RREF over all d*d unknowns gives it.
+    """The exact-rational nullspace basis, one dense vector per free column
+    of `_blocks`, ascending: the basis the RREF over all d*d unknowns gives.
     An S block at full rank contributes exactly the identity."""
     size = system.num_unknowns
     basis = []
-    nullity = 0
     for free, pivots, den in _blocks(system):
-        nullity += len(free)
         for sparse in _free_vectors(pivots, den, free):
             vec = [Fraction(0)] * size
             for k, x in sparse.items():
                 vec[k] = Fraction(x, den)
             basis.append(tuple(vec))
-    if len(basis) != nullity:
-        raise InvariantError(f"{len(basis)} basis vectors for {size} unknowns and rank {size - nullity}")
     return basis
 
 
@@ -404,7 +381,3 @@ def verify_all(sset: StateSet, cert: Certificate | None = None) -> list[Triviali
         TrivialityVerdict(t, STATUS_TRIVIAL, 1, None) if t in proven else verdict(sset, t)
         for t in range(sset.shape.n)
     ]
-
-
-def certified_nonlocal(verdicts) -> bool:
-    return all(v.trivial for v in verdicts)

@@ -41,7 +41,23 @@ from nwe.states import (
     find_stopper,
 )
 from nwe.serialize import FORMAT_VERSION
-from nwe.verifier import HermitianMatrix, anti_index, sym_index
+from nwe.verifier import HermitianMatrix
+
+
+def sym_index(dim: int, a: int, b: int) -> int:
+    """Coordinate of S[a,b], a <= b, within [0, d(d+1)/2): the closed form
+    `inference.coordinate_map` is checked against."""
+    if not 0 <= a <= b < dim:
+        raise IndexError(f"bad symmetric coordinate ({a},{b}) for dimension {dim}")
+    return a * dim - a * (a - 1) // 2 + (b - a)
+
+
+def anti_index(dim: int, a: int, b: int) -> int:
+    """Coordinate of A[a,b], a < b, within [d(d+1)/2, d*d): the closed form
+    `inference.coordinate_map` is checked against."""
+    if not 0 <= a < b < dim:
+        raise IndexError(f"bad antisymmetric coordinate ({a},{b}) for dimension {dim}")
+    return dim * (dim + 1) // 2 + a * (dim - 1) - a * (a - 1) // 2 + (b - a - 1)
 
 
 def coords_to_matrix(vec, dim: int) -> HermitianMatrix:

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import nwe.cli
+import nwe.serialize
 import nwe.verifier
 from nwe import derive_certificate, gen_equal, gen_general, save_state_set, verify_all
 from nwe.cli import _build_report, build_parser, main
@@ -408,6 +409,23 @@ class TestHostileInput:
         code, err = self.run_verify(path, capsys)
         assert code == 3
         assert str(path) in err
+
+    @pytest.mark.skipif(not Path("/dev/zero").exists(), reason="no /dev/zero on this platform")
+    def test_device_input_exit_3_before_reading(self, capsys, monkeypatch):
+        # /dev/zero never ends: reading it would run until memory runs out
+        def no_read(fh):
+            raise AssertionError("the document was read")
+
+        monkeypatch.setattr(nwe.serialize.json, "load", no_read)
+        code, err = self.run_verify("/dev/zero", capsys)
+        assert code == 3
+        assert err == "error: invalid document: not a regular file\n"
+
+    def test_directory_input_exit_3(self, tmp_path, capsys):
+        code, err = self.run_verify(tmp_path, capsys)
+        assert code == 3
+        # opening a directory fails before the check, as OSError
+        assert err.startswith("error: [Errno") and str(tmp_path) in err
 
 
 class TestUnwritableReport:

@@ -14,7 +14,6 @@ from nwe import (
     derive_certificate,
     gen_equal,
     gen_general,
-    nullspace,
     render_certificate,
     verify_all,
 )
@@ -28,15 +27,17 @@ from nwe.inference import (
     propagate,
 )
 from nwe.states import LocalVector, ProductState, SystemShape, basis_ket, diff_ket, flat_ket
-from nwe.verifier import InvariantError, _peel, anti_index, sym_index
+from nwe.verifier import InvariantError, _peel, nullspace
 
 from helpers import (
     _reference_conclusion,
+    anti_index,
     computational_basis_set,
     invariant_error_under_python_O,
     reference_certificate,
     rotated,
     scrambled,
+    sym_index,
     unshared_index,
     without_stopper,
 )

@@ -16,8 +16,6 @@ from nwe import (
     derive_certificate,
     gen_equal,
     gen_general,
-    nullspace,
-    rank,
     verify_all,
 )
 from nwe.cli import _build_report
@@ -30,14 +28,13 @@ from nwe.verifier import (
     _exact_rref,
     _pair_rows,
     _peel,
-    anti_index,
-    certified_nonlocal,
-    sym_index,
+    nullspace,
     verdict,
 )
 
 from helpers import (
     CZERO,
+    anti_index,
     big_basis_set,
     computational_basis_set,
     coords_to_matrix,
@@ -58,6 +55,7 @@ from helpers import (
     rotated,
     scaled_vector,
     scrambled,
+    sym_index,
     unshared_index,
     without_stopper,
 )
@@ -252,8 +250,7 @@ class TestNullspace:
     def test_rank_nullity(self):
         for sset in (gen_equal(3, 3), gen_general((3, 3, 4)), computational_basis_set((2, 2))):
             for t in range(sset.shape.n):
-                system = assemble(sset, t)
-                assert len(nullspace(system)) == system.num_unknowns - rank(system)
+                assert len(nullspace(assemble(sset, t))) == verdict(sset, t).nullspace_dim
 
     @pytest.mark.parametrize(
         "sset",
@@ -283,7 +280,8 @@ class TestNullspace:
             rows = system.rows
             got = nullspace(system)
             assert got == [tuple(vec) for vec in basis]
-            assert rank(system) == len(pivots)
+            free = [k for columns, _, _ in nwe.verifier._blocks(system) for k in columns]
+            assert free == [k for k in range(system.num_unknowns) if k not in pivots]
             # elimination leaves the system's rows as they were
             assert system.rows == rows and nullspace(system) == got
 
@@ -292,7 +290,7 @@ class TestVerdict:
     def test_general_family_trivial_everywhere(self):
         verdicts = verify_all(gen_general((3, 3, 3)))
         assert all(v.status == "Trivial" and v.nullspace_dim == 1 for v in verdicts)
-        assert certified_nonlocal(verdicts)
+        assert all(v.trivial for v in verdicts)
 
     def test_two_qubit_basis_nontrivial(self):
         sset = computational_basis_set((2, 2))
@@ -451,7 +449,7 @@ class TestOracleEngineAgreement:
         # on the unmodified built-in families the engine is also complete
         if sset.provenance.startswith(("equal(", "general(")) and "-no-stopper" not in sset.provenance:
             assert cert.trivial_for_all()
-            assert certified_nonlocal(verdicts)
+            assert all(v.trivial for v in verdicts)
 
 
 def outcomes(verdicts):
@@ -937,10 +935,9 @@ class TestPeel:
         monkeypatch.setattr(nwe.verifier, "_assemble", lambda sset, t: forged)
         with pytest.raises(InvariantError, match="forces coordinate"):
             verdict(gen_equal(3, 3), 0)
-        # rank and nullspace reduce the blocks the same way, with the same guard
-        for reduce in (rank, nullspace):
-            with pytest.raises(InvariantError, match="forces coordinate"):
-                reduce(forged)
+        # nullspace reduces the blocks the same way, with the same guard
+        with pytest.raises(InvariantError, match="forces coordinate"):
+            nullspace(forged)
 
 
 @st.composite
@@ -977,7 +974,9 @@ class TestForgedSystems:
     @given(forged_systems())
     def test_rank_and_nullspace_equal_the_dense_ones(self, system):
         pivots, basis = dense_nullspace(system.rows, system.num_unknowns)
-        assert rank(system) == len(pivots)
+        # the blocks' free columns are the dense elimination's non-pivots
+        free = [k for columns, _, _ in nwe.verifier._blocks(system) for k in columns]
+        assert free == [k for k in range(system.num_unknowns) if k not in pivots]
         assert nullspace(system) == [tuple(vec) for vec in basis]
 
     @settings(max_examples=50, deadline=None)
@@ -1088,8 +1087,10 @@ def test_zeroed_diagonal_raises_under_python_O():
     message = invariant_error_under_python_O("""
 import nwe.verifier
 from nwe import gen_equal
-from nwe.verifier import MeasurementConstraintSystem, sym_index, verdict
-rows = ({sym_index(3, 0, 1): 1}, {sym_index(3, 0, 1): 2, sym_index(3, 1, 1): 1})
+from nwe.inference import coordinate_map
+from nwe.verifier import MeasurementConstraintSystem, verdict
+sym = coordinate_map(3).sym
+rows = ({sym[0][1]: 1}, {sym[0][1]: 2, sym[1][1]: 1})
 nwe.verifier._assemble = lambda sset, t: MeasurementConstraintSystem(0, 3, rows, ())
 verdict(gen_equal(3, 3), 0)
 """)
