@@ -30,7 +30,6 @@ from .states import (
     NonOrthogonalSetError,
     StateSet,
     check_pairwise_orthogonality,
-    dim_cap,
 )
 from .verifier import InvariantError, verify_all
 
@@ -226,7 +225,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        dim_cap()  # a bad NWE_DIM_CAP is a parameter error, even while reading a document
         return args.func(args)
     except (ConstructionError, DimensionError, OutputError) as exc:
         print(f"error: {exc}", file=sys.stderr)

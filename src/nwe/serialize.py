@@ -103,7 +103,7 @@ def state_set_from_document(doc) -> StateSet:
         labels.append(label)
     try:
         return object.__new__(StateSet)._store(shape, tables, columns, tuple(labels), provenance)
-    except DimensionError as exc:  # a label that names two states
+    except DimensionError as exc:  # too many states, or a label that names two states
         raise DocumentError(str(exc)) from None
 
 
@@ -187,10 +187,14 @@ def read_document(path):
     """The parsed JSON of a regular file; raises json.JSONDecodeError on
     malformed JSON and DocumentError on any other file (unread: /dev/zero
     never ends), bytes that are not UTF-8, nesting too deep to parse or a
-    value the parser rejects (say an integer past Python's digit limit)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-            raise DocumentError("not a regular file")
+    value the parser rejects (say an integer past Python's digit limit).
+    The path is opened without blocking, so a FIFO with no writer is
+    refused at once instead of waiting in `open`."""
+    fd = os.open(path, os.O_RDONLY | getattr(os, "O_NONBLOCK", 0))
+    if not stat.S_ISREG(os.fstat(fd).st_mode):
+        os.close(fd)
+        raise DocumentError("not a regular file")
+    with open(fd, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
         except UnicodeDecodeError as exc:

@@ -17,17 +17,19 @@ orthogonal), and sorts the state pairs with integer bitsets.
 
 from __future__ import annotations
 
-import os
 from functools import cached_property
 from itertools import compress
 from operator import index
 from typing import NamedTuple
 
-DEFAULT_DIM_CAP = 64
+DIM_CAP = 64  # the largest dimension a party may have
+# the most state pairs a set may have: the pair table is quadratic in the
+# states, and every family the generators accept stays below this
+MAX_PAIRS = 10**6
 
 
 class DimensionError(ValueError):
-    """Shapes or vector lengths do not match, the dimension cap is invalid, or a label or provenance is bad."""
+    """Shapes or vector lengths do not match, a size is out of range, or a label or provenance is bad."""
 
 
 class InvariantError(RuntimeError):
@@ -52,20 +54,6 @@ def _integers(values, what: str) -> tuple[int, ...]:
     except TypeError:
         bad = next(v for v in values if not hasattr(type(v), "__index__"))
         raise DimensionError(f"{what} must be integers, got {bad!r}") from None
-
-
-def dim_cap() -> int:
-    """Per-party dimension cap (default 64); override via NWE_DIM_CAP."""
-    raw = os.environ.get("NWE_DIM_CAP")
-    if raw is None:
-        return DEFAULT_DIM_CAP
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise DimensionError(f"NWE_DIM_CAP must be an integer, got {raw!r}") from None
-    if cap < 2:
-        raise DimensionError(f"NWE_DIM_CAP must be at least 2, got {cap}")
-    return cap
 
 
 def _rebuild(cls, values: tuple):
@@ -125,12 +113,11 @@ class SystemShape(_Value):
         dims = _integers(dims, "dimensions")
         if len(dims) < 2:
             raise DimensionError(f"need at least 2 parties, got {len(dims)}")
-        cap = dim_cap()
         for k, d in enumerate(dims):
             if d < 2:
                 raise DimensionError(f"party {k}: dimension must be >= 2, got {d}")
-            if d > cap:
-                raise DimensionError(f"party {k}: dimension {d} exceeds cap {cap} (NWE_DIM_CAP)")
+            if d > DIM_CAP:
+                raise DimensionError(f"party {k}: dimension {d} exceeds cap {DIM_CAP}")
         object.__setattr__(self, "dims", dims)
 
     @property
@@ -230,9 +217,13 @@ class StateSet(_Value):
         the ids[t][i]-th coefficient tuple of vectors[t] (a sequence, or a
         table of distinct tuples in order of first appearance), all checked
         by the caller, with each vector's support and ket coordinate; the
-        constructor and the loader both end here. Certificates cite states
-        by label (an unlabelled state by "#index"), so a label that names two
-        states raises DimensionError."""
+        constructor and the loader both end here. A set of more than
+        MAX_PAIRS state pairs raises DimensionError before anything is
+        built. Certificates cite states by label (an unlabelled state by
+        "#index"), so a label that names two states raises DimensionError."""
+        pairs = len(labels) * (len(labels) - 1) // 2
+        if pairs > MAX_PAIRS:
+            raise DimensionError(f"{len(labels)} states make {pairs} state pairs, above the bound of {MAX_PAIRS}")
         index = []
         for vs, column in zip(vectors, ids):
             supports = tuple(tuple(compress(enumerate(v), v)) for v in vs)

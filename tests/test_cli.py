@@ -1,12 +1,16 @@
 import json
+import os
 import random
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import nwe.cli
 import nwe.serialize
+import nwe.states
 import nwe.verifier
 from nwe import derive_certificate, gen_equal, gen_general, save_state_set, verify_all
 from nwe.cli import _build_report, build_parser, main
@@ -256,40 +260,25 @@ class TestCompare:
 
 
 class TestDimCap:
-    def test_cap_is_enforced(self, capsys, monkeypatch):
-        monkeypatch.setenv("NWE_DIM_CAP", "4")
-        code = main(["generate", "--dims", "3,3,5"])
-        assert code == 2
-        assert "cap" in capsys.readouterr().err
-
-    def test_cap_can_be_raised(self, capsys, monkeypatch):
-        monkeypatch.setenv("NWE_DIM_CAP", "80")
-        code = main(["generate", "--dims", "3,3,70"])
+    def test_cap_is_enforced(self, capsys):
+        code = main(["generate", "--dims", "3,3,65"])
         captured = capsys.readouterr()
-        assert code == 0
-        assert json.loads(captured.out)["dims"] == [3, 3, 70]
-
-    @pytest.mark.parametrize(
-        "raw, message",
-        [
-            ("abc", "NWE_DIM_CAP must be an integer, got 'abc'"),
-            ("0", "error: NWE_DIM_CAP must be at least 2, got 0"),
-            ("-5", "error: NWE_DIM_CAP must be at least 2, got -5"),
-        ],
-    )
-    def test_bad_cap_exit_2(self, capsys, monkeypatch, raw, message):
-        monkeypatch.setenv("NWE_DIM_CAP", raw)
-        code = main(["verify", "--dims", "3,3,3"])
         assert code == 2
-        assert message in capsys.readouterr().err
+        assert captured.out == ""
+        assert captured.err == "error: party 2: dimension 65 exceeds cap 64\n"
 
-    def test_non_integer_cap_exit_2_with_input(self, tmp_path, capsys, monkeypatch):
-        path = tmp_path / "set.json"
-        write_doc(path, state_set_to_document(gen_general((3, 3, 3))))
-        monkeypatch.setenv("NWE_DIM_CAP", "abc")
+    def test_cap_in_a_document_exit_3(self, tmp_path, capsys):
+        path = tmp_path / "wide.json"
+        write_doc(path, {"version": "nwe/1", "dims": [3, 65], "states": []})
         code = main(["verify", "--input", str(path)])
-        assert code == 2
-        assert "NWE_DIM_CAP" in capsys.readouterr().err
+        assert code == 3
+        assert capsys.readouterr().err == "error: invalid document: bad dims: party 1: dimension 65 exceeds cap 64\n"
+
+    @pytest.mark.parametrize("raw", ["128", "abc"])
+    def test_environment_is_ignored(self, capsys, monkeypatch, raw):
+        monkeypatch.setenv("NWE_DIM_CAP", raw)
+        assert main(["verify", "--dims", "3,3,3"]) == 0
+        assert capsys.readouterr().err == ""
 
 
 class TestJsonBooleans:
@@ -424,8 +413,38 @@ class TestHostileInput:
     def test_directory_input_exit_3(self, tmp_path, capsys):
         code, err = self.run_verify(tmp_path, capsys)
         assert code == 3
-        # opening a directory fails before the check, as OSError
-        assert err.startswith("error: [Errno") and str(tmp_path) in err
+        assert err == "error: invalid document: not a regular file\n"
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes on this platform")
+    def test_fifo_input_exit_3_without_waiting(self, tmp_path):
+        # a FIFO with no writer would block a plain open() for good, so the
+        # run is a child process with a timeout: a regression fails, not hangs
+        path = tmp_path / "pipe"
+        os.mkfifo(path)
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        done = subprocess.run(
+            [sys.executable, "-m", "nwe.cli", "verify", "--input", str(path)],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=20,
+        )
+        assert (done.returncode, done.stdout) == (3, "")
+        assert done.stderr == "error: invalid document: not a regular file\n"
+
+    def test_too_many_states_exit_3(self, tmp_path, capsys, monkeypatch):
+        # 6,000 equal states make 17,997,000 non-orthogonal pairs: without
+        # the pair bound, building their table would run for minutes
+        def no_table(sset):
+            raise AssertionError("the pair table was built")
+
+        monkeypatch.setattr(nwe.states, "_classify_pairs", no_table)
+        doc = {"version": "nwe/1", "dims": [3, 3, 3], "states": [{"locals": [[1, 0, 0]] * 3}] * 6000}
+        path = tmp_path / "crowd.json"
+        write_doc(path, doc)
+        code, err = self.run_verify(path, capsys)
+        assert code == 3
+        assert err == "error: invalid document: 6000 states make 17997000 state pairs, above the bound of 1000000\n"
 
 
 class TestUnwritableReport:

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from nwe import ConstructionError, DimensionError, gen_equal, gen_general, prior_sizes
 from nwe import constructions
 from nwe.constructions import MAX_COEFFICIENTS, GeneralDims, expected_size
-from nwe.states import basis_ket, check_pairwise_orthogonality
+from nwe.serialize import state_set_from_document, state_set_to_document
+from nwe.states import MAX_PAIRS, basis_ket, check_pairwise_orthogonality
 
 from helpers import local_inner
 
@@ -66,6 +67,23 @@ class TestFamilySizeBound:
         n, d = 15, 64
         assert (n * (d - 1) + 1) * n * d <= MAX_COEFFICIENTS
         constructions._check_size(n * (d - 1) + 1, n * d, "equal(15,64)")
+
+    def test_accepted_equal_families_stay_under_the_pair_bound(self):
+        # k states of width w pass when k * w <= MAX_COEFFICIENTS, and k <= 2w,
+        # so k * k <= 2 * MAX_COEFFICIENTS and k(k-1)/2 < MAX_PAIRS
+        largest = 0
+        for d in range(3, 65):
+            n = 3
+            while (n * (d - 1) + 1) * n * d <= MAX_COEFFICIENTS:
+                k = n * (d - 1) + 1
+                assert k * (k - 1) // 2 <= MAX_PAIRS
+                largest = max(largest, k)
+                n += 1
+        assert largest == 991  # equal(18,56)
+        for n, d, pairs in [(18, 56, 490545), (31, 32, 462241)]:
+            sset = gen_equal(n, d)
+            assert len(sset) * (len(sset) - 1) // 2 == pairs
+            assert state_set_from_document(state_set_to_document(sset)) == sset
 
 
 class TestGenGeneral:

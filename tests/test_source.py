@@ -69,6 +69,21 @@ def test_no_dataclasses_import(path):
     assert not [m for m in modules if m.split(".")[0] == "dataclasses"], f"{path.name} imports dataclasses"
 
 
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_environment_read(path):
+    # the library has no run-time knobs: a setting is a constant in the
+    # source, so the same input gives the same result in every environment
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    names = {"environ", "environb", "getenv", "getenvb"}
+    reads = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr in names]
+    reads += [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "os" and names & {a.name for a in node.names}
+    ]
+    assert not reads, f"{path.name} reads the environment on lines {reads}"
+
+
 @pytest.mark.parametrize(
     "path",
     SOURCES + sorted((ROOT / "scripts").glob("*.py")) + sorted((ROOT / "tests").glob("*.py")),

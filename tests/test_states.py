@@ -10,12 +10,12 @@ from hypothesis import strategies as st
 from nwe import DimensionError, StateSet, assemble, derive_certificate, gen_equal, gen_general
 from nwe.serialize import state_set_from_document, state_set_to_document
 from nwe.states import (
+    MAX_PAIRS,
     LocalVector,
     ProductState,
     SystemShape,
     basis_ket,
     check_pairwise_orthogonality,
-    dim_cap,
     find_stopper,
     stopper,
 )
@@ -216,17 +216,23 @@ class TestInvariantsValidation:
         with pytest.raises(DimensionError):
             SystemShape((65, 65))
 
-    def test_dim_cap_override(self, monkeypatch):
-        monkeypatch.setenv("NWE_DIM_CAP", "128")
-        assert SystemShape((65, 65)).dims == (65, 65)
-        monkeypatch.setenv("NWE_DIM_CAP", "4")
-        with pytest.raises(DimensionError):
-            SystemShape((3, 5))
+    @pytest.mark.parametrize("raw", ["128", "abc"])
+    def test_environment_does_not_move_the_cap(self, monkeypatch, raw):
+        monkeypatch.setenv("NWE_DIM_CAP", raw)
+        assert SystemShape((3, 64)).dims == (3, 64)
+        with pytest.raises(DimensionError, match=r"^party 1: dimension 65 exceeds cap 64$"):
+            SystemShape((3, 65))
 
-    def test_dim_cap_must_be_an_integer(self, monkeypatch):
-        monkeypatch.setenv("NWE_DIM_CAP", "abc")
-        with pytest.raises(DimensionError, match="NWE_DIM_CAP must be an integer"):
-            dim_cap()
+    def test_pair_bound_is_inclusive(self):
+        # 1414 states make 999,691 pairs and 1415 make 1,000,405; the
+        # constructor does not check orthogonality, so one state will do
+        shape = SystemShape((2, 2))
+        state = ProductState(shape, (basis_ket(2, 0), basis_ket(2, 0)))
+        assert MAX_PAIRS == 10**6
+        assert len(StateSet(shape, (state,) * 1414)) == 1414
+        message = "1415 states make 1000405 state pairs, above the bound of 1000000"
+        with pytest.raises(DimensionError, match=f"^{message}$"):
+            StateSet(shape, (state,) * 1415)
 
     def test_state_local_count_must_match(self):
         shape = SystemShape((2, 2))
