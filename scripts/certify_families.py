@@ -14,6 +14,11 @@ import time
 from nwe import InvariantError, derive_certificate, gen_equal, gen_general, verify_all
 from nwe.inference import check_certificate
 
+MAX_PARTIES = 6  # the equal grid: parties 3..MAX_PARTIES, dimensions 3..MAX_DIM
+MAX_DIM = 7
+SAMPLES = 20  # random general-dims sets
+SEED = 20250810
+
 
 def certify(sset):
     start = time.monotonic()
@@ -29,29 +34,24 @@ def certify(sset):
     return oracle_ok, lemma_ok, len(cert.facts), elapsed
 
 
-def families(max_parties, max_dim, samples, seed):
+def families():
     """The equal-dims grid, then a seeded sample of general dimension vectors."""
-    for n in range(3, max_parties + 1):
-        for d in range(3, max_dim + 1):
+    for n in range(3, MAX_PARTIES + 1):
+        for d in range(3, MAX_DIM + 1):
             yield gen_equal(n, d)
-    rng = random.Random(seed)
-    for _ in range(samples):
+    rng = random.Random(SEED)
+    for _ in range(SAMPLES):
         n = rng.randint(3, 5)
         yield gen_general(tuple(sorted(rng.randint(3, 8) for _ in range(n))))
 
 
 def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--max-parties", type=int, default=6)
-    parser.add_argument("--max-dim", type=int, default=7)
-    parser.add_argument("--samples", type=int, default=20, help="random general-dims sets")
-    parser.add_argument("--seed", type=int, default=20250810)
-    args = parser.parse_args(argv)
+    argparse.ArgumentParser(description=__doc__).parse_args(argv)
 
     print(f"{'set':<24} {'size':>4} {'oracle':>7} {'lemma':>6} {'facts':>5} {'time':>7}")
     total = time.monotonic()
     all_ok = True
-    for sset in families(args.max_parties, args.max_dim, args.samples, args.seed):
+    for sset in families():
         oracle_ok, lemma_ok, nfacts, elapsed = certify(sset)
         all_ok &= oracle_ok and lemma_ok
         print(

@@ -5,20 +5,20 @@ import argparse
 
 from nwe import prior_sizes
 
+MAX_DIM = 8  # the equal rows: dimensions 3..MAX_DIM
+
 
 def fmt(value):
     return "-" if value is None else str(value)
 
 
 def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--max-dim", type=int, default=8)
-    args = parser.parse_args(argv)
+    argparse.ArgumentParser(description=__doc__).parse_args(argv)
 
     print("equal dimensions (n parties of dimension d)")
     print(f"{'dims':<16} {'ours':>6} {'jiang':>6} {'wang':>6}")
     for n in (3, 4, 5):
-        for d in range(3, args.max_dim + 1):
+        for d in range(3, MAX_DIM + 1):
             report = prior_sizes((d,) * n)
             print(f"{str((d,) * n):<16} {fmt(report.ours):>6} {fmt(report.jiang):>6} {fmt(report.wang):>6}")
 

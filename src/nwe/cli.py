@@ -159,8 +159,10 @@ def _cmd_verify(args) -> int:
 
     engines = ["lemma", "oracle"] if args.engine == "both" else [args.engine]
     report, code = _build_report(sset, engines)
-    if code == EXIT_INVALID_INPUT:
-        print(f"error: non-orthogonal state pairs: {report['orthogonality']['violations']}", file=sys.stderr)
+    if code == EXIT_INVALID_INPUT:  # the report lists every pair; stderr names the first 10
+        pairs = report["orthogonality"]["violations"]
+        more = f" and {len(pairs) - 10} more (the report lists all {len(pairs)})" if len(pairs) > 10 else ""
+        print(f"error: non-orthogonal state pairs: {pairs[:10]}{more}", file=sys.stderr)
     try:
         _emit(dumps_canonical(report), args.out)
     except OutputError as exc:

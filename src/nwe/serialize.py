@@ -72,8 +72,6 @@ def state_set_from_document(doc) -> StateSet:
     if not isinstance(raw_states, list):
         raise DocumentError("states must be an array")
     provenance = doc.get("provenance", "user")
-    if not isinstance(provenance, str):
-        raise DocumentError("provenance must be a string")
     # each party's table maps a distinct coefficient tuple to its vector id
     n, tables, columns, labels = shape.n, [{} for _ in dims], [[] for _ in dims], []
     for idx, entry in enumerate(raw_states):
@@ -97,13 +95,10 @@ def state_set_from_document(doc) -> StateSet:
                     )
                 v = tables[k][key] = len(tables[k])
             columns[k].append(v)
-        label = entry.get("label")
-        if label is not None and not isinstance(label, str):
-            raise DocumentError(f"states[{idx}].label: expected a string")
-        labels.append(label)
+        labels.append(entry.get("label"))
     try:
         return object.__new__(StateSet)._store(shape, tables, columns, tuple(labels), provenance)
-    except DimensionError as exc:  # too many states, or a label that names two states
+    except DimensionError as exc:  # the set's own rules: pair bound, provenance and labels
         raise DocumentError(str(exc)) from None
 
 

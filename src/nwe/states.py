@@ -199,13 +199,9 @@ class StateSet(_Value):
 
     def __init__(self, shape: SystemShape, states: tuple[ProductState, ...], provenance: str = "user") -> None:
         states = tuple(states)
-        if not isinstance(provenance, str):
-            raise DimensionError("provenance must be a string")
         for idx, s in enumerate(states):
             if s.shape != shape:
                 raise DimensionError(f"state {idx} has shape {s.shape.dims}, set has {shape.dims}")
-            if s.label is not None and not isinstance(s.label, str):
-                raise DimensionError(f"states[{idx}].label: expected a string")
         # each party's table maps a distinct coefficient tuple to its position
         tables: list[dict] = [{} for _ in shape.dims]
         ids = [[table.setdefault(s.locals[t].coeffs, len(table)) for s in states] for t, table in enumerate(tables)]
@@ -215,15 +211,20 @@ class StateSet(_Value):
     def _store(self, shape: SystemShape, vectors, ids, labels, provenance: str) -> StateSet:
         """Store the set whose state i has label labels[i] and, on party t,
         the ids[t][i]-th coefficient tuple of vectors[t] (a sequence, or a
-        table of distinct tuples in order of first appearance), all checked
-        by the caller, with each vector's support and ket coordinate; the
-        constructor and the loader both end here. A set of more than
-        MAX_PAIRS state pairs raises DimensionError before anything is
-        built. Certificates cite states by label (an unlabelled state by
-        "#index"), so a label that names two states raises DimensionError."""
+        table of distinct tuples in order of first appearance, checked by
+        the caller), with each vector's support and ket coordinate. The
+        constructor and the loader both end here, and only here are labels
+        and provenance checked: over MAX_PAIRS state pairs, a provenance not
+        a str, a label neither a str nor None, or one naming two states
+        (certificates cite an unlabelled state as "#index") raise DimensionError."""
         pairs = len(labels) * (len(labels) - 1) // 2
         if pairs > MAX_PAIRS:
             raise DimensionError(f"{len(labels)} states make {pairs} state pairs, above the bound of {MAX_PAIRS}")
+        if not isinstance(provenance, str):
+            raise DimensionError("provenance must be a string")
+        for idx, label in enumerate(labels):
+            if label is not None and not isinstance(label, str):
+                raise DimensionError(f"states[{idx}].label: expected a string")
         index = []
         for vs, column in zip(vectors, ids):
             supports = tuple(tuple(compress(enumerate(v), v)) for v in vs)

@@ -319,7 +319,9 @@ def reference_certificate(sset: StateSet) -> Certificate:
 def reference_state_set_from_document(doc) -> StateSet:
     """The loader as it was before documents were read straight into the
     vector index: one LocalVector per distinct list and one ProductState per
-    state, then the set the constructor builds from them.
+    state, then the set the constructor builds from them. The set checks
+    the pair bound, the provenance and the labels itself, after every
+    structural and coefficient check here, as the library's loader does.
     Its sets and its DocumentError messages are what the library's loader
     must give."""
     if not isinstance(doc, dict):
@@ -339,8 +341,6 @@ def reference_state_set_from_document(doc) -> StateSet:
     if not isinstance(raw_states, list):
         raise DocumentError("states must be an array")
     provenance = doc.get("provenance", "user")
-    if not isinstance(provenance, str):
-        raise DocumentError("provenance must be a string")
     states = []
     # one LocalVector per distinct coefficient list, shared by every state that has it
     local_vector = functools.cache(LocalVector)
@@ -363,16 +363,13 @@ def reference_state_set_from_document(doc) -> StateSet:
                 locals_.append(local_vector(tuple(coeffs)))
             except ValueError as exc:
                 raise DocumentError(f"states[{idx}].locals[{k}]: {exc}") from exc
-        label = entry.get("label")
-        if label is not None and not isinstance(label, str):
-            raise DocumentError(f"states[{idx}].label: expected a string")
         try:
-            states.append(ProductState(shape, tuple(locals_), label))
+            states.append(ProductState(shape, tuple(locals_), entry.get("label")))
         except ValueError as exc:
             raise DocumentError(f"states[{idx}]: {exc}") from exc
     try:
         return StateSet(shape, tuple(states), provenance=provenance)
-    except DimensionError as exc:  # the set refuses a label that names two states
+    except DimensionError as exc:  # the set's own rules: pair bound, provenance and labels
         raise DocumentError(str(exc)) from None
 
 

@@ -151,6 +151,23 @@ class TestVerify:
             "}\n"
         )
 
+    @pytest.mark.parametrize("count", [5, 200])
+    def test_stderr_names_at_most_ten_violating_pairs(self, tmp_path, capsys, count):
+        # equal states: every pair violates; the report lists all of them
+        doc = {"version": "nwe/1", "dims": [3, 3, 3], "states": [{"locals": [[1, 0, 0]] * 3}] * count}
+        path, out = tmp_path / "equal.json", tmp_path / "report.json"
+        write_doc(path, doc)
+        code = main(["verify", "--input", str(path), "--out", str(out)])
+        err = capsys.readouterr().err
+        pairs = [[i, j] for i in range(count) for j in range(i + 1, count)]
+        assert code == 3
+        assert json.loads(out.read_text(encoding="utf-8"))["orthogonality"]["violations"] == pairs
+        first = ", ".join(f"({i}, {j})" for i, j in pairs[:10])
+        more = f" and {len(pairs) - 10} more (the report lists all {len(pairs)})" if len(pairs) > 10 else ""
+        assert err == f"error: non-orthogonal state pairs: [{first}]{more}\n"
+        if count == 200:
+            assert len(err.encode()) < 300 and "19900" in err
+
     def test_malformed_json_exit_3(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("{\n  \"version\": \"nwe/1\",\n", encoding="utf-8")
@@ -382,6 +399,43 @@ class TestHostileInput:
         code, err = self.run_verify(path, capsys)
         assert code == 3
         assert "duplicate state label 'a': states[0] and states[2]" in err
+
+    @pytest.mark.parametrize(
+        "provenance, label, message",
+        [
+            ("user", 7, "states[1].label: expected a string"),
+            ("user", [1], "states[1].label: expected a string"),
+            (5, "b", "provenance must be a string"),
+        ],
+        ids=["int-label", "list-label", "int-provenance"],
+    )
+    def test_label_and_provenance_faults_exit_3(self, tmp_path, capsys, provenance, label, message):
+        doc = {
+            "version": "nwe/1",
+            "dims": [2, 2],
+            "provenance": provenance,
+            "states": [{"locals": [[1, 0], [1, 0]], "label": "a"}, {"locals": [[0, 1], [1, 0]], "label": label}],
+        }
+        path = tmp_path / "labels.json"
+        write_doc(path, doc)
+        code, err = self.run_verify(path, capsys)
+        assert code == 3
+        assert err == f"error: invalid document: {message}\n"
+
+    def test_coefficient_fault_wins_over_provenance_fault(self, tmp_path, capsys):
+        # the set checks its provenance and labels after the loader has read
+        # every state, so a structural or coefficient fault is named first
+        doc = {
+            "version": "nwe/1",
+            "dims": [2, 2],
+            "provenance": 5,
+            "states": [{"locals": [[1, 0], [1, 0]]}, {"locals": [[True, 0], [1, 0]]}],
+        }
+        path = tmp_path / "faults.json"
+        write_doc(path, doc)
+        code, err = self.run_verify(path, capsys)
+        assert code == 3
+        assert err == "error: invalid document: states[1].locals[0]: expected an array of integers\n"
 
     def test_oracle_invariant_failure_exit_3(self, tmp_path, capsys, monkeypatch):
         # party 0's nullspace has dimension 2; with no witness drawn from it

@@ -1,6 +1,6 @@
 """The package's top-level names against the documented usage: the README's
-`## Library` section and the `from nwe import ...` lines of `scripts/`; and
-the names that load their submodule on first use."""
+`## Library` and `## CLI` sections and the `from nwe import ...` lines of
+`scripts/`; and the names that load their submodule on first use."""
 
 import ast
 import contextlib
@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import nwe
+from nwe.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -49,6 +50,26 @@ def test_readme_library_block_runs():
     with contextlib.redirect_stdout(out):
         exec(compile(block, "README.md", "exec"), {})
     assert "rule=Lemma1" in out.getvalue()
+
+
+def test_readme_cli_block_runs(tmp_path, monkeypatch):
+    # every command line of the `## CLI` block, in order (a later line reads
+    # an earlier one's file), with its comment dropped and `[--json]` run
+    # both without and with the flag; the Library snippet runs above
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"```sh\n(.*?)```", text.split("\n## CLI\n", 1)[1], re.S).group(1)
+    commands = []
+    for line in block.splitlines():
+        words = line.split("#", 1)[0].split()
+        assert words[0] == "nwe", line
+        if "[--json]" in words:
+            words.remove("[--json]")
+            commands += [words[1:], words[1:] + ["--json"]]
+        else:
+            commands.append(words[1:])
+    monkeypatch.chdir(tmp_path)
+    assert [(argv, main(argv)) for argv in commands] == [(argv, 0) for argv in commands]
+    assert len(commands) == 6 and (tmp_path / "set.json").is_file()
 
 
 def test_readme_names_the_public_api():

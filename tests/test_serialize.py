@@ -207,7 +207,8 @@ def hostile_documents(draw):
     party's list from a small pool, so that lists repeat. A pool may hold
     lists equal as Python values to an integer list but of another type
     (booleans, floats), lists of the wrong length, all-zero lists and
-    non-lists; a state may be malformed or carry a bad or repeated label."""
+    non-lists; a state may be malformed or carry a bad or repeated label,
+    and the provenance may be missing or not a string."""
     dims = draw(st.lists(st.integers(2, 3), min_size=2, max_size=3))
     coefficient = st.sampled_from([-1, 0, 0, 1, 2])
     odd_value = st.sampled_from([True, False, 1.0, 0.0, "1", None])
@@ -232,7 +233,7 @@ def hostile_documents(draw):
         states.append(draw(st.sampled_from([entry] * 8 + [[], {"locals": entry["locals"][1:]}, {}])))
     doc = {"version": "nwe/1", "dims": dims, "states": states}
     if draw(st.booleans()):
-        doc["provenance"] = "drawn"
+        doc["provenance"] = draw(st.sampled_from(["drawn", 5]))
     # as a file gives it: every list a new object
     return json.loads(json.dumps(doc))
 

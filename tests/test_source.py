@@ -84,6 +84,14 @@ def test_no_environment_read(path):
     assert not reads, f"{path.name} reads the environment on lines {reads}"
 
 
+@pytest.mark.parametrize("literal", ["label: expected a string", "provenance must be a string"])
+def test_set_rules_have_one_home(literal):
+    # a set's label and provenance rules are checked in StateSet._store,
+    # where the constructor and the loader both end, and nowhere else
+    found = {p.name: p.read_text(encoding="utf-8").count(literal) for p in SOURCES}
+    assert {name: count for name, count in found.items() if count} == {"states.py": 1}
+
+
 @pytest.mark.parametrize(
     "path",
     SOURCES + sorted((ROOT / "scripts").glob("*.py")) + sorted((ROOT / "tests").glob("*.py")),

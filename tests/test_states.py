@@ -269,6 +269,13 @@ class TestInvariantsValidation:
         with pytest.raises(DimensionError, match=re.escape("states[0].label: expected a string")):
             StateSet(shape, states)
 
+    def test_set_rejects_an_unhashable_label_by_name(self):
+        # the label check runs before the duplicate-label check hashes a label
+        shape = SystemShape((2, 2))
+        states = [product_state(shape, (1, 0), (1, 0)), product_state(shape, (0, 1), (1, 0), label=["x"])]
+        with pytest.raises(DimensionError, match=re.escape("states[1].label: expected a string")):
+            StateSet(shape, states)
+
     def test_set_rejects_a_provenance_that_is_not_a_string(self):
         shape = SystemShape((2, 2))
         with pytest.raises(DimensionError, match="provenance must be a string"):
